@@ -12,10 +12,8 @@
 
 namespace esh::bench {
 
-// Worker threads for the pipeline hot paths (--threads): AP route planning,
-// M matching and EP merge assembly all fan over the same pool. Affects
-// wall-clock only: every experiment's simulated results are identical for
-// any value.
+// Worker threads for M's batched matching (--threads). Affects wall-clock
+// only: every experiment's simulated results are identical for any value.
 inline std::size_t& threads_flag() {
   static std::size_t threads = 1;
   return threads;

@@ -18,7 +18,7 @@ struct ElasticOutcome {
   std::size_t peak_hosts = 0;
   std::size_t final_hosts = 0;
   std::size_t migrations = 0;
-  double delay_avg_ms = 0.0;
+  double delay_p50_ms = 0.0;
   double delay_p99_ms = 0.0;
 };
 
@@ -93,7 +93,7 @@ inline ElasticOutcome run_elastic_experiment(
   outcome.final_hosts = bed.manager()->managed_host_count();
   outcome.migrations = bed.manager()->migrations().size();
   if (bed.delays().delays_ms().count() > 0) {
-    outcome.delay_avg_ms = bed.delays().delays_ms().percentile(50);
+    outcome.delay_p50_ms = bed.delays().delays_ms().percentile(50);
     outcome.delay_p99_ms = bed.delays().delays_ms().percentile(99);
   }
   std::printf(
@@ -101,7 +101,7 @@ inline ElasticOutcome run_elastic_experiment(
       "median delay %.0f ms, p99 delay %.0f ms, publications %llu,\n"
       "notifications %llu\n",
       outcome.peak_hosts, outcome.final_hosts, outcome.migrations,
-      outcome.delay_avg_ms, outcome.delay_p99_ms,
+      outcome.delay_p50_ms, outcome.delay_p99_ms,
       static_cast<unsigned long long>(bed.delays().publications_completed()),
       static_cast<unsigned long long>(bed.delays().notifications()));
   return outcome;

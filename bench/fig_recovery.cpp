@@ -77,7 +77,7 @@ esh::harness::TestbedConfig recovery_config(const Scenario& scenario) {
   // in the network stats).
   config.engine.reliable_control = true;
   // This main builds its config from scratch (no paper_config), so --threads
-  // has to be applied explicitly for the AP/M/EP offload pool.
+  // has to be applied explicitly for the M matching pool.
   config.engine.worker_threads = esh::bench::threads_flag();
   config.iaas.max_hosts = 8;
   config.iaas.boot_delay = esh::millis(500);

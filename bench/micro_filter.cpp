@@ -2,7 +2,7 @@
 //  - real ASPE encryption and matching, sweeping the attribute count d to
 //    exhibit the O(d^2) per-operation cost the paper's workload analysis
 //    relies on (§VI-B);
-//  - plain-text matchers (brute force vs counting index) sweeping the
+//  - plain-text matchers (brute force vs interval index) sweeping the
 //    number of stored subscriptions;
 //  - the oracle matcher used by the cluster-scale experiments.
 //  - a batched-vs-scalar wall-clock sweep (--batch_sweep): pubs/sec per
@@ -12,11 +12,6 @@
 //    pooled match_batch backend per scheme, thread count and batch size,
 //    emitted as JSON, with every pooled outcome verified identical to the
 //    scalar single-thread pass.
-//  - a pipeline sweep (--pipeline_sweep): wall-clock of a full StreamHub
-//    run (AP route planning, M matching and EP merge assembly all offloaded
-//    to the worker pool) per thread count and dispatch batch cap, emitted
-//    as JSON, with every configuration's simulated outcome verified
-//    identical to the serial single-thread single-event-dispatch run.
 //  - an index sweep (--index_sweep): per-publication match work-units and
 //    wall-clock of IntervalIndexMatcher vs BruteForceMatcher while the
 //    store scales 100 K -> 1 M subscriptions at a 1 % matching rate,
@@ -42,10 +37,8 @@
 #include "filter/aspe.hpp"
 #include "filter/interval_index.hpp"
 #include "filter/matcher.hpp"
-#include "harness/testbed.hpp"
 #include "workload/generator.hpp"
 #include "workload/oracle.hpp"
-#include "workload/schedule.hpp"
 
 namespace {
 
@@ -137,10 +130,10 @@ void BM_PlainBruteForce(benchmark::State& state) {
 }
 BENCHMARK(BM_PlainBruteForce)->RangeMultiplier(4)->Range(256, 65536);
 
-void BM_PlainCountingIndex(benchmark::State& state) {
-  plain_matcher_bench<filter::CountingIndexMatcher>(state);
+void BM_PlainIntervalIndex(benchmark::State& state) {
+  plain_matcher_bench<filter::IntervalIndexMatcher>(state);
 }
-BENCHMARK(BM_PlainCountingIndex)->RangeMultiplier(4)->Range(256, 65536);
+BENCHMARK(BM_PlainIntervalIndex)->RangeMultiplier(4)->Range(256, 65536);
 
 void BM_OracleMatcher(benchmark::State& state) {
   const auto n = static_cast<std::uint64_t>(state.range(0));
@@ -284,11 +277,11 @@ int run_batch_sweep() {
 
   workload::PlainWorkload plain_gen{{kDims, 0.01, 7}};
   filter::BruteForceMatcher brute;
-  filter::CountingIndexMatcher counting;
+  filter::IntervalIndexMatcher interval;
   for (std::size_t i = 0; i < kPlainSubs; ++i) {
     const auto sub = plain_gen.subscription(i);
     brute.add(filter::AnySubscription{sub});
-    counting.add(filter::AnySubscription{sub});
+    interval.add(filter::AnySubscription{sub});
   }
   std::vector<filter::AnyPublication> plain_pubs;
   for (std::size_t i = 0; i < kPlainPubs; ++i) {
@@ -310,7 +303,7 @@ int run_batch_sweep() {
               kDims);
   bool ok = true;
   ok &= sweep_scheme("plain-brute", brute, plain_pubs, batch_sizes, false);
-  ok &= sweep_scheme("plain-counting", counting, plain_pubs, batch_sizes,
+  ok &= sweep_scheme("plain-interval", interval, plain_pubs, batch_sizes,
                      false);
   ok &= sweep_scheme("aspe", aspe, enc_pubs, batch_sizes, true);
   std::printf("  ]\n}\n");
@@ -396,11 +389,11 @@ int run_thread_sweep() {
 
   workload::PlainWorkload plain_gen{{kDims, 0.01, 7}};
   filter::BruteForceMatcher brute;
-  filter::CountingIndexMatcher counting;
+  filter::IntervalIndexMatcher interval;
   for (std::size_t i = 0; i < kPlainSubs; ++i) {
     const auto sub = plain_gen.subscription(i);
     brute.add(filter::AnySubscription{sub});
-    counting.add(filter::AnySubscription{sub});
+    interval.add(filter::AnySubscription{sub});
   }
   std::vector<filter::AnyPublication> plain_pubs;
   for (std::size_t i = 0; i < kPubs; ++i) {
@@ -424,7 +417,7 @@ int run_thread_sweep() {
   bool ok = true;
   ok &= thread_sweep_scheme("plain-brute", brute, plain_pubs, thread_counts,
                             batch_sizes, false);
-  ok &= thread_sweep_scheme("plain-counting", counting, plain_pubs,
+  ok &= thread_sweep_scheme("plain-interval", interval, plain_pubs,
                             thread_counts, batch_sizes, false);
   ok &= thread_sweep_scheme("aspe", aspe, enc_pubs, thread_counts,
                             batch_sizes, true);
@@ -606,131 +599,6 @@ int run_index_sweep() {
   return ok ? 0 : 2;
 }
 
-// ---- pipeline sweep: threads x dispatch batch over a full StreamHub run -----
-//
-// Unlike the matcher-only sweeps above, this drives the whole simulated
-// pipeline: AP route planning, M matching and EP merge assembly all fan
-// out over the engine's worker pool, while every commit stays on the
-// simulator thread. The determinism contract says the simulated outcome
-// is a function of the workload alone -- so before any timing, each
-// (threads, dispatch_batch_max) cell's outcome is checked identical to
-// the serial reference cell; only then is its wall-clock reported.
-
-// The figure-relevant observables of one run. Byte-exact equality across
-// sweep cells is the precondition for timing them.
-struct PipelineOutcome {
-  std::uint64_t notifications = 0;
-  std::uint64_t completed = 0;
-  std::vector<double> percentiles;
-  SimTime last_completion{};
-  std::vector<std::pair<std::uint64_t, double>> work_us;
-  // The wire counters are part of the determinism contract too: a thread
-  // count that changes what the network saw has leaked into the schedule.
-  net::NetworkStats net;
-
-  bool operator==(const PipelineOutcome&) const = default;
-};
-
-PipelineOutcome run_pipeline_once(std::size_t threads,
-                                  std::size_t dispatch_batch_max) {
-  harness::TestbedConfig config;
-  config.worker_hosts = 3;
-  config.io_hosts = 2;
-  config.workload.dimensions = 4;
-  config.workload.total_subscriptions = 3000;
-  config.workload.matching_rate = 0.02;
-  config.workload.m_slices = 3;
-  config.source_slices = 2;
-  config.ap_slices = 3;
-  config.ep_slices = 3;
-  config.sink_slices = 2;
-  config.engine.flush_interval = millis(10);
-  config.engine.control_tick = millis(5);
-  config.engine.probe_interval = millis(100);
-  config.engine.worker_threads = threads;
-  config.engine.dispatch_batch_max = dispatch_batch_max;
-  config.seed = 97;
-  harness::Testbed bed{config};
-  bed.store_subscriptions(3000);
-  auto driver = bed.drive(
-      std::make_shared<workload::ConstantRate>(400.0, seconds(2)));
-  bed.run_for(seconds(2) + millis(10));
-  driver->stop();
-  bed.run_for(seconds(2));
-
-  PipelineOutcome outcome;
-  const auto& collector = bed.delays();
-  outcome.notifications = collector.notifications();
-  outcome.completed = collector.publications_completed();
-  outcome.percentiles =
-      collector.delays_ms().percentiles({0, 25, 50, 75, 90, 99, 100});
-  outcome.last_completion = collector.last_completion();
-  std::vector<HostId> hosts = bed.pool().active_hosts();
-  std::sort(hosts.begin(), hosts.end());
-  for (const HostId host : hosts) {
-    outcome.work_us.emplace_back(host.value(),
-                                 bed.pool().host(host).busy_core_us());
-  }
-  outcome.net = bed.network().stats();
-  return outcome;
-}
-
-int run_pipeline_sweep() {
-  const std::vector<std::size_t> thread_counts = {1, 2, 4, 8};
-  const std::vector<std::size_t> batch_caps = {1, 16, 64};
-
-  const PipelineOutcome ref =
-      run_pipeline_once(thread_counts.front(), batch_caps.front());
-
-  std::printf("{\n  \"benchmark\": \"micro_filter_pipeline_sweep\",\n"
-              "  \"host_cores\": %u,\n"
-              "  \"publications_completed\": %llu,\n",
-              std::thread::hardware_concurrency(),
-              static_cast<unsigned long long>(ref.completed));
-  // Reference-run wire counters: identical for every sweep cell (they are
-  // part of the outcome fingerprint checked below).
-  std::printf("  \"network\": {\"sent\": %llu, \"delivered\": %llu, "
-              "\"dropped\": %llu, \"lost\": %llu, \"duplicated\": %llu, "
-              "\"reordered\": %llu, \"corrupted\": %llu, "
-              "\"retransmitted\": %llu, \"partitioned\": %llu},\n"
-              "  \"sweep\": [",
-              static_cast<unsigned long long>(ref.net.messages_sent),
-              static_cast<unsigned long long>(ref.net.messages_delivered),
-              static_cast<unsigned long long>(ref.net.messages_dropped),
-              static_cast<unsigned long long>(ref.net.messages_lost),
-              static_cast<unsigned long long>(ref.net.messages_duplicated),
-              static_cast<unsigned long long>(ref.net.messages_reordered),
-              static_cast<unsigned long long>(ref.net.messages_corrupted),
-              static_cast<unsigned long long>(ref.net.messages_retransmitted),
-              static_cast<unsigned long long>(ref.net.messages_partitioned));
-  bool ok = ref.completed > 0;
-  bool first = true;
-  double base_rate = 0.0;
-  for (const std::size_t threads : thread_counts) {
-    for (const std::size_t batch : batch_caps) {
-      if (run_pipeline_once(threads, batch) != ref) {
-        std::fprintf(stderr,
-                     "pipeline_sweep: %zu threads, batch %zu diverged from "
-                     "the serial reference outcome\n",
-                     threads, batch);
-        ok = false;
-      }
-      const double s = time_best_seconds(
-          3, [&] { run_pipeline_once(threads, batch); });
-      const double rate = static_cast<double>(ref.completed) / s;
-      if (base_rate == 0.0) base_rate = rate;
-      std::printf("%s\n    {\"threads\": %zu, \"dispatch_batch_max\": %zu, "
-                  "\"wall_s\": %.3f, \"pubs_per_sec\": %.1f, "
-                  "\"speedup_vs_serial\": %.3f}",
-                  first ? "" : ",", threads, batch, s, rate,
-                  rate / base_rate);
-      first = false;
-    }
-  }
-  std::printf("],\n  \"results_identical\": %s\n}\n", ok ? "true" : "false");
-  return ok ? 0 : 2;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -738,9 +606,6 @@ int main(int argc, char** argv) {
     if (std::string_view{argv[i]} == "--batch_sweep") return run_batch_sweep();
     if (std::string_view{argv[i]} == "--thread_sweep") {
       return run_thread_sweep();
-    }
-    if (std::string_view{argv[i]} == "--pipeline_sweep") {
-      return run_pipeline_sweep();
     }
     if (std::string_view{argv[i]} == "--index_sweep") return run_index_sweep();
   }

@@ -10,7 +10,7 @@
 
 #include "cluster/host.hpp"
 #include "engine/engine.hpp"
-#include "filter/matcher.hpp"
+#include "filter/interval_index.hpp"
 #include "net/network.hpp"
 #include "pubsub/streamhub.hpp"
 #include "sim/simulator.hpp"
@@ -39,7 +39,7 @@ int main() {
   params.ep_slices = 2;
   params.sink_slices = 1;
   params.matcher_factory = [](std::size_t) {
-    return std::make_unique<filter::CountingIndexMatcher>();
+    return std::make_unique<filter::IntervalIndexMatcher>();
   };
   pubsub::StreamHub hub{engine, params};
   hub.deploy({
@@ -82,12 +82,13 @@ int main() {
 
   // 5. Results: the sink collected every notification with its delay.
   const auto& delays = hub.collector()->delays_ms();
+  const auto completed = hub.collector()->publications_completed();
+  const auto notified = hub.collector()->notifications();
   std::printf("publications completed: %llu\n",
-              static_cast<unsigned long long>(
-                  hub.collector()->publications_completed()));
+              static_cast<unsigned long long>(completed));
   std::printf("notifications sent:     %llu (expected 3)\n",
-              static_cast<unsigned long long>(hub.collector()->notifications()));
+              static_cast<unsigned long long>(notified));
   std::printf("delay min / max:        %.0f / %.0f ms\n",
               delays.percentile(0), delays.percentile(100));
-  return 0;
+  return completed == 3 && notified == 3 ? 0 : 1;
 }

@@ -15,7 +15,7 @@
 #include "cluster/host.hpp"
 #include "common/rng.hpp"
 #include "engine/engine.hpp"
-#include "filter/matcher.hpp"
+#include "filter/interval_index.hpp"
 #include "net/network.hpp"
 #include "pubsub/streamhub.hpp"
 #include "sim/simulator.hpp"
@@ -41,7 +41,7 @@ int main() {
   params.ep_slices = 2;
   params.sink_slices = 1;
   params.matcher_factory = [](std::size_t) {
-    return std::make_unique<filter::CountingIndexMatcher>();
+    return std::make_unique<filter::IntervalIndexMatcher>();
   };
   pubsub::StreamHub hub{engine, params};
   std::vector<HostId> workers{HostId{2}, HostId{3}, HostId{4}};
@@ -96,6 +96,7 @@ int main() {
 
   Rng market{2026};
   std::uint64_t next_tick = 1;
+  std::uint64_t expected = 0;  // ground truth: strategies each tick matches
   workload::PublicationDriver feed{
       simulator, schedule,
       [&] {
@@ -103,6 +104,9 @@ int main() {
         tick.id = PublicationId{next_tick++};
         tick.attributes = {market.next_double(), market.next_double(),
                            market.next_double(), market.next_double()};
+        for (const auto& s : strategies) {
+          if (s.sub.matches(tick)) ++expected;
+        }
         hub.publish(filter::AnyPublication{tick});
       },
       7};
@@ -111,11 +115,13 @@ int main() {
 
   std::printf("ticks published:  %llu\n",
               static_cast<unsigned long long>(feed.published()));
+  const auto delivered = hub.collector()->publications_completed();
+  const auto notified = hub.collector()->notifications();
   std::printf("ticks delivered:  %llu\n",
-              static_cast<unsigned long long>(
-                  hub.collector()->publications_completed()));
-  std::printf("notifications:    %llu\n",
-              static_cast<unsigned long long>(hub.collector()->notifications()));
+              static_cast<unsigned long long>(delivered));
+  std::printf("notifications:    %llu (expected %llu)\n",
+              static_cast<unsigned long long>(notified),
+              static_cast<unsigned long long>(expected));
   std::printf("median delay:     %.0f ms\n\n",
               hub.collector()->delays_ms().percentile(50));
   std::printf("expected hit rates per strategy (uniform synthetic ticks):\n");
@@ -124,5 +130,5 @@ int main() {
     for (const auto& p : s.sub.predicates) rate *= p.width();
     std::printf("  %-45s ~%5.1f%% of ticks\n", s.name, rate * 100.0);
   }
-  return 0;
+  return delivered == feed.published() && notified == expected ? 0 : 1;
 }

@@ -2,9 +2,6 @@
 # Captures the wall-clock benchmark snapshots:
 #   - the micro_filter threads x batch matcher sweep (which also verifies
 #     pooled outcomes are identical to scalar) -> BENCH_parallel.json
-#   - the micro_filter pipeline sweep (full StreamHub run per thread count
-#     and dispatch batch cap, outcomes verified identical to the serial
-#     reference before timing) -> BENCH_pipeline.json
 #   - the micro_filter index sweep (IntervalIndexMatcher vs brute force at
 #     100 K -> 1 M subscriptions, subscriber sets verified identical before
 #     and after churn) -> BENCH_index.json
@@ -24,7 +21,6 @@ cd "$(dirname "$0")/.."
 
 BUILD=${BUILD:-build}
 OUT=${OUT:-BENCH_parallel.json}
-PIPELINE_OUT=${PIPELINE_OUT:-BENCH_pipeline.json}
 INDEX_OUT=${INDEX_OUT:-BENCH_index.json}
 RECOVERY_OUT=${RECOVERY_OUT:-BENCH_recovery.json}
 SPLIT_OUT=${SPLIT_OUT:-BENCH_split.json}
@@ -40,9 +36,6 @@ fi
 
 "$BUILD/bench/micro_filter" --thread_sweep > "$OUT"
 echo "wrote $OUT"
-
-"$BUILD/bench/micro_filter" --pipeline_sweep > "$PIPELINE_OUT"
-echo "wrote $PIPELINE_OUT"
 
 "$BUILD/bench/micro_filter" --index_sweep > "$INDEX_OUT"
 echo "wrote $INDEX_OUT"

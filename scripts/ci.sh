@@ -42,8 +42,9 @@ stage_checked() {
   cmake -B "$dir" -S . -DESH_WERROR=ON -DESH_CHECK_INVARIANTS=ON
   cmake --build "$dir" -j "$(nproc)"
   ctest --test-dir "$dir" --output-on-failure -j "$(nproc)"
-  # Explicit gate: the pipeline-wide determinism suite (AP/EP/M offload
-  # byte-identity across thread counts) must hold with every contract live.
+  # Explicit gate: the pipeline-wide determinism suite (full-run
+  # byte-identity across M worker-pool thread counts) must hold with every
+  # contract live.
   ctest --test-dir "$dir" --output-on-failure -R 'ParallelPipeline'
 }
 

@@ -81,27 +81,6 @@ std::vector<double> PercentileTracker::percentiles(
   return out;
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets, 0) {
-  if (buckets == 0 || !(lo < hi)) {
-    throw std::invalid_argument{"Histogram: need lo < hi and buckets > 0"};
-  }
-}
-
-void Histogram::add(double x) {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  auto idx = static_cast<std::int64_t>((x - lo_) / width);
-  idx = std::clamp<std::int64_t>(idx, 0,
-                                 static_cast<std::int64_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::bucket_lo(std::size_t i) const {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * static_cast<double>(i);
-}
-
 TimeBinnedSeries::TimeBinnedSeries(SimDuration bin_width)
     : bin_width_(bin_width) {
   if (bin_width <= SimDuration::zero()) {

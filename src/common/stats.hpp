@@ -65,25 +65,6 @@ class PercentileTracker {
   void ensure_sorted() const;
 };
 
-// Fixed-width histogram over [lo, hi); out-of-range values clamp to the
-// first/last bucket. Used by benches for compact delay distributions.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x);
-  [[nodiscard]] std::size_t bucket_count() const { return counts_.size(); }
-  [[nodiscard]] std::uint64_t bucket(std::size_t i) const { return counts_[i]; }
-  [[nodiscard]] double bucket_lo(std::size_t i) const;
-  [[nodiscard]] std::uint64_t total() const { return total_; }
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-};
-
 // Aggregates (time, value) observations into fixed-duration bins, reporting
 // per-bin mean / stddev / min / max — the format of the paper's Figures 7-9
 // ("averages, standard deviations, minimum, or maximum values observed over

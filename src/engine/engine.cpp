@@ -157,9 +157,8 @@ Engine::Engine(sim::Simulator& simulator, net::Network& network,
     : simulator_(simulator),
       network_(network),
       config_(config),
-      worker_pool_(std::max(config.worker_threads, config.match_threads) > 1
-                       ? std::make_unique<ThreadPool>(std::max(
-                             config.worker_threads, config.match_threads))
+      worker_pool_(config.worker_threads > 1
+                       ? std::make_unique<ThreadPool>(config.worker_threads)
                        : nullptr),
       rng_(seed),
       manager_host_(manager_host) {
@@ -862,7 +861,6 @@ void Engine::split_cutover() {
   op.slices.push_back(t.report.child);
   op.coverages.push_back(t.child_cov);
   op.refined = true;
-  ++routing_epoch_;
   ESH_INVARIANT("engine", "key-coverage-complete",
                 coverage_complete(op.coverages, op.coverage_base),
                 ::esh::contracts::Detail{}
@@ -914,7 +912,6 @@ void Engine::begin_merge_transition() {
   op.slices.erase(op.slices.begin() + static_cast<std::ptrdiff_t>(ret_pos));
   op.coverages.erase(op.coverages.begin() +
                      static_cast<std::ptrdiff_t>(ret_pos));
-  ++routing_epoch_;
   ESH_INVARIANT("engine", "key-coverage-complete",
                 coverage_complete(op.coverages, op.coverage_base),
                 ::esh::contracts::Detail{}

@@ -60,21 +60,11 @@ struct EngineConfig {
   // Pacing of the coordinator's migration steps: each control action waits
   // up to this long, modeling the manager's orchestration loop granularity.
   SimDuration control_tick = millis(50);
-  // Most events one in-order delivery run may coalesce into a single
-  // handler batch (Handler::can_batch / on_batch_start). Affects real
-  // wall-clock only: each batched event keeps its own simulated CPU job,
-  // cost and lock, so simulated timing is independent of this cap.
-  std::size_t dispatch_batch_max = 64;
-  // Real worker threads for the pipeline's per-event wall-clock compute
-  // (Engine::worker_pool): AP route planning, M matching and EP partial-list
-  // merge assembly all fan out over the same pool. The count includes the
-  // simulator thread; 0 or 1 keeps every tier inline. Simulated results are
-  // bit-identical for every value -- only wall-clock changes.
+  // Real worker threads for M's batched matching (Engine::worker_pool):
+  // each batch's match_batch call fans out over the pool. The count includes
+  // the simulator thread; 0 or 1 keeps matching inline. Simulated results
+  // are bit-identical for every value -- only wall-clock changes.
   std::size_t worker_threads = 1;
-  // Back-compat alias from the M-tier-only offload era: the pool is sized
-  // max(worker_threads, match_threads), so configs that still set only
-  // match_threads keep driving the (now pipeline-wide) pool.
-  std::size_t match_threads = 1;
   // Run every control-plane exchange (migration protocol, checkpoint
   // shipping, recovery orchestration) over net::ReliableChannel:
   // ack/retransmit with exponential backoff makes the coordinator survive
@@ -289,9 +279,6 @@ class Engine {
   [[nodiscard]] std::uint64_t merges_completed() const {
     return merges_completed_;
   }
-  // Monotone counter bumped at every split/merge cut-over; routing plans
-  // stamped with an older epoch predate the current broadcast fan.
-  [[nodiscard]] std::uint64_t routing_epoch() const { return routing_epoch_; }
   // Deployment seed (deterministic per-slice timer phases derive from it).
   [[nodiscard]] std::uint64_t seed() const { return seed_; }
   // Key coverage currently routed to `slice` (throws for unknown slices).
@@ -386,14 +373,11 @@ class Engine {
   [[nodiscard]] net::Network& network() { return network_; }
   [[nodiscard]] const EngineConfig& config() const { return config_; }
   [[nodiscard]] Rng& rng() { return rng_; }
-  // Worker pool for the pipeline's batched wall-clock compute (AP route
-  // planning, M matching, EP merge assembly); nullptr when
-  // max(config.worker_threads, config.match_threads) <= 1. Handlers fan
-  // their on_batch_start precompute across it and join before any result is
-  // committed on the simulator thread.
+  // Worker pool for M's batched matching; nullptr when
+  // config.worker_threads <= 1. MHandler::on_batch_start fans its
+  // match_batch across it and joins before any result is committed on the
+  // simulator thread.
   [[nodiscard]] ThreadPool* worker_pool() { return worker_pool_.get(); }
-  // Back-compat name for the pool from the M-tier-only offload era.
-  [[nodiscard]] ThreadPool* match_pool() { return worker_pool(); }
 
  private:
   struct MigrationTask {
@@ -562,7 +546,6 @@ class Engine {
   std::uint64_t next_migration_ = 1;
   std::uint64_t migrations_completed_ = 0;
   std::uint64_t seed_ = 0;
-  std::uint64_t routing_epoch_ = 0;
   std::uint64_t splits_completed_ = 0;
   std::uint64_t merges_completed_ = 0;
 

@@ -58,9 +58,6 @@ class Context {
   // match the fan the event was actually routed with.
   [[nodiscard]] virtual std::vector<std::uint32_t> fan_indices(
       std::string_view op) const = 0;
-  // Monotone counter bumped at every split/merge cut-over; lets handlers
-  // detect that a routing plan computed earlier predates the current fan.
-  [[nodiscard]] virtual std::uint64_t routing_epoch() const = 0;
 };
 
 class Handler {
@@ -75,14 +72,12 @@ class Handler {
   // batch's jobs are submitted consecutively within one simulator callback
   // and jobs of one slice dispatch in submission order, so no foreign job of
   // this slice (checkpoint, freeze, another channel's run) interleaves
-  // between a batch's events. A handler may therefore opt in even for
-  // state-mutating events (e.g. EP's W-locked partial-list merges), as long
-  // as the post-batch state and the per-event emissions are byte-identical
-  // to processing the same events serially; read-only events (publication
-  // matching) satisfy that trivially. Caveat for kNone/kRead events: their
-  // jobs run concurrently in simulated time and may *complete* out of
-  // submission order, so precomputed per-event results must be consumed by
-  // key, not by position (see MHandler/ApHandler).
+  // between a batch's events. The per-event emissions must be byte-identical
+  // to processing the same events serially, which read-only events
+  // (publication matching, MHandler) satisfy trivially. Their kRead jobs run
+  // concurrently in simulated time and may *complete* out of submission
+  // order, so a precomputed result must be checked against the event that
+  // consumes it.
   [[nodiscard]] virtual bool can_batch(const PayloadPtr& payload) const {
     (void)payload;
     return false;

@@ -206,8 +206,9 @@ void SliceRuntime::deliver_in_order([[maybe_unused]] SliceId from,
 }
 
 void SliceRuntime::dispatch_run(std::vector<PayloadPtr> run) {
-  const std::size_t cap =
-      std::max<std::size_t>(1, host_.engine().config().dispatch_batch_max);
+  // Most events one batch coalesces. Wall-clock only: every batched event
+  // keeps its own simulated CPU job, cost and lock.
+  constexpr std::size_t kMaxBatch = 64;
   std::size_t i = 0;
   while (i < run.size()) {
     if (!handler_->can_batch(run[i])) {
@@ -216,7 +217,10 @@ void SliceRuntime::dispatch_run(std::vector<PayloadPtr> run) {
       continue;
     }
     std::size_t j = i + 1;
-    while (j < run.size() && j - i < cap && handler_->can_batch(run[j])) ++j;
+    while (j < run.size() && j - i < kMaxBatch &&
+           handler_->can_batch(run[j])) {
+      ++j;
+    }
     if (j == i + 1) {
       dispatch(std::move(run[i]));
       ++i;
@@ -324,10 +328,6 @@ std::vector<std::uint32_t> SliceRuntime::fan_indices(
   }
   std::sort(fan.begin(), fan.end());
   return fan;
-}
-
-std::uint64_t SliceRuntime::routing_epoch() const {
-  return host_.engine().routing_epoch();
 }
 
 void SliceRuntime::flush_outputs() {

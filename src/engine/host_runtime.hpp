@@ -217,7 +217,6 @@ class SliceRuntime final : public Context {
   [[nodiscard]] std::size_t slice_count(std::string_view op) const override;
   [[nodiscard]] std::vector<std::uint32_t> fan_indices(
       std::string_view op) const override;
-  [[nodiscard]] std::uint64_t routing_epoch() const override;
 
 #if ESH_INVARIANTS_ENABLED
   // Seeded-fault seam for tests/test_contracts.cpp: breaks the channel's
@@ -256,9 +255,9 @@ class SliceRuntime final : public Context {
   void set_state(State next);
 
   void deliver_in_order(SliceId from, ChannelIn& channel);
-  // Dispatches one in-order run of deliverable events, coalescing maximal
-  // groups of consecutive batchable events (Handler::can_batch) so the
-  // handler can precompute them together. Every event still gets its own
+  // Dispatches one in-order run of deliverable events, coalescing up to 64
+  // consecutive batchable events (Handler::can_batch) so the handler can
+  // precompute them together. Every event still gets its own
   // CPU job with its own cost and lock mode.
   void dispatch_run(std::vector<PayloadPtr> run);
   void dispatch(PayloadPtr payload);

@@ -1,19 +1,17 @@
 // Sublinear plain-text matching for million-subscriber stores.
 //
-// The brute/counting backends touch every stored subscription (or every
-// predicate below the query point) per publication -- O(subs) work that
-// caps the matching tier well short of the ROADMAP's million-user
-// north-star. IntervalIndexMatcher prunes by predicate selectivity
+// The brute-force backend touches every stored subscription per publication --
+// O(subs) work that caps the matching tier well short of the ROADMAP's
+// million-user north-star. IntervalIndexMatcher prunes by predicate selectivity
 // instead: each subscription registers exactly ONE of its intervals -- the
-// narrowest (covering rule: any match must stab every predicate, so the
-// most selective one admits the fewest false candidates; its wider,
-// dominated siblings are dropped from the index and only consulted during
-// verification) -- in a per-attribute centered interval tree. A
-// publication stabs each attribute's tree with its value and only the
-// subscriptions whose registered interval contains the value surface as
-// candidates; each candidate is then verified against the full rectangle
-// (minus the already-certified registered attribute) straight from the
-// arena columns, with early exit.
+// narrowest (covering rule: any match must stab every predicate, so the most
+// selective one admits the fewest false candidates; its wider, dominated
+// siblings are dropped from the index and only consulted during verification)
+// -- in a per-attribute centered interval tree. A publication stabs each
+// attribute's tree with its value and only the subscriptions whose registered
+// interval contains the value surface as candidates; each candidate is then
+// verified against the full rectangle (minus the already-certified registered
+// attribute) straight from the arena columns, with early exit.
 //
 // Storage is an arena-backed SoA pool: stable 32-bit slots, per-attribute
 // low/high columns with never-matching sentinels past a subscription's

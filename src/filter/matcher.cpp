@@ -1,8 +1,6 @@
 #include "filter/matcher.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <functional>
 #include <limits>
 #include <stdexcept>
 
@@ -426,260 +424,6 @@ void BruteForceMatcher::absorb_state(BinaryReader& r) {
 
 std::unique_ptr<Matcher> BruteForceMatcher::clone_empty() const {
   auto clone = std::make_unique<BruteForceMatcher>(cost_);
-  clone->set_thread_pool(pool_);
-  return clone;
-}
-
-// ---- CountingIndexMatcher ----------------------------------------------------
-
-CountingIndexMatcher::CountingIndexMatcher(cluster::CostModel cost)
-    : cost_(cost) {}
-
-void CountingIndexMatcher::add(const AnySubscription& sub) {
-  const auto& plain = std::get<Subscription>(sub);
-  std::uint32_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-    subs_[slot] = plain;
-  } else {
-    slot = static_cast<std::uint32_t>(subs_.size());
-    subs_.push_back(plain);
-  }
-  ++live_count_;
-  dirty_ = true;
-}
-
-bool CountingIndexMatcher::remove(SubscriptionId id) {
-  for (std::uint32_t slot = 0; slot < subs_.size(); ++slot) {
-    if (subs_[slot].id == id && subs_[slot].id.valid()) {
-      subs_[slot] = Subscription{};  // invalid id marks the hole
-      free_slots_.push_back(slot);
-      --live_count_;
-      dirty_ = true;
-      return true;
-    }
-  }
-  return false;
-}
-
-void CountingIndexMatcher::rebuild_if_dirty() {
-  if (!dirty_) return;
-  std::size_t dims = 0;
-  for (const auto& s : subs_) {
-    if (s.id.valid()) dims = std::max(dims, s.predicates.size());
-  }
-  index_.assign(dims, {});
-  for (std::uint32_t slot = 0; slot < subs_.size(); ++slot) {
-    const auto& s = subs_[slot];
-    if (!s.id.valid()) continue;
-    for (std::size_t a = 0; a < s.predicates.size(); ++a) {
-      index_[a].push_back(
-          Entry{s.predicates[a].low, s.predicates[a].high, slot});
-    }
-  }
-  for (auto& list : index_) {
-    // Equal lows tie-break on subscription id, not slot: slot numbering
-    // depends on removal/reuse history, id order is canonical, so the
-    // candidate traversal (and the subscriber append order it produces) is
-    // identical for any slot layout holding the same live set.
-    std::sort(list.begin(), list.end(),
-              [this](const Entry& x, const Entry& y) {
-                if (x.low != y.low) return x.low < y.low;
-                return subs_[x.slot].id.value() < subs_[y.slot].id.value();
-              });
-  }
-  reset_scratch(scratch_);
-  dirty_ = false;
-}
-
-void CountingIndexMatcher::reset_scratch(CountScratch& scratch) const {
-  scratch.counts.assign(subs_.size(), 0);
-  scratch.epochs.assign(subs_.size(), 0);
-  scratch.epoch = 0;
-}
-
-MatchOutcome CountingIndexMatcher::match_prepared(const Publication& plain,
-                                                  CountScratch& scratch) {
-  ++scratch.epoch;
-  MatchOutcome out;
-  double examined = 0.0;
-
-  const std::size_t dims = plain.attributes.size();
-  for (std::size_t a = 0; a < dims && a < index_.size(); ++a) {
-    const double v = plain.attributes[a];
-    const auto& list = index_[a];
-    // Candidates: entries with low <= v (sorted order); check high >= v.
-    const auto end = std::upper_bound(
-        list.begin(), list.end(), v,
-        [](double x, const Entry& e) { return x < e.low; });
-    for (auto it = list.begin(); it != end; ++it) {
-      examined += 1.0;
-      if (it->high < v) continue;
-      const std::uint32_t slot = it->slot;
-      if (scratch.epochs[slot] != scratch.epoch) {
-        scratch.epochs[slot] = scratch.epoch;
-        scratch.counts[slot] = 0;
-      }
-      if (++scratch.counts[slot] == subs_[slot].predicates.size() &&
-          subs_[slot].predicates.size() == dims) {
-        out.subscribers.push_back(subs_[slot].subscriber);
-      }
-    }
-  }
-  // Charge for candidates examined plus the binary searches.
-  const double searches =
-      static_cast<double>(dims) *
-      std::log2(std::max<double>(2.0, static_cast<double>(live_count_)));
-  out.work_units = cost_.plain_match_units * 0.5 * examined +
-                   cost_.plain_match_units * searches;
-  return out;
-}
-
-MatchOutcome CountingIndexMatcher::match(const AnyPublication& pub) {
-  const auto& plain = std::get<Publication>(pub);
-  rebuild_if_dirty();
-  return match_prepared(plain, scratch_);
-}
-
-std::vector<MatchOutcome> CountingIndexMatcher::match_batch(
-    std::span<const AnyPublication> pubs) {
-  std::vector<const Publication*> plains;
-  plains.reserve(pubs.size());
-  for (const AnyPublication& pub : pubs) {
-    plains.push_back(&std::get<Publication>(pub));
-  }
-  // One rebuild (and one epoch-array reset) serves the whole batch; each
-  // publication still advances its own epoch so counts never leak between
-  // batch members.
-  rebuild_if_dirty();
-  std::vector<MatchOutcome> out(pubs.size());
-  if (pool_ != nullptr && pool_->worker_count() > 1 && pubs.size() > 1) {
-    // Parallel backend: publications (not slot tiles -- the candidate
-    // index is slot-unordered) fan out across the pool. Each outcome is
-    // computed exactly as the scalar path computes it, against the same
-    // immutable index, into its own slot of `out`; the only shared mutable
-    // state, the epoch-stamped counters, is per worker. Stale stamps from
-    // earlier batches are harmless by the same epoch argument the scalar
-    // path relies on, so a worker scratch only resets when the slot space
-    // changed size.
-    worker_scratch_.resize(pool_->worker_count());
-    for (CountScratch& scratch : worker_scratch_) {
-      if (scratch.counts.size() != subs_.size()) reset_scratch(scratch);
-    }
-    pool_->parallel_for(plains.size(), [&](std::size_t p, std::size_t w) {
-      out[p] = match_prepared(*plains[p], worker_scratch_[w]);
-    });
-  } else {
-    for (std::size_t p = 0; p < plains.size(); ++p) {
-      out[p] = match_prepared(*plains[p], scratch_);
-    }
-  }
-  return out;
-}
-
-double CountingIndexMatcher::estimate_match_units() const {
-  // Candidate scans dominate; assume roughly a third of the predicates per
-  // attribute fall below a uniform query point (typical for the synthetic
-  // workloads used here).
-  const double n = static_cast<double>(live_count_);
-  return cost_.plain_match_units * (0.35 * n + 8.0);
-}
-
-std::size_t CountingIndexMatcher::subscription_count() const {
-  return live_count_;
-}
-
-std::size_t CountingIndexMatcher::state_bytes() const {
-  std::size_t total = 0;
-  for (const auto& s : subs_) {
-    if (!s.id.valid()) continue;
-    total += 24 + s.predicates.size() * 2 * sizeof(double);
-  }
-  return total;
-}
-
-void CountingIndexMatcher::serialize_state(BinaryWriter& w) const {
-  // Canonical wire order: ascending subscription id, independent of the
-  // slot layout churn and slot reuse left behind. Split and merge then
-  // compose byte-stably -- any split/merge history serializes identically
-  // to a never-split store holding the same live set.
-  std::vector<std::uint32_t> live;
-  live.reserve(live_count_);
-  for (std::uint32_t slot = 0; slot < subs_.size(); ++slot) {
-    if (subs_[slot].id.valid()) live.push_back(slot);
-  }
-  std::sort(live.begin(), live.end(),
-            [this](std::uint32_t a, std::uint32_t b) {
-              return subs_[a].id.value() < subs_[b].id.value();
-            });
-  w.write_u64(live.size());
-  for (const std::uint32_t slot : live) serialize(w, subs_[slot]);
-}
-
-void CountingIndexMatcher::restore_state(BinaryReader& r) {
-  subs_.clear();
-  free_slots_.clear();
-  live_count_ = 0;
-  const auto n = r.read_u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    add(AnySubscription{deserialize_subscription(r)});
-  }
-}
-
-std::size_t CountingIndexMatcher::split_state(const KeyCoverage& cov,
-                                              BinaryWriter& w) {
-  std::vector<std::uint32_t> moved;
-  for (std::uint32_t slot = 0; slot < subs_.size(); ++slot) {
-    if (subs_[slot].id.valid() && cov.covers(subs_[slot].id.value())) {
-      moved.push_back(slot);
-    }
-  }
-  // Same canonical ascending-id wire order as serialize_state.
-  std::sort(moved.begin(), moved.end(),
-            [this](std::uint32_t a, std::uint32_t b) {
-              return subs_[a].id.value() < subs_[b].id.value();
-            });
-  w.write_u64(moved.size());
-  for (const std::uint32_t slot : moved) serialize(w, subs_[slot]);
-  const std::size_t serialized = moved.size();
-  if (testing_keep_one_on_split && !moved.empty()) moved.pop_back();
-  // Punch holes highest-slot-first so slot reuse refills ascending.
-  std::sort(moved.begin(), moved.end(), std::greater<>{});
-  for (const std::uint32_t slot : moved) {
-    subs_[slot] = Subscription{};
-    free_slots_.push_back(slot);
-    --live_count_;
-  }
-  dirty_ = true;
-  return serialized;
-}
-
-void CountingIndexMatcher::absorb_state(BinaryReader& r) {
-  // Canonical rebuild: live entries in slot (insertion) order, incoming
-  // entries merged at ascending-id positions, then re-slotted densely.
-  std::vector<Subscription> live;
-  live.reserve(live_count_);
-  for (const auto& s : subs_) {
-    if (s.id.valid()) live.push_back(s);
-  }
-  const auto n = r.read_u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    Subscription plain = deserialize_subscription(r);
-    auto pos = std::find_if(live.begin(), live.end(),
-                            [&plain](const Subscription& e) {
-                              return plain.id.value() < e.id.value();
-                            });
-    live.insert(pos, std::move(plain));
-  }
-  subs_ = std::move(live);
-  free_slots_.clear();
-  live_count_ = subs_.size();
-  dirty_ = true;
-}
-
-std::unique_ptr<Matcher> CountingIndexMatcher::clone_empty() const {
-  auto clone = std::make_unique<CountingIndexMatcher>(cost_);
   clone->set_thread_pool(pool_);
   return clone;
 }

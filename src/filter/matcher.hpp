@@ -15,10 +15,10 @@
 // simulated cost accounting is batching-invariant. The concrete matchers
 // exploit the batch with cache-friendly state layouts: BruteForceMatcher
 // stores bounds as per-attribute SoA columns scanned in tiles,
-// AspeMatcher flattens each encrypted subscription's 2d query vectors
+// and AspeMatcher flattens each encrypted subscription's 2d query vectors
 // into one contiguous row reused across a block of publications while
-// cache-hot, and CountingIndexMatcher amortizes one index rebuild over
-// the whole batch.
+// cache-hot. The indexed plain scheme, IntervalIndexMatcher, lives in
+// filter/interval_index.hpp.
 //
 // With a ThreadPool installed (set_thread_pool), match_batch additionally
 // fans the batch's pure compute across real worker threads and joins
@@ -28,10 +28,8 @@
 // and concatenates per-tile survivor lists in tile order; AspeMatcher
 // partitions the encrypted rows into fixed ranges and concatenates
 // per-range hit lists in range order (each row's floating-point
-// accumulation order is untouched); CountingIndexMatcher partitions by
-// publication (outcomes are indexed, and its candidate index is
-// slot-unordered, so slot tiling would not compose). Simulated work_units
-// never depend on the pool.
+// accumulation order is untouched). Simulated work_units never depend on
+// the pool.
 #pragma once
 
 #include <array>
@@ -214,62 +212,6 @@ class BruteForceMatcher final : public Matcher {
   std::size_t predicate_count_ = 0;
   ScanScratch scratch_;                          // scalar-path scratch
   std::vector<ScanScratch> worker_scratch_;      // pooled-path scratch
-};
-
-// Plain-text counting index (Yan/Garcia-Molina style): per-attribute
-// interval lists sorted by lower bound; a publication only pays for the
-// candidate predicates its attribute values can satisfy. match_batch()
-// performs the epoch bookkeeping rebuild once for the whole batch.
-class CountingIndexMatcher final : public Matcher {
- public:
-  explicit CountingIndexMatcher(cluster::CostModel cost = {});
-
-  void add(const AnySubscription& sub) override;
-  bool remove(SubscriptionId id) override;
-  [[nodiscard]] MatchOutcome match(const AnyPublication& pub) override;
-  [[nodiscard]] std::vector<MatchOutcome> match_batch(
-      std::span<const AnyPublication> pubs) override;
-  [[nodiscard]] double estimate_match_units() const override;
-  [[nodiscard]] std::size_t subscription_count() const override;
-  [[nodiscard]] std::size_t state_bytes() const override;
-  void serialize_state(BinaryWriter& w) const override;
-  void restore_state(BinaryReader& r) override;
-  std::size_t split_state(const KeyCoverage& cov, BinaryWriter& w) override;
-  void absorb_state(BinaryReader& r) override;
-  [[nodiscard]] std::unique_ptr<Matcher> clone_empty() const override;
-  [[nodiscard]] std::string scheme_name() const override {
-    return "plain-counting";
-  }
-
- private:
-  struct Entry {
-    double low;
-    double high;
-    std::uint32_t slot;
-  };
-  // Per-slot predicate-hit counters, epoch-stamped so they reset lazily.
-  // Transient bookkeeping only -- no outcome ever depends on the counter
-  // values left behind -- so each pool worker owns a private instance and
-  // parallel results stay identical to the scalar path's shared one.
-  struct CountScratch {
-    std::vector<std::uint32_t> counts;
-    std::vector<std::uint64_t> epochs;
-    std::uint64_t epoch = 0;
-  };
-  void rebuild_if_dirty();
-  void reset_scratch(CountScratch& scratch) const;
-  // One publication against the already-rebuilt index.
-  [[nodiscard]] MatchOutcome match_prepared(const Publication& plain,
-                                            CountScratch& scratch);
-
-  cluster::CostModel cost_;
-  std::vector<Subscription> subs_;       // dense by slot; removed = empty id
-  std::vector<std::uint32_t> free_slots_;
-  std::vector<std::vector<Entry>> index_;  // per attribute, sorted by low
-  CountScratch scratch_;                   // scalar-path counters
-  std::vector<CountScratch> worker_scratch_;  // pooled-path counters
-  bool dirty_ = true;
-  std::size_t live_count_ = 0;
 };
 
 // Encrypted filtering: stores EncryptedSubscriptions, tests every one with

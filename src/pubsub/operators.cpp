@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "common/det.hpp"
-#include "common/thread_pool.hpp"
 
 namespace esh::pubsub {
 
@@ -13,19 +12,6 @@ namespace {
 // Stable key for modulo-hash routing.
 std::uint64_t route_key(PublicationId id) { return id.value(); }
 std::uint64_t route_key(SubscriptionId id) { return id.value(); }
-
-// Runs fn(chunk, worker) for every chunk in [0, chunks): on the pool when
-// one is installed and there is anything to spread, inline otherwise. The
-// callers write chunk-indexed result slots, so the output is byte-identical
-// either way (see the ThreadPool header's determinism contract).
-void run_chunks(ThreadPool* pool, std::size_t chunks,
-                const std::function<void(std::size_t, std::size_t)>& fn) {
-  if (pool != nullptr && chunks > 1) {
-    pool->parallel_for(chunks, fn);
-    return;
-  }
-  for (std::size_t c = 0; c < chunks; ++c) fn(c, 0);
-}
 
 }  // namespace
 
@@ -64,137 +50,38 @@ const MatchingTarget& ApHandler::target_for(bool encrypted) const {
       "ApHandler: no Matching operator deployed for this scheme"};
 }
 
-bool ApHandler::can_batch(const engine::PayloadPtr& p) const {
-  return dynamic_cast<const SubscriptionPayload*>(p.get()) != nullptr ||
-         dynamic_cast<const PublicationPayload*>(p.get()) != nullptr;
-}
-
-void ApHandler::on_batch_start(engine::Context& ctx,
-                               const std::vector<engine::PayloadPtr>& batch) {
-  // Reclaim once every outstanding plan entry was consumed; concurrent
-  // batches (AP's kNone jobs overlap in simulated time) may still hold
-  // unconsumed entries, which must survive this append.
-  if (route_plan_consumed_ == route_plan_.size()) {
-    route_plan_.clear();
-    route_plan_consumed_ = 0;
-  }
-  const std::size_t base = route_plan_.size();
-  route_plan_.resize(base + batch.size());
-  // Routing decisions are pure reads of the static target table: plan them
-  // off-thread in fixed-size chunks writing slot-indexed entries, so the
-  // plan is identical at any worker count.
-  constexpr std::size_t kRoutesPerChunk = 16;
-  const std::size_t chunks =
-      (batch.size() + kRoutesPerChunk - 1) / kRoutesPerChunk;
-  run_chunks(pool_, chunks, [&](std::size_t chunk, std::size_t) {
-    const std::size_t begin = chunk * kRoutesPerChunk;
-    const std::size_t end = std::min(begin + kRoutesPerChunk, batch.size());
-    for (std::size_t i = begin; i < end; ++i) {
-      PlannedRoute& route = route_plan_[base + i];
-      const engine::PayloadPtr& p = batch[i];
-      if (const auto* sub = dynamic_cast<const SubscriptionPayload*>(p.get())) {
-        const bool encrypted =
-            std::holds_alternative<filter::EncryptedSubscription>(
-                sub->subscription);
-        route.is_publication = false;
-        route.encrypted = encrypted;
-        route.key = route_key(filter::subscription_id(sub->subscription));
-        route.target = &target_for(encrypted);
-      } else if (const auto* pub =
-                     dynamic_cast<const PublicationPayload*>(p.get())) {
-        const bool encrypted =
-            std::holds_alternative<filter::EncryptedPublication>(
-                pub->publication);
-        route.is_publication = true;
-        route.encrypted = encrypted;
-        route.key = route_key(filter::publication_id(pub->publication));
-        route.target = &target_for(encrypted);
-        // Plan against the live fan, not the deploy-time slice count: a
-        // prior split/merge may have resized the target operator. Pure read
-        // of the routing table, safe off-thread (the simulator thread is
-        // parked in the parallel_for join, so no cut-over can interleave).
-        route.slices = ctx.slice_count(route.target->op_name);
-        route.epoch = ctx.routing_epoch();
-      } else {
-        throw std::logic_error{"ApHandler: non-batchable payload in batch"};
-      }
-    }
-  });
-}
-
-const ApHandler::PlannedRoute* ApHandler::consume_planned_route(
-    bool is_publication, bool encrypted, std::uint64_t key) {
-  for (PlannedRoute& route : route_plan_) {
-    if (route.consumed || route.is_publication != is_publication ||
-        route.encrypted != encrypted || route.key != key) {
-      continue;
-    }
-    route.consumed = true;
-    ++route_plan_consumed_;
-    return &route;
-  }
-  return nullptr;
-}
-
 void ApHandler::on_event(engine::Context& ctx, const engine::PayloadPtr& p) {
   if (const auto* sub = dynamic_cast<const SubscriptionPayload*>(p.get())) {
     // Subscription partitioning: modulo hash over subscription identifiers
     // splits the workload into non-overlapping per-M-slice sets, within
     // the M operator handling the subscription's filtering scheme.
-    const std::uint64_t key =
-        route_key(filter::subscription_id(sub->subscription));
     const bool encrypted =
         std::holds_alternative<filter::EncryptedSubscription>(
             sub->subscription);
-    const MatchingTarget* target;
-    if (const PlannedRoute* plan = consume_planned_route(false, encrypted, key)) {
-      target = plan->target;
-    } else {
-      // Standalone (unbatched) subscription: resolve inline -- the target
-      // table is immutable, so the result is identical either way.
-      target = &target_for(encrypted);
-    }
-    ctx.emit(target->op_name, engine::Routing::hash(key), p);
+    ctx.emit(target_for(encrypted).op_name,
+             engine::Routing::hash(
+                 route_key(filter::subscription_id(sub->subscription))),
+             p);
     return;
   }
   if (const auto* pub = dynamic_cast<const PublicationPayload*>(p.get())) {
     // Publications must meet every stored subscription of their scheme:
     // broadcast to all slices of that scheme's M operator.
-    const std::uint64_t key = route_key(filter::publication_id(pub->publication));
     const bool encrypted =
         std::holds_alternative<filter::EncryptedPublication>(pub->publication);
-    const MatchingTarget* target;
-    if (const PlannedRoute* plan = consume_planned_route(true, encrypted, key)) {
-      // Offloaded AP broadcasts must stay complete: the fan-out planned off
-      // the simulator thread has to cover every live slice of the target
-      // operator, or some M partition would silently never see the
-      // publication (EP would then wait forever on its partial list). A
-      // plan from an older routing epoch is exempt — the cut-over between
-      // planning and commit resized the fan, and the commit-time stamp
-      // below is what EP completes against.
-      ESH_INVARIANT("pubsub", "ap-offload-broadcast-complete",
-                    plan->epoch != ctx.routing_epoch() ||
-                        plan->slices == ctx.slice_count(plan->target->op_name),
-                    ::esh::contracts::Detail{}
-                        .expected(ctx.slice_count(plan->target->op_name))
-                        .actual(plan->slices)
-                        .note("publication " + std::to_string(key)));
-      target = plan->target;
-    } else {
-      target = &target_for(encrypted);
-    }
-    // Stamp the broadcast fan at the commit instant: the emit below
-    // delivers to exactly these slice indices, and downstream completion
-    // (EP) must collect against the fan the event was actually routed
-    // with, not whatever the fan is when a partial list arrives.
+    const MatchingTarget& target = target_for(encrypted);
+    // Stamp the broadcast fan at the emit instant: the emit below delivers
+    // to exactly these slice indices, and downstream completion (EP) must
+    // collect against the fan the event was actually routed with, not
+    // whatever the fan is when a partial list arrives.
     auto stamped = std::make_shared<PublicationPayload>(
-        pub->publication, pub->published_at, ctx.fan_indices(target->op_name));
-    ctx.emit(target->op_name, engine::Routing::broadcast(), std::move(stamped));
+        pub->publication, pub->published_at, ctx.fan_indices(target.op_name));
+    ctx.emit(target.op_name, engine::Routing::broadcast(), std::move(stamped));
     return;
   }
   if (const auto* unsub = dynamic_cast<const UnsubscriptionPayload*>(p.get())) {
     // Same modulo hash as the original subscription: the removal reaches
-    // exactly the slice storing it. Rare control traffic: never batched.
+    // exactly the slice storing it.
     ctx.emit(target_for(unsub->encrypted).op_name,
              engine::Routing::hash(route_key(unsub->id)), p);
     return;
@@ -349,93 +236,6 @@ bool lists_complete(const std::set<std::uint32_t>& lists_from,
 
 }  // namespace
 
-bool EpHandler::can_batch(const engine::PayloadPtr& p) const {
-  return dynamic_cast<const MatchListPayload*>(p.get()) != nullptr;
-}
-
-void EpHandler::on_batch_start(engine::Context& ctx,
-                               const std::vector<engine::PayloadPtr>& batch) {
-  (void)ctx;
-  // EP's write jobs serialize in submission order and a batch's jobs are
-  // submitted back to back, so the previous batch fully committed: any
-  // leftover plan would mean a dropped mid-batch slice (retired by a host
-  // failure), in which case this handler never runs again anyway.
-  merge_plan_.clear();
-  planned_complete_.clear();
-
-  // Serial shadow walk (simulator thread, bookkeeping only): replay the
-  // batch's dedup and completeness logic against the live state without
-  // mutating it, to learn which publications the batch completes and which
-  // arriving lists contribute to each merge, in arrival order.
-  struct ShadowPending {
-    std::set<std::uint32_t> lists_from;
-    std::vector<const MatchListPayload*> arriving;
-  };
-  std::unordered_map<PublicationId, ShadowPending> shadow;
-  struct Completion {
-    PublicationId pub{};
-    const std::vector<SubscriberId>* prefix = nullptr;  // live pending list
-    std::vector<const MatchListPayload*> lists;
-  };
-  std::vector<Completion> completions;
-  for (const engine::PayloadPtr& p : batch) {
-    const auto* list = dynamic_cast<const MatchListPayload*>(p.get());
-    if (list == nullptr) {
-      throw std::logic_error{"EpHandler: non-list payload in batch"};
-    }
-    const PublicationId pub = list->publication;
-    if (completed_.contains(pub) || planned_complete_.contains(pub)) continue;
-    auto [it, inserted] = shadow.try_emplace(pub);
-    ShadowPending& shadow_pending = it->second;
-    if (inserted) {
-      if (const auto live = pending_.find(pub); live != pending_.end()) {
-        shadow_pending.lists_from = live->second.lists_from;
-      }
-    }
-    if (!shadow_pending.lists_from.insert(list->m_slice_index).second) {
-      continue;
-    }
-    shadow_pending.arriving.push_back(list);
-    if (!lists_complete(shadow_pending.lists_from, *list, m_slices_)) continue;
-    Completion completion;
-    completion.pub = pub;
-    if (const auto live = pending_.find(pub); live != pending_.end()) {
-      completion.prefix = &live->second.subscribers;
-    }
-    completion.lists = std::move(shadow_pending.arriving);
-    completions.push_back(std::move(completion));
-    planned_complete_.insert(pub);
-  }
-  if (completions.empty()) return;
-
-  // Merge assembly is pure compute over immutable inputs (the live pending
-  // prefix and the batch payloads): fan one chunk per completing
-  // publication across the pool, each writing its own plan slot and
-  // concatenating in arrival order, so every merged list is byte-identical
-  // to the serial per-event appends. The per-event on_event calls commit
-  // them on the simulator thread in the serial completion order.
-  merge_plan_.resize(completions.size());
-  run_chunks(pool_, completions.size(), [&](std::size_t c, std::size_t) {
-    const Completion& completion = completions[c];
-    PlannedMerge& plan = merge_plan_[c];
-    plan.pub = completion.pub;
-    std::size_t total =
-        completion.prefix != nullptr ? completion.prefix->size() : 0;
-    for (const MatchListPayload* list : completion.lists) {
-      total += list->subscribers.size();
-    }
-    plan.merged.reserve(total);
-    if (completion.prefix != nullptr) {
-      plan.merged.insert(plan.merged.end(), completion.prefix->begin(),
-                         completion.prefix->end());
-    }
-    for (const MatchListPayload* list : completion.lists) {
-      plan.merged.insert(plan.merged.end(), list->subscribers.begin(),
-                         list->subscribers.end());
-    }
-  });
-}
-
 void EpHandler::on_event(engine::Context& ctx, const engine::PayloadPtr& p) {
   const auto* list = dynamic_cast<const MatchListPayload*>(p.get());
   if (list == nullptr) {
@@ -466,15 +266,9 @@ void EpHandler::on_event(engine::Context& ctx, const engine::PayloadPtr& p) {
   Pending& pending = pending_[list->publication];
   pending.published_at = list->published_at;
   if (!pending.lists_from.insert(list->m_slice_index).second) return;
-  // Publications completing inside the current batch already have their
-  // full merge precomputed (on_batch_start); appending here too would
-  // duplicate their subscribers.
-  const bool planned = planned_complete_.contains(list->publication);
-  if (!planned) {
-    pending.subscribers.insert(pending.subscribers.end(),
-                               list->subscribers.begin(),
-                               list->subscribers.end());
-  }
+  pending.subscribers.insert(pending.subscribers.end(),
+                             list->subscribers.begin(),
+                             list->subscribers.end());
   if (!lists_complete(pending.lists_from, *list, m_slices_)) return;
 
   // AP broadcast completeness: every collected index passed the fan
@@ -495,39 +289,6 @@ void EpHandler::on_event(engine::Context& ctx, const engine::PayloadPtr& p) {
                     .actual(pending.lists_from.size())
                     .note("publication " +
                           std::to_string(list->publication.value())));
-  if (planned) {
-    // Commit the precomputed parallel merge. The plan was laid down in the
-    // serial completion order of the batch, and EP's W-serialized FIFO
-    // replays the batch in exactly that order, so the first unconsumed slot
-    // must be this publication -- anything else means the off-thread merges
-    // would commit in a different order than serial processing.
-    std::size_t next = 0;
-    while (next < merge_plan_.size() && merge_plan_[next].consumed) ++next;
-    std::size_t found = next;
-    while (found < merge_plan_.size() &&
-           !(merge_plan_[found].pub == list->publication &&
-             !merge_plan_[found].consumed)) {
-      ++found;
-    }
-    ESH_INVARIANT("pubsub", "ep-offload-merge-ordered",
-                  found == next && found < merge_plan_.size(),
-                  ::esh::contracts::Detail{}
-                      .expected(next < merge_plan_.size()
-                                    ? "plan slot " + std::to_string(next) +
-                                          " (publication " +
-                                          std::to_string(
-                                              merge_plan_[next].pub.value()) +
-                                          ")"
-                                    : std::string("plan drained"))
-                      .actual("publication " +
-                              std::to_string(list->publication.value()))
-                      .note("parallel merge commit out of plan order"));
-    if (found < merge_plan_.size()) {
-      pending.subscribers = std::move(merge_plan_[found].merged);
-      merge_plan_[found].consumed = true;
-    }
-    planned_complete_.erase(list->publication);
-  }
   complete_publication(ctx, list->publication, std::move(pending));
 }
 
@@ -579,8 +340,6 @@ void EpHandler::serialize_state(BinaryWriter& w) const {
 void EpHandler::restore_state(BinaryReader& r) {
   pending_.clear();
   completed_.clear();
-  merge_plan_.clear();
-  planned_complete_.clear();
   const auto n = r.read_u64();
   for (std::uint64_t i = 0; i < n; ++i) {
     const auto pub = r.read_id<PublicationTag>();

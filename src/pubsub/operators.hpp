@@ -71,14 +71,8 @@ struct MatchingTarget {
 
 class ApHandler final : public engine::Handler {
  public:
-  // `worker_pool` (optional) parallelizes on_batch_start's route planning:
-  // per-event scheme resolution, partition hashes and broadcast fan-out
-  // targets are precomputed in parallel_for chunks and committed (emitted)
-  // on the simulator thread by the per-event on_event calls, so simulated
-  // behavior is independent of the pool.
-  ApHandler(std::vector<MatchingTarget> targets, cluster::CostModel cost,
-            ThreadPool* worker_pool = nullptr)
-      : targets_(std::move(targets)), cost_(cost), pool_(worker_pool) {}
+  ApHandler(std::vector<MatchingTarget> targets, cluster::CostModel cost)
+      : targets_(std::move(targets)), cost_(cost) {}
 
   void on_event(engine::Context& ctx, const engine::PayloadPtr& p) override;
   [[nodiscard]] double cost_units(const engine::PayloadPtr& p) const override;
@@ -90,78 +84,28 @@ class ApHandler final : public engine::Handler {
     return cost_.generic_replica_init_units;
   }
 
-  // Subscriptions and publications batch (AP is stateless, so any run
-  // coalesces); on_batch_start plans each event's route off-thread and the
-  // per-event on_event calls consume the plan by key -- AP jobs are
-  // lock-free (kNone) and may complete out of submission order when their
-  // simulated costs differ.
-  [[nodiscard]] bool can_batch(const engine::PayloadPtr& p) const override;
-  void on_batch_start(engine::Context& ctx,
-                      const std::vector<engine::PayloadPtr>& batch) override;
-
-#if ESH_INVARIANTS_ENABLED
-  // Seeded-fault seam for tests/test_contracts.cpp: shrinks the planned
-  // broadcast fan-out of the first unconsumed publication route, so the
-  // consuming on_event trips ap-offload-broadcast-complete.
-  void testing_corrupt_route_plan() {
-    for (PlannedRoute& route : route_plan_) {
-      if (!route.consumed && route.is_publication) {
-        --route.slices;
-        return;
-      }
-    }
-  }
-#endif
-
  private:
-  // One precomputed routing decision. `key` is the modulo-hash routing key
-  // (subscription id or publication id); publications broadcast instead and
-  // carry the planned fan-out width for the completeness invariant. The
-  // scheme flag is part of the consumption key: the two schemes' id spaces
-  // are independent, so a plain and an encrypted event may share `key`.
-  struct PlannedRoute {
-    bool is_publication = false;
-    bool encrypted = false;
-    std::uint64_t key = 0;
-    const MatchingTarget* target = nullptr;
-    std::size_t slices = 0;  // planned broadcast fan-out (publications)
-    // Routing epoch the fan-out was planned under; a split/merge cut-over
-    // between planning and commit legitimately changes the fan width.
-    std::uint64_t epoch = 0;
-    bool consumed = false;
-  };
-
   [[nodiscard]] const MatchingTarget& target_for(bool encrypted) const;
-  [[nodiscard]] const PlannedRoute* consume_planned_route(bool is_publication,
-                                                          bool encrypted,
-                                                          std::uint64_t key);
 
   std::vector<MatchingTarget> targets_;
   cluster::CostModel cost_;
-  ThreadPool* pool_;
-  // Outstanding planned routes. Multiple batches can be in flight at once
-  // (AP receives from several source slices and its jobs are unserialized),
-  // so plans append and are consumed by key; fully-consumed plans are
-  // reclaimed at the next batch boundary.
-  std::vector<PlannedRoute> route_plan_;
-  std::size_t route_plan_consumed_ = 0;
 };
 
 class MHandler final : public engine::Handler {
  public:
-  // `match_pool` (optional) is installed on the matcher: on_batch_start's
+  // `worker_pool` (optional) is installed on the matcher: on_batch_start's
   // match_batch call then fans its compute across the pool and joins before
   // returning, so every result is committed on the simulator thread and
   // simulated behavior is independent of the pool.
   MHandler(OperatorNames names, std::string own_op, std::uint32_t slice_index,
            std::unique_ptr<filter::Matcher> matcher, cluster::CostModel cost,
-           ThreadPool* match_pool = nullptr)
+           ThreadPool* worker_pool = nullptr)
       : names_(std::move(names)),
         own_op_(std::move(own_op)),
         slice_index_(slice_index),
         matcher_(std::move(matcher)),
         cost_(cost) {
-    matcher_->set_thread_pool(match_pool);
+    matcher_->set_thread_pool(worker_pool);
   }
 
   void on_event(engine::Context& ctx, const engine::PayloadPtr& p) override;
@@ -211,19 +155,8 @@ class MHandler final : public engine::Handler {
 
 class EpHandler final : public engine::Handler {
  public:
-  // `worker_pool` (optional) parallelizes on_batch_start's merge assembly:
-  // the batch is shadow-walked serially on the simulator thread to find the
-  // publications it completes, their full subscriber merges are then built
-  // in parallel_for chunks (one per completing publication, arrival order
-  // preserved inside each merge), and the per-event on_event calls commit
-  // state changes, dispatch and cost accounting on the simulator thread in
-  // the serial order -- simulated behavior is independent of the pool.
-  EpHandler(OperatorNames names, std::size_t m_slices, cluster::CostModel cost,
-            ThreadPool* worker_pool = nullptr)
-      : names_(std::move(names)),
-        m_slices_(m_slices),
-        cost_(cost),
-        pool_(worker_pool) {}
+  EpHandler(OperatorNames names, std::size_t m_slices, cluster::CostModel cost)
+      : names_(std::move(names)), m_slices_(m_slices), cost_(cost) {}
 
   void on_event(engine::Context& ctx, const engine::PayloadPtr& p) override;
   [[nodiscard]] double cost_units(const engine::PayloadPtr& p) const override;
@@ -231,15 +164,6 @@ class EpHandler final : public engine::Handler {
       const engine::PayloadPtr&) const override {
     return cluster::LockMode::kWrite;  // mutates the pending-list state
   }
-
-  // Partial lists batch even though they are W-locked: EP's write jobs are
-  // strictly serialized in submission order and a batch's jobs are submitted
-  // back to back, so no checkpoint/freeze/foreign-channel job can observe
-  // mid-batch state (see Handler::can_batch). on_batch_start therefore sees
-  // exactly the serial pre-batch state and precomputes the in-batch merges.
-  [[nodiscard]] bool can_batch(const engine::PayloadPtr& p) const override;
-  void on_batch_start(engine::Context& ctx,
-                      const std::vector<engine::PayloadPtr>& batch) override;
 
   void serialize_state(BinaryWriter& w) const override;
   void restore_state(BinaryReader& r) override;
@@ -259,14 +183,6 @@ class EpHandler final : public engine::Handler {
   void testing_force_dispatch(engine::Context& ctx, PublicationId pub) {
     complete_publication(ctx, pub, std::move(pending_[pub]));
   }
-  // Seeded-fault seam: swaps the first two precomputed parallel merges so
-  // the batch commits them out of plan order; the first completing on_event
-  // trips ep-offload-merge-ordered.
-  void testing_scramble_merge_plan() {
-    if (merge_plan_.size() >= 2) {
-      std::swap(merge_plan_[0], merge_plan_[1]);
-    }
-  }
 #endif
 
  private:
@@ -284,30 +200,14 @@ class EpHandler final : public engine::Handler {
   void complete_publication(engine::Context& ctx, PublicationId pub,
                             Pending pending);
 
-  // One precomputed merge for a publication that completes inside the
-  // current batch: the full subscriber list (pre-batch pending prefix, then
-  // the batch's lists in arrival order), built off-thread.
-  struct PlannedMerge {
-    PublicationId pub{};
-    std::vector<SubscriberId> merged;
-    bool consumed = false;
-  };
-
   OperatorNames names_;
   std::size_t m_slices_;
   cluster::CostModel cost_;
-  ThreadPool* pool_ = nullptr;
   std::unordered_map<PublicationId, Pending> pending_;
   // Publications already notified. Upstream recovery replays deliver
   // at-least-once below this operator; completed publications must not be
   // re-notified. Grows with the publication count — fine for simulation.
   std::set<PublicationId> completed_;
-  // Precomputed merges of the batch in flight (EP's W-serialized FIFO means
-  // at most one batch is outstanding, fully consumed before the next
-  // on_batch_start). Publications listed here skip the per-event subscriber
-  // appends; the completing event commits the precomputed merge instead.
-  std::vector<PlannedMerge> merge_plan_;
-  std::set<PublicationId> planned_complete_;
 };
 
 // Observation sink: records end-to-end delays (publication emission at the

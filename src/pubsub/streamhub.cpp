@@ -70,9 +70,8 @@ void StreamHub::deploy(const HostAssignment& assignment) {
       }});
   topology.operators.push_back(engine::OperatorSpec{
       names.ap, params_.ap_slices,
-      [targets, cost = params_.cost,
-       pool = engine_.worker_pool()](std::size_t) {
-        return std::make_unique<ApHandler>(targets, cost, pool);
+      [targets, cost = params_.cost](std::size_t) {
+        return std::make_unique<ApHandler>(targets, cost);
       }});
   for (const auto& spec : schemes_) {
     topology.operators.push_back(engine::OperatorSpec{
@@ -86,9 +85,9 @@ void StreamHub::deploy(const HostAssignment& assignment) {
   }
   topology.operators.push_back(engine::OperatorSpec{
       names.ep, params_.ep_slices,
-      [names = names, m = schemes_.front().slices, cost = params_.cost,
-       pool = engine_.worker_pool()](std::size_t) {
-        return std::make_unique<EpHandler>(names, m, cost, pool);
+      [names = names, m = schemes_.front().slices,
+       cost = params_.cost](std::size_t) {
+        return std::make_unique<EpHandler>(names, m, cost);
       }});
   topology.operators.push_back(engine::OperatorSpec{
       names.sink, params_.sink_slices,

@@ -177,19 +177,6 @@ TEST(PercentileTracker, ErrorsOnEmptyOrBadPercentile) {
   EXPECT_THROW((void)t.percentile(101), std::invalid_argument);
 }
 
-TEST(Histogram, BucketsAndClamping) {
-  Histogram h{0.0, 10.0, 10};
-  h.add(0.5);
-  h.add(9.99);
-  h.add(-5.0);   // clamps to first
-  h.add(100.0);  // clamps to last
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_EQ(h.bucket(0), 2u);
-  EXPECT_EQ(h.bucket(9), 2u);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(3), 3.0);
-  EXPECT_THROW((Histogram{1.0, 1.0, 4}), std::invalid_argument);
-}
-
 TEST(TimeBinnedSeries, BinsByWidth) {
   TimeBinnedSeries series{seconds(30)};
   series.add(seconds(1), 1.0);

@@ -18,7 +18,6 @@
 #include "engine/migration_strategy.hpp"
 #include "common/keyspace.hpp"
 #include "common/serde.hpp"
-#include "common/thread_pool.hpp"
 #include "filter/matcher.hpp"
 #include "engine/engine.hpp"
 #include "engine/host_runtime.hpp"
@@ -294,7 +293,6 @@ class RecordingContext final : public engine::Context {
       std::string_view) const override {
     return {0};
   }
-  [[nodiscard]] std::uint64_t routing_epoch() const override { return 0; }
 
   std::vector<std::pair<std::string, engine::PayloadPtr>> emitted;
 };
@@ -344,71 +342,6 @@ TEST(SeededFaultTest, EpOutOfRangeSliceIndexTripsBoundsPrecondition) {
     EXPECT_EQ(v.name(), "ep-list-in-fan");
     EXPECT_EQ(v.detail().actual_value, "5");
   }
-}
-
-// The AP offload plans each publication's broadcast fan-out off-thread; a
-// corrupted plan (fewer slices than the target operator really has) must be
-// caught by the consuming on_event before the broadcast is emitted.
-TEST(SeededFaultTest, CorruptedRoutePlanTripsApBroadcastCompleteness) {
-  RecordingContext ctx;
-  ThreadPool pool{2};
-  pubsub::ApHandler ap{{pubsub::MatchingTarget{"M", 1, false}},
-                       cluster::CostModel{},
-                       &pool};
-
-  workload::PlainWorkload plain{{4, 0.02, 91}};
-  std::vector<engine::PayloadPtr> batch;
-  batch.push_back(std::make_shared<pubsub::SubscriptionPayload>(
-      filter::AnySubscription{plain.subscription(1)}));
-  batch.push_back(std::make_shared<pubsub::PublicationPayload>(
-      filter::AnyPublication{plain.next_publication()}, SimTime{0}));
-  for (const auto& p : batch) ASSERT_TRUE(ap.can_batch(p));
-  ap.on_batch_start(ctx, batch);
-
-  // The uncorrupted plan routes the subscription cleanly.
-  ap.on_event(ctx, batch[0]);
-  ASSERT_EQ(ctx.emitted.size(), 1u);
-
-  ap.testing_corrupt_route_plan();
-  try {
-    ap.on_event(ctx, batch[1]);
-    FAIL() << "corrupted route plan not detected";
-  } catch (const ContractViolation& v) {
-    EXPECT_EQ(v.kind(), Kind::kInvariant);
-    EXPECT_EQ(v.subsystem(), "pubsub");
-    EXPECT_EQ(v.name(), "ap-offload-broadcast-complete");
-    EXPECT_EQ(v.detail().expected_value, "1");
-    EXPECT_EQ(v.detail().actual_value, "0");
-  }
-  // The incomplete broadcast never left the handler.
-  EXPECT_EQ(ctx.emitted.size(), 1u);
-}
-
-// The EP offload precomputes one merged subscriber list per publication the
-// batch completes, committed by the per-event calls in plan order; a plan
-// scrambled out of that order must trip before any wrong merge is dispatched.
-TEST(SeededFaultTest, ScrambledMergePlanTripsEpOrderInvariant) {
-  RecordingContext ctx;
-  pubsub::EpHandler ep{pubsub::OperatorNames{}, 1, cluster::CostModel{}};
-  std::vector<engine::PayloadPtr> batch(2);
-  make_list(PublicationId{50}, 0, 1, &batch[0]);
-  make_list(PublicationId{51}, 0, 1, &batch[1]);
-  for (const auto& p : batch) ASSERT_TRUE(ep.can_batch(p));
-  ep.on_batch_start(ctx, batch);
-
-  ep.testing_scramble_merge_plan();
-  try {
-    ep.on_event(ctx, batch[0]);
-    FAIL() << "out-of-order merge commit not detected";
-  } catch (const ContractViolation& v) {
-    EXPECT_EQ(v.kind(), Kind::kInvariant);
-    EXPECT_EQ(v.subsystem(), "pubsub");
-    EXPECT_EQ(v.name(), "ep-offload-merge-ordered");
-    EXPECT_NE(v.detail().note_text.find("out of plan order"),
-              std::string::npos);
-  }
-  // The misordered notification never reached the sink.
-  EXPECT_TRUE(ctx.emitted.empty());
 }
 
 // ---- reliable control channel: each invariant tripped by a seeded fault ----

@@ -43,8 +43,6 @@ TEST(MatcherDiff, AllSchemesAgreeOnSeededChurn) {
                /*encrypted=*/false, /*batched=*/false);
   h.add_scheme("brute/batched", std::make_unique<BruteForceMatcher>(),
                /*encrypted=*/false, /*batched=*/true);
-  h.add_scheme("counting/batched", std::make_unique<CountingIndexMatcher>(),
-               /*encrypted=*/false, /*batched=*/true);
   h.add_scheme("interval/scalar", std::make_unique<IntervalIndexMatcher>(),
                /*encrypted=*/false, /*batched=*/false);
   h.add_scheme("interval/batched", std::make_unique<IntervalIndexMatcher>(),
@@ -76,10 +74,6 @@ TEST(MatcherDiff, PlainSchemesSeedSweep) {
                    false, false);
       h.add_scheme("brute/batched", std::make_unique<BruteForceMatcher>(),
                    false, true);
-      h.add_scheme("counting/scalar", std::make_unique<CountingIndexMatcher>(),
-                   false, false);
-      h.add_scheme("counting/batched",
-                   std::make_unique<CountingIndexMatcher>(), false, true);
       h.add_scheme("interval/scalar",
                    std::make_unique<IntervalIndexMatcher>(), false, false);
       h.add_scheme("interval/batched",
@@ -147,7 +141,7 @@ TEST(KeyCoverage, SplitHalvesPartitionAndMergeReunites) {
   EXPECT_FALSE(coverage_complete({{2, 0, 0, 0}}, 2));
 }
 
-// The headline split/merge property run: all six schemes take seeded
+// The headline split/merge property run: all five schemes take seeded
 // random split points (random depth + tag), each half is validated
 // byte-for-byte against a clone_empty + reinsert reference, the merge must
 // reunite byte-identically to a never-split twin, and every later
@@ -167,8 +161,6 @@ TEST(MatcherSplitMerge, AllSchemesSurviveSeededSplitMergeRoundTrips) {
                false);
   h.add_scheme("brute/batched", std::make_unique<BruteForceMatcher>(), false,
                true);
-  h.add_scheme("counting/batched", std::make_unique<CountingIndexMatcher>(),
-               false, true);
   h.add_scheme("interval/batched", std::make_unique<IntervalIndexMatcher>(),
                false, true);
   h.add_scheme("aspe/scalar", std::make_unique<AspeMatcher>(), true, false);
@@ -179,7 +171,7 @@ TEST(MatcherSplitMerge, AllSchemesSurviveSeededSplitMergeRoundTrips) {
 }
 
 // Seed sweep of the same property at other dimensions/seeds (plain
-// schemes; counting and interval exercise split across freed-slot reuse).
+// schemes; interval exercises split across freed-slot reuse).
 TEST(MatcherSplitMerge, PlainSchemesSplitMergeSeedSweep) {
   for (const std::uint64_t seed : {11ULL, 5309ULL}) {
     DifferentialHarness::Params params;
@@ -193,10 +185,6 @@ TEST(MatcherSplitMerge, PlainSchemesSplitMergeSeedSweep) {
     DifferentialHarness h{params};
     h.add_scheme("brute/scalar", std::make_unique<BruteForceMatcher>(), false,
                  false);
-    h.add_scheme("counting/scalar", std::make_unique<CountingIndexMatcher>(),
-                 false, false);
-    h.add_scheme("counting/batched", std::make_unique<CountingIndexMatcher>(),
-                 false, true);
     h.add_scheme("interval/scalar", std::make_unique<IntervalIndexMatcher>(),
                  false, false);
     h.add_scheme("interval/batched", std::make_unique<IntervalIndexMatcher>(),
@@ -279,7 +267,7 @@ std::size_t plain_bytes(const std::vector<Subscription>& live) {
   return total;
 }
 
-// Adds, removals (forcing freed-slot reuse in the counting index), and
+// Adds, removals (forcing freed-slot reuse), and
 // mixed-dimension subscriptions keep subscription_count(), state_bytes()
 // and the match results of every plain matcher in lockstep with a direct
 // oracle evaluation.
@@ -287,7 +275,6 @@ TEST(MatcherChurn, RemovalsSlotReuseAndStateAccounting) {
   Rng rng{31337};
   std::vector<std::unique_ptr<Matcher>> matchers;
   matchers.push_back(std::make_unique<BruteForceMatcher>());
-  matchers.push_back(std::make_unique<CountingIndexMatcher>());
   matchers.push_back(std::make_unique<IntervalIndexMatcher>());
 
   std::map<std::uint64_t, Subscription> live;
@@ -339,7 +326,7 @@ TEST(MatcherChurn, RemovalsSlotReuseAndStateAccounting) {
   check_match(probe2d);
 
   // Remove a third of the store (freeing index slots), then add the same
-  // number back: the counting index reuses the freed slots.
+  // number back: the interval index reuses the freed slots.
   std::vector<std::uint64_t> victims;
   for (const auto& [id, s] : live) {
     if (id % 3 == 0) victims.push_back(id);
@@ -542,12 +529,10 @@ TEST(MatcherBatch, WorkUnitsAreBatchingInvariant) {
   // Plain schemes: 1500 subscriptions cross the 1024-slot brute tile.
   {
     BruteForceMatcher brute;
-    CountingIndexMatcher counting;
     IntervalIndexMatcher interval;
     for (std::uint64_t id = 1; id <= 1500; ++id) {
       const Subscription s = random_sub(id, 3);
       brute.add(AnySubscription{s});
-      counting.add(AnySubscription{s});
       interval.add(AnySubscription{s});
     }
     std::vector<AnyPublication> pubs;
@@ -555,18 +540,14 @@ TEST(MatcherBatch, WorkUnitsAreBatchingInvariant) {
       pubs.emplace_back(random_pub(id, 3));
     }
     check(brute, pubs);
-    check(counting, pubs);
     check(interval, pubs);
-    // Churn between batches: the index schemes must rebuild once per
-    // batch and still agree with their own scalar paths.
-    EXPECT_TRUE(counting.remove(SubscriptionId{10}));
+    // Churn between batches: every scheme must still agree with its own
+    // scalar path.
     EXPECT_TRUE(brute.remove(SubscriptionId{10}));
     EXPECT_TRUE(interval.remove(SubscriptionId{10}));
-    counting.add(AnySubscription{random_sub(2000, 3)});
     brute.add(AnySubscription{random_sub(2000, 3)});
     interval.add(AnySubscription{random_sub(2000, 3)});
     check(brute, pubs);
-    check(counting, pubs);
     check(interval, pubs);
   }
 

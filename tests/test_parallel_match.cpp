@@ -1,6 +1,5 @@
 // Determinism tests of the pooled match_batch backend: for every matcher
-// (brute force, counting index, interval index, ASPE) the same seeded
-// subscription and
+// (brute force, interval index, ASPE) the same seeded subscription and
 // publication stream is driven through a scalar instance and through
 // pooled instances at 1, 2, 4 and 8 threads, and every observable must be
 // byte-identical -- the exact per-publication subscriber vectors (order
@@ -111,23 +110,6 @@ TEST(ParallelMatchTest, BruteForceIdenticalAtEveryThreadCount) {
       pubs);
 }
 
-TEST(ParallelMatchTest, CountingIndexIdenticalAtEveryThreadCount) {
-  workload::PlainWorkload gen{{kDims, 0.01, 11}};
-  std::vector<AnySubscription> subs;
-  subs.reserve(kPlainSubs);
-  for (std::size_t i = 0; i < kPlainSubs; ++i) {
-    subs.emplace_back(gen.subscription(i));
-  }
-  auto pubs = plain_publications(gen);
-  expect_identical_at_all_thread_counts(
-      [&] {
-        auto matcher = std::make_unique<CountingIndexMatcher>();
-        for (const AnySubscription& sub : subs) matcher->add(sub);
-        return matcher;
-      },
-      pubs);
-}
-
 TEST(ParallelMatchTest, IntervalIndexIdenticalAtEveryThreadCount) {
   workload::PlainWorkload gen{{kDims, 0.01, 11}};
   std::vector<AnySubscription> subs;
@@ -187,10 +169,6 @@ TEST(ParallelMatchDifferentialTest, PooledSchemesMatchOracleUnderChurn) {
   auto brute = std::make_unique<BruteForceMatcher>();
   brute->set_thread_pool(&pool);
   h.add_scheme("brute-pooled", std::move(brute), /*encrypted=*/false,
-               /*batched=*/true);
-  auto counting = std::make_unique<CountingIndexMatcher>();
-  counting->set_thread_pool(&pool);
-  h.add_scheme("counting-pooled", std::move(counting), /*encrypted=*/false,
                /*batched=*/true);
   auto interval = std::make_unique<IntervalIndexMatcher>();
   interval->set_thread_pool(&pool);

@@ -1,15 +1,12 @@
-// Pipeline-wide determinism suite for the AP/M/EP worker-pool offload:
-// full StreamHub runs must be byte-identical at every worker thread count
-// (dispatched publications, per-publication subscriber merges, delay
-// percentiles, simulated work units and serialized slice state), including
-// under slice migration and chaos-harness crash/recovery schedules. Also
-// checks the AP/EP batched paths directly against serial per-event
-// processing, so a divergence is attributable to one operator tier.
+// Pipeline-wide determinism suite for the M worker pool: full StreamHub
+// runs must be byte-identical at every worker thread count (dispatched
+// publications, per-publication subscriber merges, delay percentiles,
+// simulated work units and serialized slice state), including under slice
+// migration and chaos-harness crash/recovery schedules.
 #include <algorithm>
 #include <cstdint>
 #include <iterator>
 #include <memory>
-#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -18,18 +15,15 @@
 
 #include "common/det.hpp"
 #include "common/serde.hpp"
-#include "common/thread_pool.hpp"
 #include "harness/chaos.hpp"
 #include "harness/testbed.hpp"
-#include "pubsub/operators.hpp"
-#include "workload/generator.hpp"
 #include "workload/schedule.hpp"
 
 namespace esh::harness {
 namespace {
 
 // Everything the figures derive from, plus the raw protocol state: if two
-// runs agree on this, the offload changed wall-clock only.
+// runs agree on this, the pool changed wall-clock only.
 struct RunFingerprint {
   std::uint64_t notifications = 0;
   std::uint64_t completed = 0;
@@ -134,9 +128,9 @@ TEST(ParallelPipelineTest, ByteIdenticalAcrossThreadCounts) {
   }
 }
 
-// Same stream with an AP and an EP slice migrating mid-run: the offload
-// plans must survive freeze/transfer/activate without disturbing the
-// simulated outcome at any thread count.
+// Same stream with an AP and an EP slice migrating mid-run: freeze,
+// transfer and activate must not disturb the simulated outcome at any
+// thread count.
 TEST(ParallelPipelineTest, ByteIdenticalUnderSliceMigration) {
   auto run = [](std::size_t threads) {
     Testbed bed{pipeline_config(threads)};
@@ -240,218 +234,3 @@ TEST(ParallelPipelineTest, ByteIdenticalUnderChaosRecovery) {
 
 }  // namespace
 }  // namespace esh::harness
-
-// ---- operator-tier unit checks: batched path == serial path -----------------
-
-namespace esh::pubsub {
-namespace {
-
-// Context that records every emission with its routing decision.
-class RecordingContext final : public engine::Context {
- public:
-  struct Emission {
-    std::string op;
-    engine::Routing::Kind kind;
-    std::uint64_t key;
-    engine::PayloadPtr payload;
-  };
-
-  void emit(std::string_view op, engine::Routing routing,
-            engine::PayloadPtr payload) override {
-    emitted.push_back(Emission{std::string{op}, routing.kind(), routing.key(),
-                               std::move(payload)});
-  }
-  [[nodiscard]] SimTime now() const override { return SimTime{0}; }
-  [[nodiscard]] std::size_t slice_index() const override { return 0; }
-  [[nodiscard]] std::size_t slice_count(std::string_view op) const override {
-    if (op == "M-plain") return 3;
-    if (op == "M-enc") return 2;
-    return 4;
-  }
-  [[nodiscard]] std::vector<std::uint32_t> fan_indices(
-      std::string_view op) const override {
-    std::vector<std::uint32_t> fan(slice_count(op));
-    for (std::uint32_t i = 0; i < fan.size(); ++i) fan[i] = i;
-    return fan;
-  }
-  [[nodiscard]] std::uint64_t routing_epoch() const override { return 0; }
-
-  std::vector<Emission> emitted;
-};
-
-engine::PayloadPtr make_list(PublicationId pub, std::uint32_t index,
-                             std::uint32_t expected,
-                             std::vector<SubscriberId> subscribers) {
-  auto list = std::make_shared<MatchListPayload>();
-  list->publication = pub;
-  list->m_slice_index = index;
-  list->expected_lists = expected;
-  list->subscribers = std::move(subscribers);
-  list->published_at = SimTime{1000 + pub.value()};
-  return list;
-}
-
-std::vector<std::byte> ep_state(const EpHandler& ep) {
-  BinaryWriter w;
-  ep.serialize_state(w);
-  return std::move(w).take();
-}
-
-// Drives the same partial-list stream through a serial EP (event by event,
-// never batched) and a batched EP backed by a 4-worker pool; emissions,
-// merge order and serialized state must be byte-identical. The stream
-// exercises every dedup edge: duplicate slice lists, lists for an
-// already-completed publication, a publication completing across two
-// batches, one left pending, and an empty partial list.
-TEST(ParallelPipelineEpUnit, BatchedMergeMatchesSerial) {
-  ThreadPool pool{4};
-  const OperatorNames names{};
-  const cluster::CostModel cost{};
-  EpHandler serial{names, 4, cost};
-  EpHandler batched{names, 4, cost, &pool};
-  RecordingContext serial_ctx;
-  RecordingContext batched_ctx;
-
-  auto subs = [](std::uint64_t base, std::size_t n) {
-    std::vector<SubscriberId> out;
-    for (std::size_t i = 0; i < n; ++i) out.emplace_back(base + i);
-    return out;
-  };
-
-  // Publication 15 completes before the batch; its late list must be
-  // absorbed by the completed_-set in both modes.
-  const std::vector<engine::PayloadPtr> warmup = {
-      make_list(PublicationId{15}, 0, 1, subs(900, 2)),
-  };
-  // Two batches: publication 12's lists straddle the boundary, so it
-  // completes in the second batch with a pre-batch pending prefix.
-  const std::vector<engine::PayloadPtr> batch1 = {
-      make_list(PublicationId{10}, 0, 4, subs(100, 3)),
-      make_list(PublicationId{11}, 2, 4, subs(200, 1)),
-      make_list(PublicationId{10}, 1, 4, subs(110, 0)),  // empty list
-      make_list(PublicationId{10}, 1, 4, subs(119, 5)),  // duplicate slice
-      make_list(PublicationId{12}, 3, 4, subs(300, 2)),
-      make_list(PublicationId{10}, 2, 4, subs(120, 2)),
-      make_list(PublicationId{11}, 0, 4, subs(210, 4)),
-      make_list(PublicationId{10}, 3, 4, subs(130, 1)),  // completes 10
-      make_list(PublicationId{15}, 0, 1, subs(910, 3)),  // already completed
-      make_list(PublicationId{11}, 1, 4, subs(220, 2)),
-      make_list(PublicationId{12}, 0, 4, subs(310, 3)),
-  };
-  const std::vector<engine::PayloadPtr> batch2 = {
-      make_list(PublicationId{12}, 1, 4, subs(320, 1)),
-      make_list(PublicationId{11}, 3, 4, subs(230, 1)),  // completes 11
-      make_list(PublicationId{12}, 2, 4, subs(330, 4)),  // completes 12
-      make_list(PublicationId{13}, 0, 4, subs(400, 2)),  // stays pending
-  };
-
-  for (const auto& p : warmup) {
-    serial.on_event(serial_ctx, p);
-    batched.on_event(batched_ctx, p);
-  }
-  for (const auto& batch : {batch1, batch2}) {
-    for (const auto& p : batch) {
-      ASSERT_TRUE(serial.can_batch(p));
-      serial.on_event(serial_ctx, p);
-    }
-    batched.on_batch_start(batched_ctx, batch);
-    for (const auto& p : batch) batched.on_event(batched_ctx, p);
-  }
-
-  ASSERT_EQ(batched_ctx.emitted.size(), serial_ctx.emitted.size());
-  for (std::size_t i = 0; i < serial_ctx.emitted.size(); ++i) {
-    const auto& a = serial_ctx.emitted[i];
-    const auto& b = batched_ctx.emitted[i];
-    EXPECT_EQ(a.op, b.op) << "emission " << i;
-    EXPECT_EQ(a.kind, b.kind) << "emission " << i;
-    EXPECT_EQ(a.key, b.key) << "emission " << i;
-    const auto* na = dynamic_cast<const NotificationPayload*>(a.payload.get());
-    const auto* nb = dynamic_cast<const NotificationPayload*>(b.payload.get());
-    ASSERT_NE(na, nullptr);
-    ASSERT_NE(nb, nullptr);
-    EXPECT_EQ(na->publication, nb->publication) << "emission " << i;
-    EXPECT_EQ(na->subscribers, nb->subscribers)
-        << "merge order diverged at emission " << i;
-    EXPECT_EQ(na->published_at, nb->published_at) << "emission " << i;
-  }
-  // 15 (warmup), 10, 11, 12 completed; 13 pending in both.
-  EXPECT_EQ(serial_ctx.emitted.size(), 4u);
-  EXPECT_EQ(serial.pending_publications(), 1u);
-  EXPECT_EQ(batched.pending_publications(), 1u);
-  EXPECT_EQ(ep_state(batched), ep_state(serial));
-}
-
-// Same equivalence for AP: a mixed run of plain/encrypted subscriptions and
-// publications planned through the pool must route exactly like the serial
-// per-event path, including when the batch's precomputed plan is consumed
-// out of submission order (AP's kNone jobs may complete in any order).
-TEST(ParallelPipelineApUnit, BatchedRoutePlanMatchesSerial) {
-  ThreadPool pool{4};
-  const cluster::CostModel cost{};
-  const std::vector<MatchingTarget> targets = {
-      MatchingTarget{"M-plain", 3, false},
-      MatchingTarget{"M-enc", 2, true},
-  };
-  ApHandler serial{targets, cost};
-  ApHandler batched{targets, cost, &pool};
-  RecordingContext serial_ctx;
-  RecordingContext batched_ctx;
-
-  workload::PlainWorkload plain{{4, 0.02, 91}};
-  workload::EncryptedWorkload encrypted{{4, 0.02, 92}};
-  std::vector<engine::PayloadPtr> batch;
-  for (std::uint64_t i = 0; i < 20; ++i) {
-    batch.push_back(std::make_shared<SubscriptionPayload>(
-        filter::AnySubscription{plain.subscription(i)}));
-    batch.push_back(std::make_shared<SubscriptionPayload>(
-        filter::AnySubscription{encrypted.subscription(100 + i)}));
-    batch.push_back(std::make_shared<PublicationPayload>(
-        filter::AnyPublication{plain.next_publication()}, SimTime{0}));
-    batch.push_back(std::make_shared<PublicationPayload>(
-        filter::AnyPublication{encrypted.next_publication()}, SimTime{0}));
-  }
-  for (const auto& p : batch) ASSERT_TRUE(serial.can_batch(p));
-
-  for (const auto& p : batch) serial.on_event(serial_ctx, p);
-  batched.on_batch_start(batched_ctx, batch);
-  // Consume the plan in a scrambled order: reverse within blocks of 7,
-  // mimicking out-of-submission-order completion of AP's unserialized jobs.
-  std::vector<std::size_t> order;
-  for (std::size_t begin = 0; begin < batch.size(); begin += 7) {
-    const std::size_t end = std::min(begin + 7, batch.size());
-    for (std::size_t i = end; i > begin; --i) order.push_back(i - 1);
-  }
-  std::vector<std::size_t> batched_emission_of(batch.size());
-  for (const std::size_t i : order) {
-    const std::size_t before = batched_ctx.emitted.size();
-    batched.on_event(batched_ctx, batch[i]);
-    ASSERT_EQ(batched_ctx.emitted.size(), before + 1);
-    batched_emission_of[i] = before;
-  }
-
-  ASSERT_EQ(serial_ctx.emitted.size(), batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const auto& a = serial_ctx.emitted[i];
-    const auto& b = batched_ctx.emitted[batched_emission_of[i]];
-    EXPECT_EQ(a.op, b.op) << "event " << i;
-    EXPECT_EQ(a.kind, b.kind) << "event " << i;
-    EXPECT_EQ(a.key, b.key) << "event " << i;
-    // Publications are re-stamped with the commit-time broadcast fan, so
-    // AP emits a fresh payload object: compare content, not identity.
-    const auto* pub_a = dynamic_cast<const PublicationPayload*>(a.payload.get());
-    const auto* pub_b = dynamic_cast<const PublicationPayload*>(b.payload.get());
-    if (pub_a != nullptr || pub_b != nullptr) {
-      ASSERT_NE(pub_a, nullptr) << "event " << i;
-      ASSERT_NE(pub_b, nullptr) << "event " << i;
-      EXPECT_EQ(filter::publication_id(pub_a->publication),
-                filter::publication_id(pub_b->publication))
-          << "event " << i;
-      EXPECT_EQ(pub_a->fan_indices, pub_b->fan_indices) << "event " << i;
-    } else {
-      EXPECT_EQ(a.payload.get(), b.payload.get()) << "event " << i;
-    }
-  }
-}
-
-}  // namespace
-}  // namespace esh::pubsub

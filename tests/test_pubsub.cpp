@@ -283,7 +283,7 @@ TEST(MultiScheme, PlainAndEncryptedOperatorsCoexist) {
   plain_scheme.slices = 2;
   plain_scheme.encrypted = false;
   plain_scheme.factory = [](std::size_t) {
-    return std::make_unique<filter::CountingIndexMatcher>();
+    return std::make_unique<filter::BruteForceMatcher>();
   };
   MatcherSchemeSpec enc_scheme;
   enc_scheme.op_name = "M-aspe";
@@ -411,7 +411,7 @@ TEST(MultiScheme, IntervalIndexSchemeRunsEndToEnd) {
 // Full-pipeline determinism under the matching worker pool: the identical
 // seeded deployment and event stream must produce the same notifications,
 // the same delay distribution and the same final simulated timestamp at
-// every match_threads setting -- the pool changes wall-clock only.
+// every worker_threads setting -- the pool changes wall-clock only.
 TEST(StreamHubParallelMatching, SimulatedResultsIndependentOfThreads) {
   struct Result {
     std::uint64_t notifications;
@@ -420,13 +420,13 @@ TEST(StreamHubParallelMatching, SimulatedResultsIndependentOfThreads) {
     double p99_ms;
     SimTime last;
   };
-  auto run_pipeline = [](std::size_t match_threads) {
+  auto run_pipeline = [](std::size_t worker_threads) {
     sim::Simulator sim;
     net::Network net{sim};
     engine::EngineConfig config;
     config.flush_interval = millis(10);
     config.control_tick = millis(5);
-    config.match_threads = match_threads;
+    config.worker_threads = worker_threads;
     engine::Engine engine{sim, net, HostId{99}, config, 3};
     std::vector<std::unique_ptr<cluster::Host>> hosts;
     for (std::size_t i = 0; i < 3; ++i) {

@@ -400,7 +400,12 @@ TEST_F(SelfHealingTest, MidPlanDestinationCrashAbandonsMoveAndFinishesPlan) {
   bool crashed = false;
   MigrationPlan plan;
   plan.reason = MigrationPlan::Reason::kLocalHigh;
-  plan.moves.push_back(MigrationPlan::Move{moving, hosts[2], std::nullopt});
+  MigrationPlan::Move move{moving, hosts[2], std::nullopt};
+  // Stamp the protocol the move's own signals select, as Enforcer::evaluate
+  // does; the manager re-derives and cross-checks it before executing.
+  move.strategy =
+      select_strategy(manager->enforcer().config(), move.state_bytes, move.cpu);
+  plan.moves.push_back(move);
   manager->set_policy([&](const SystemView&) {
     MigrationPlan p;
     if (!crashed) p = plan;

@@ -166,14 +166,14 @@ TEST(ThreadPoolTest, DestructionWithNoJobsJoinsCleanly) {
   }
 }
 
-// ---- stress: the AP/EP offload shapes -------------------------------------
+// ---- stress: irregular batch shapes ----------------------------------------
 //
-// The pipeline offload (PR 5) leans on three pool properties under irregular
-// load: correctness at arbitrary chunk-to-worker ratios, the lowest-indexed
-// exception surviving a storm of concurrent throwers, and the pool remaining
-// serviceable for the next batch after a throw. These tests drive all three
-// with seeded-random shapes so every run covers a different mix while
-// staying reproducible.
+// Batched matching leans on three pool properties under irregular load:
+// correctness at arbitrary chunk-to-worker ratios, the lowest-indexed exception
+// surviving a storm of concurrent throwers, and the pool remaining serviceable
+// for the next batch after a throw. These tests drive all three with
+// seeded-random shapes so every run covers a different mix while staying
+// reproducible.
 
 TEST(ThreadPoolStressTest, RandomizedChunkAndWorkerCounts) {
   Rng rng{20260807};
@@ -201,8 +201,8 @@ TEST(ThreadPoolStressTest, LowestIndexedExceptionWinsUnderRandomThrowers) {
   ThreadPool pool{4};
   for (int round = 0; round < 25; ++round) {
     const std::size_t chunks = 16 + rng.next_below(200);
-    // A random subset of chunks throws, mimicking per-event planning
-    // failures scattered through an AP route plan or EP merge batch.
+    // A random subset of chunks throws, mimicking per-chunk failures
+    // scattered through one match batch.
     std::vector<bool> throws(chunks, false);
     std::size_t lowest = chunks;
     const std::size_t throwers = 1 + rng.next_below(chunks / 2);
@@ -233,8 +233,8 @@ TEST(ThreadPoolStressTest, ReusableForNextBatchAfterRandomThrows) {
   Rng rng{777};
   ThreadPool pool{4};
   // Alternate throwing and clean batches of random sizes: the simulator
-  // thread reuses one pool for every AP plan, M match and EP merge, so a
-  // throw in one batch must leave the next batch's fan-out intact.
+  // thread reuses one pool for every M match batch, so a throw in one batch
+  // must leave the next batch's fan-out intact.
   for (int round = 0; round < 30; ++round) {
     const std::size_t chunks = 8 + rng.next_below(64);
     const auto doomed = static_cast<std::size_t>(rng.next_below(chunks));
