@@ -16,7 +16,9 @@
 //    wall-clock of IntervalIndexMatcher vs BruteForceMatcher while the
 //    store scales 100 K -> 1 M subscriptions at a 1 % matching rate,
 //    emitted as JSON (BENCH_index.json), with subscriber-set agreement
-//    verified at every size -- before and after a churn phase.
+//    verified at every size -- before and after a churn phase -- and the
+//    wall-clock cost one churned update adds to the next match (its tree
+//    rebuild) as rebuild_us_per_update.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -567,6 +569,24 @@ bool index_sweep_size(std::size_t n, bool last) {
     }
   }
 
+  // Rebuild cost of one churned update: each timed cycle replaces one live
+  // subscription (add a fresh one, remove an old one) so the next match
+  // must rebuild; the cycle minus a steady match on the same publication
+  // is what the update costs the matching path.
+  const double steady_s =
+      time_best_seconds(5, [&] { (void)interval.match(pubs[0]); });
+  std::size_t victim = 0;
+  const double cycle_s = time_best_seconds(5, [&] {
+    all_subs.push_back(index_sweep_subscription(all_subs.size()));
+    dead.push_back(0);
+    interval.add(filter::AnySubscription{all_subs.back()});
+    while (dead[victim]) ++victim;
+    ok &= interval.remove(all_subs[victim].id);
+    dead[victim] = 1;
+    (void)interval.match(pubs[0]);
+  });
+  const double rebuild_us = (cycle_s - steady_s) * 1e6;
+
   std::printf("    {\"subscriptions\": %zu, \"publications\": %zu,\n"
               "     \"matches_per_pub\": %.1f,\n"
               "     \"brute_work_units_per_pub\": %.1f, "
@@ -574,12 +594,13 @@ bool index_sweep_size(std::size_t n, bool last) {
               "     \"work_reduction_factor\": %.1f,\n"
               "     \"brute_pubs_per_sec\": %.1f, "
               "\"index_pubs_per_sec\": %.1f, \"wall_clock_speedup\": %.2f,\n"
+              "     \"rebuild_us_per_update\": %.1f,\n"
               "     \"churned\": %zu, \"results_identical\": %s}%s\n",
               n, pubs.size(),
               static_cast<double>(total_matches) /
                   static_cast<double>(pubs.size()),
               brute_units, index_units, brute_units / index_units, brute_rate,
-              index_rate, index_rate / brute_rate, removed,
+              index_rate, index_rate / brute_rate, rebuild_us, removed,
               ok ? "true" : "false", last ? "" : ",");
   return ok;
 }

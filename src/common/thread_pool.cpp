@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <utility>
 
 namespace esh {
 
@@ -100,6 +101,11 @@ void ThreadPool::parallel_for(
 
   std::unique_lock<std::mutex> lock{job->m};
   job->done_cv.wait(lock, [&] { return job->done == job->chunks; });
+  // Take the captured exceptions out of the shared Job: a worker still
+  // unwinding from run() may drop the last Job reference at any moment,
+  // and the exception objects must not be released on its thread while
+  // this one rethrows and the caller inspects them.
+  const std::vector<std::exception_ptr> errors = std::move(job->errors);
   lock.unlock();
 
   {
@@ -110,7 +116,7 @@ void ThreadPool::parallel_for(
     if (job_ == job) job_.reset();
   }
 
-  for (const std::exception_ptr& error : job->errors) {
+  for (const std::exception_ptr& error : errors) {
     if (error) std::rethrow_exception(error);
   }
 }

@@ -261,7 +261,7 @@ Status CoordService::apply_set(const std::string& path,
   }
   node->data = data;
   ++node->stat.version;
-  const std::int64_t prev_mzxid = node->stat.mzxid;
+  [[maybe_unused]] const std::int64_t prev_mzxid = node->stat.mzxid;
   node->stat.mzxid = ++zxid_;
   // Zxid ordering (ZooKeeper semantics the recipes rely on): every
   // modification gets a fresh, strictly larger zxid, never below the

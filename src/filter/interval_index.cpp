@@ -4,6 +4,7 @@
 #include <cmath>
 #include <functional>
 #include <limits>
+#include <utility>
 
 #include "common/thread_pool.hpp"
 
@@ -46,6 +47,7 @@ void IntervalIndexMatcher::add(const AnySubscription& sub) {
   if (d > lows_.size()) {
     lows_.resize(d, std::vector<double>(ids_.size(), kNeverLow));
     highs_.resize(d, std::vector<double>(ids_.size(), kNeverHigh));
+    attrs_.resize(d);
   }
   std::uint32_t slot;
   if (!free_slots_.empty()) {
@@ -64,20 +66,37 @@ void IntervalIndexMatcher::add(const AnySubscription& sub) {
     subscribers_.push_back(plain.subscriber);
     dims_.push_back(static_cast<std::uint32_t>(d));
     reg_attr_.push_back(kNoAttribute);
+    gens_.push_back(0);
     for (std::size_t a = 0; a < lows_.size(); ++a) {
       lows_[a].push_back(a < d ? plain.predicates[a].low : kNeverLow);
       highs_[a].push_back(a < d ? plain.predicates[a].high : kNeverHigh);
     }
   }
-  reg_attr_[slot] = registered_attribute(plain);
+  const std::uint32_t reg = registered_attribute(plain);
+  reg_attr_[slot] = reg;
+  const SlotRef ref{slot, gens_[slot]};
+  if (reg == kNoAttribute) {
+    zero_dim_pending_.push_back(ref);
+    zero_dim_dirty_ = true;
+  } else {
+    attrs_[reg].pending.push_back(ref);
+    attrs_[reg].dirty = true;
+  }
   slot_of_[plain.id] = slot;
   predicate_count_ += d;
   max_dims_ = std::max(max_dims_, d);
   ++live_count_;
-  dirty_ = true;
 }
 
 void IntervalIndexMatcher::punch_hole(std::uint32_t slot) {
+  // The slot's refs go stale; only the order it was registered in needs
+  // to drop them.
+  ++gens_[slot];
+  if (reg_attr_[slot] == kNoAttribute) {
+    zero_dim_dirty_ = true;
+  } else {
+    attrs_[reg_attr_[slot]].dirty = true;
+  }
   predicate_count_ -= dims_[slot];
   ids_[slot] = SubscriptionId{};
   subscribers_[slot] = SubscriberId{};
@@ -87,7 +106,6 @@ void IntervalIndexMatcher::punch_hole(std::uint32_t slot) {
   for (auto& col : highs_) col[slot] = kNeverHigh;
   free_slots_.push_back(slot);
   --live_count_;
-  dirty_ = true;
 }
 
 bool IntervalIndexMatcher::remove(SubscriptionId id) {
@@ -104,8 +122,8 @@ std::vector<std::uint32_t> IntervalIndexMatcher::live_slots_by_id() const {
   for (std::uint32_t slot = 0; slot < ids_.size(); ++slot) {
     if (ids_[slot].valid()) live.push_back(slot);
   }
-  // Ascending subscription id: canonical for serialization and for the
-  // tree build, so every observable is slot-layout independent.
+  // Ascending subscription id: the canonical wire order, independent of
+  // the slot layout.
   std::sort(live.begin(), live.end(),
             [this](std::uint32_t a, std::uint32_t b) {
               return ids_[a].value() < ids_[b].value();
@@ -113,79 +131,158 @@ std::vector<std::uint32_t> IntervalIndexMatcher::live_slots_by_id() const {
   return live;
 }
 
-std::int32_t IntervalIndexMatcher::build_node(
-    AttrTree& tree, const std::vector<TreeEntry>& entries) {
-  if (entries.empty()) return -1;
+namespace {
+
+// The n-th smallest (0-based) of the 2n endpoints of n intervals, given
+// the lows ascending (by_low[i].low) and the highs descending
+// (by_high[i].high). The n + 1 smallest endpoints are some i lows plus
+// n + 1 - i highs, i in [1, n]; the right i is the smallest whose next
+// low is not below the last high taken, and the answer is the larger of
+// the two last taken.
+template <class Entry>
+double median_endpoint(const Entry* by_low, const Entry* by_high,
+                       std::size_t n) {
+  const auto high_asc = [&](std::size_t j) { return by_high[n - 1 - j].high; };
+  std::size_t lo = 1;
+  std::size_t hi = n;
+  while (lo < hi) {
+    const std::size_t i = lo + (hi - lo) / 2;
+    if (by_low[i].low >= high_asc(n - i)) {
+      hi = i;
+    } else {
+      lo = i + 1;
+    }
+  }
+  return std::max(by_low[lo - 1].low, high_asc(n - lo));
+}
+
+}  // namespace
+
+std::int32_t IntervalIndexMatcher::build_node(AttrTree& tree,
+                                              TreeEntry* by_low,
+                                              TreeEntry* by_high,
+                                              std::size_t n,
+                                              TreeEntry* spill) {
+  if (n == 0) return -1;
   // Center on the median endpoint: the entry owning that endpoint always
   // straddles the center, so the cross list is never empty and each
   // subtree holds at most half the endpoints -- termination and O(log n)
-  // depth. nth_element is fine: only the k-th order statistic's value is
-  // used, which is implementation-independent.
-  std::vector<double> pts;
-  pts.reserve(entries.size() * 2);
-  for (const TreeEntry& e : entries) {
-    pts.push_back(e.low);
-    pts.push_back(e.high);
-  }
-  const auto mid = pts.begin() + static_cast<std::ptrdiff_t>(pts.size() / 2);
-  std::nth_element(pts.begin(), mid, pts.end());
-  const double center = *mid;
-  std::vector<TreeEntry> left;
-  std::vector<TreeEntry> right;
-  std::vector<TreeEntry> cross;
-  for (const TreeEntry& e : entries) {
-    if (e.high < center) {
-      left.push_back(e);
-    } else if (e.low > center) {
-      right.push_back(e);
-    } else {
-      cross.push_back(e);
-    }
-  }
+  // depth. Only the order statistic's value is used, so the tree does not
+  // depend on how ties among endpoints were ordered.
+  const double center = median_endpoint(by_low, by_high, n);
+  // Stable three-way partition of both orders: left entries compact to the
+  // front, right ones follow via `spill`, and the straddling ones go
+  // straight to the cross lists -- already (low asc, id asc) and
+  // (high desc, id asc), because the orders they come from are.
   const auto idx = static_cast<std::int32_t>(tree.nodes.size());
-  tree.nodes.push_back(TreeNode{center, -1, -1,
-                                static_cast<std::uint32_t>(tree.asc.size()),
-                                static_cast<std::uint32_t>(cross.size())});
-  // Cross lists ordered by value with id tie-breaks, never by slot: the
-  // stabbing traversal (and the subscriber append order it produces) is
-  // identical for any slot layout holding the same live set.
-  std::sort(cross.begin(), cross.end(),
-            [this](const TreeEntry& x, const TreeEntry& y) {
-              if (x.low != y.low) return x.low < y.low;
-              return ids_[x.slot].value() < ids_[y.slot].value();
-            });
-  tree.asc.insert(tree.asc.end(), cross.begin(), cross.end());
-  std::sort(cross.begin(), cross.end(),
-            [this](const TreeEntry& x, const TreeEntry& y) {
-              if (x.high != y.high) return x.high > y.high;
-              return ids_[x.slot].value() < ids_[y.slot].value();
-            });
-  tree.desc.insert(tree.desc.end(), cross.begin(), cross.end());
-  const std::int32_t l = build_node(tree, left);
-  const std::int32_t r = build_node(tree, right);
+  const auto cross_begin = static_cast<std::uint32_t>(tree.asc.size());
+  std::size_t left = 0;
+  std::size_t right = 0;
+  const auto partition = [&](TreeEntry* order, std::vector<TreeEntry>& cross) {
+    left = 0;
+    right = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const TreeEntry e = order[i];
+      if (e.high < center) {
+        order[left++] = e;
+      } else if (e.low > center) {
+        spill[right++] = e;
+      } else {
+        cross.push_back(e);
+      }
+    }
+    std::copy_n(spill, right, order + left);
+  };
+  partition(by_low, tree.asc);
+  partition(by_high, tree.desc);
+  tree.nodes.push_back(
+      TreeNode{center, -1, -1, cross_begin,
+               static_cast<std::uint32_t>(tree.asc.size() - cross_begin)});
+  const std::int32_t l = build_node(tree, by_low, by_high, left, spill);
+  const std::int32_t r = build_node(tree, by_low + left, by_high + left,
+                                    right, spill);
   tree.nodes[static_cast<std::size_t>(idx)].left = l;
   tree.nodes[static_cast<std::size_t>(idx)].right = r;
   return idx;
 }
 
+template <class Less>
+void IntervalIndexMatcher::merge_fresh(std::vector<SlotRef>& order,
+                                       const std::vector<SlotRef>& fresh,
+                                       Less less) const {
+  // Into an exactly sized vector: the orders are the index's largest
+  // persistent structure, so growth slack would cost resident memory.
+  std::vector<SlotRef> merged;
+  merged.reserve(order.size() + fresh.size());
+  auto next = fresh.begin();
+  for (const SlotRef ref : order) {
+    if (stale(ref)) continue;
+    while (next != fresh.end() && less(*next, ref)) merged.push_back(*next++);
+    merged.push_back(ref);
+  }
+  merged.insert(merged.end(), next, fresh.end());
+  order = std::move(merged);
+}
+
+void IntervalIndexMatcher::rebuild_attribute(std::size_t attr) {
+  AttrIndex& index = attrs_[attr];
+  const std::vector<double>& lows = lows_[attr];
+  const std::vector<double>& highs = highs_[attr];
+  const auto id = [this](SlotRef ref) { return ids_[ref.slot].value(); };
+  // Value order with id tie-breaks, never slot: the stabbing traversal
+  // (and the subscriber append order it produces) is identical for any
+  // slot layout holding the same live set.
+  const auto by_low = [&](SlotRef x, SlotRef y) {
+    if (lows[x.slot] != lows[y.slot]) return lows[x.slot] < lows[y.slot];
+    return id(x) < id(y);
+  };
+  const auto by_high = [&](SlotRef x, SlotRef y) {
+    if (highs[x.slot] != highs[y.slot]) return highs[x.slot] > highs[y.slot];
+    return id(x) < id(y);
+  };
+  std::erase_if(index.pending, [this](SlotRef ref) { return stale(ref); });
+  std::sort(index.pending.begin(), index.pending.end(), by_low);
+  merge_fresh(index.by_low, index.pending, by_low);
+  std::sort(index.pending.begin(), index.pending.end(), by_high);
+  merge_fresh(index.by_high, index.pending, by_high);
+  index.pending = {};  // the initial load's capacity would linger
+
+  const std::size_t n = index.by_low.size();
+  const auto entry = [&](SlotRef ref) {
+    return TreeEntry{lows[ref.slot], highs[ref.slot], ref.slot};
+  };
+  // Both orders as entries, then n entries of partition scratch.
+  const auto work = std::make_unique_for_overwrite<TreeEntry[]>(3 * n);
+  std::transform(index.by_low.begin(), index.by_low.end(), work.get(), entry);
+  std::transform(index.by_high.begin(), index.by_high.end(), work.get() + n,
+                 entry);
+  AttrTree& tree = index.tree;
+  tree.nodes.clear();
+  tree.asc.clear();
+  tree.desc.clear();
+  // Every entry lands in exactly one node's cross list: reserving n up
+  // front leaves no growth slack.
+  tree.asc.reserve(n);
+  tree.desc.reserve(n);
+  build_node(tree, work.get(), work.get() + n, n, work.get() + 2 * n);
+  index.dirty = false;
+}
+
 void IntervalIndexMatcher::rebuild_if_dirty() {
-  if (!dirty_) return;
-  const std::vector<std::uint32_t> live = live_slots_by_id();
-  trees_.assign(lows_.size(), AttrTree{});
-  zero_dim_slots_.clear();
-  std::vector<std::vector<TreeEntry>> per_attr(lows_.size());
-  for (const std::uint32_t slot : live) {
-    if (dims_[slot] == 0) {
-      zero_dim_slots_.push_back(slot);
-      continue;
-    }
-    const std::uint32_t a = reg_attr_[slot];
-    per_attr[a].push_back(TreeEntry{lows_[a][slot], highs_[a][slot], slot});
+  if (zero_dim_dirty_) {
+    std::erase_if(zero_dim_pending_,
+                  [this](SlotRef ref) { return stale(ref); });
+    const auto by_id = [this](SlotRef x, SlotRef y) {
+      return ids_[x.slot].value() < ids_[y.slot].value();
+    };
+    std::sort(zero_dim_pending_.begin(), zero_dim_pending_.end(), by_id);
+    merge_fresh(zero_dim_, zero_dim_pending_, by_id);
+    zero_dim_pending_ = {};
+    zero_dim_dirty_ = false;
   }
-  for (std::size_t a = 0; a < per_attr.size(); ++a) {
-    build_node(trees_[a], per_attr[a]);
+  for (std::size_t a = 0; a < attrs_.size(); ++a) {
+    if (attrs_[a].dirty) rebuild_attribute(a);
   }
-  dirty_ = false;
 }
 
 void IntervalIndexMatcher::verify_and_emit(std::uint32_t slot, std::size_t reg,
@@ -208,14 +305,14 @@ MatchOutcome IntervalIndexMatcher::match_prepared(
   std::uint64_t examined = 0;
   const std::size_t d = plain.attributes.size();
   if (d == 0) {
-    for (const std::uint32_t slot : zero_dim_slots_) {
+    for (const SlotRef ref : zero_dim_) {
       ++examined;
-      out.subscribers.push_back(subscribers_[slot]);
+      out.subscribers.push_back(subscribers_[ref.slot]);
     }
   }
-  const std::size_t arity = std::min(d, trees_.size());
+  const std::size_t arity = std::min(d, attrs_.size());
   for (std::size_t a = 0; a < arity; ++a) {
-    const AttrTree& tree = trees_[a];
+    const AttrTree& tree = attrs_[a].tree;
     if (tree.nodes.empty()) continue;
     const double v = plain.attributes[a];
     std::int32_t node = 0;
@@ -342,18 +439,21 @@ void IntervalIndexMatcher::restore_state(BinaryReader& r) {
   lows_.clear();
   highs_.clear();
   free_slots_.clear();
+  gens_.clear();
   slot_of_.clear();
-  trees_.clear();
-  zero_dim_slots_.clear();
+  attrs_.clear();
+  zero_dim_.clear();
+  zero_dim_pending_.clear();
+  zero_dim_dirty_ = false;
   live_count_ = 0;
   predicate_count_ = 0;
   max_dims_ = 0;
-  dirty_ = true;
   const auto n = r.read_u64();
   ids_.reserve(n);
   subscribers_.reserve(n);
   dims_.reserve(n);
   reg_attr_.reserve(n);
+  gens_.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     add(AnySubscription{deserialize_subscription(r)});
   }
@@ -361,17 +461,11 @@ void IntervalIndexMatcher::restore_state(BinaryReader& r) {
 
 std::size_t IntervalIndexMatcher::split_state(const KeyCoverage& cov,
                                               BinaryWriter& w) {
-  std::vector<std::uint32_t> moved;
-  for (std::uint32_t slot = 0; slot < ids_.size(); ++slot) {
-    if (ids_[slot].valid() && cov.covers(ids_[slot].value())) {
-      moved.push_back(slot);
-    }
-  }
   // Same canonical ascending-id wire order as serialize_state.
-  std::sort(moved.begin(), moved.end(),
-            [this](std::uint32_t a, std::uint32_t b) {
-              return ids_[a].value() < ids_[b].value();
-            });
+  std::vector<std::uint32_t> moved = live_slots_by_id();
+  std::erase_if(moved, [&](std::uint32_t slot) {
+    return !cov.covers(ids_[slot].value());
+  });
   w.write_u64(moved.size());
   for (const std::uint32_t slot : moved) write_slot(w, slot);
   const std::size_t serialized = moved.size();

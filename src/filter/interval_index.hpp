@@ -16,16 +16,32 @@
 // Storage is an arena-backed SoA pool: stable 32-bit slots, per-attribute
 // low/high columns with never-matching sentinels past a subscription's
 // dimension count, holes reused LIFO -- no per-subscription allocations on
-// the add/remove path and O(1) removal via an id->slot map. The trees are
-// rebuilt lazily (one rebuild amortized over a whole match_batch) from the
-// live slots in ascending-subscription-id order, and every tie inside a
-// tree breaks on subscription id, never on slot: the candidate traversal
-// -- and with it the subscriber append order and the work-unit counts --
-// is a pure function of the live subscription set, identical for any
-// slot-reuse history. That is what makes serialize/split/merge byte-stable
-// and the pooled batch path bit-identical at any thread count (the pool
-// partitions by publication against the immutable index; there is no
-// shared mutable scratch at all).
+// the add/remove path and O(1) removal via an id->slot map.
+//
+// The trees are maintained per attribute: add and remove dirty only the
+// tree of the subscription's registered attribute (or the zero-dimension
+// list), and the next match rebuilds just the dirty ones -- one rebuild
+// amortized over a whole match_batch. Each attribute keeps its registered
+// slots in two sorted orders, (low asc, id asc) and (high desc, id asc),
+// as 8-byte {slot, generation} refs: add appends to a pending list, remove
+// bumps the slot's generation, and a rebuild drops the stale refs, sorts
+// only the pending ones and merges them in. The tree build then works on
+// those presorted orders alone -- the center is found by binary search
+// over the two sorted endpoint sequences, and stable three-way partitions
+// of both orders yield each node's cross lists already ordered -- so
+// neither a sort nor a per-node allocation remains on the rebuild path,
+// which costs O(m + p log p) order maintenance (m registered, p pending)
+// plus a linear pass per tree level.
+//
+// Every tie inside a tree breaks on subscription id, never on slot, and
+// the tree is a function of the registered set alone, not of its input
+// order: the candidate traversal -- and with it the subscriber append
+// order and the work-unit counts -- is a pure function of the live
+// subscription set, identical for any slot-reuse or churn history. That
+// is what makes serialize/split/merge byte-stable and the pooled batch
+// path bit-identical at any thread count (the pool partitions by
+// publication against the immutable index; there is no shared mutable
+// scratch at all).
 //
 // Work accounting uses the CostModel index family: index_node_units per
 // tree node visited on the stabbing descents plus index_candidate_units
@@ -93,9 +109,37 @@ class IntervalIndexMatcher final : public Matcher {
     std::vector<TreeEntry> asc;   // cross lists by (low asc, id asc)
     std::vector<TreeEntry> desc;  // cross lists by (high desc, id asc)
   };
+  // A slot as it was when the ref was taken; stale once the slot's
+  // generation moves on (removal, which precedes any reuse).
+  struct SlotRef {
+    std::uint32_t slot;
+    std::uint32_t gen;
+  };
+  // One attribute: the tree matches read, and the sorted orders of its
+  // registered slots the tree is rebuilt from.
+  struct AttrIndex {
+    AttrTree tree;
+    std::vector<SlotRef> by_low;   // (low asc, id asc)
+    std::vector<SlotRef> by_high;  // (high desc, id asc)
+    std::vector<SlotRef> pending;  // added since the last rebuild
+    bool dirty = false;
+  };
 
   void rebuild_if_dirty();
-  std::int32_t build_node(AttrTree& tree, const std::vector<TreeEntry>& entries);
+  void rebuild_attribute(std::size_t attr);
+  // Builds the subtree over `n` entries given in both orders; partitions
+  // them in place (stably) and uses `spill` as n entries of scratch.
+  std::int32_t build_node(AttrTree& tree, TreeEntry* by_low,
+                          TreeEntry* by_high, std::size_t n,
+                          TreeEntry* spill);
+  [[nodiscard]] bool stale(SlotRef ref) const {
+    return gens_[ref.slot] != ref.gen;
+  }
+  // Drops stale refs from `order` and merges `fresh` (live, sorted by
+  // `less`) in.
+  template <class Less>
+  void merge_fresh(std::vector<SlotRef>& order,
+                   const std::vector<SlotRef>& fresh, Less less) const;
   // One publication against the already-rebuilt trees. Read-only: the
   // pooled batch path runs this concurrently with no shared scratch.
   [[nodiscard]] MatchOutcome match_prepared(const Publication& plain) const;
@@ -116,14 +160,16 @@ class IntervalIndexMatcher final : public Matcher {
   std::vector<std::vector<double>> lows_;   // [attribute][slot]
   std::vector<std::vector<double>> highs_;  // [attribute][slot]
   std::vector<std::uint32_t> free_slots_;   // LIFO reuse
+  std::vector<std::uint32_t> gens_;         // bumped when a slot is freed
   // O(1) removal; lookups only, never iterated.
   std::unordered_map<SubscriptionId, std::uint32_t> slot_of_;
-  std::vector<AttrTree> trees_;                // per attribute
-  std::vector<std::uint32_t> zero_dim_slots_;  // id-ascending at rebuild
+  std::vector<AttrIndex> attrs_;  // per attribute
+  std::vector<SlotRef> zero_dim_;          // id-ascending at rebuild
+  std::vector<SlotRef> zero_dim_pending_;  // added since the last rebuild
+  bool zero_dim_dirty_ = false;
   std::size_t live_count_ = 0;
   std::size_t predicate_count_ = 0;  // live predicates (state accounting)
   std::size_t max_dims_ = 0;         // historical max, like AspeMatcher's
-  bool dirty_ = true;
 };
 
 }  // namespace esh::filter

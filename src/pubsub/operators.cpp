@@ -161,7 +161,7 @@ void MHandler::on_event(engine::Context& ctx, const engine::PayloadPtr& p) {
     // A partial list labeled with a slice index outside the broadcast fan
     // would either be dropped by EP's dedup or inflate the completeness
     // count.
-    const bool in_fan =
+    [[maybe_unused]] const bool in_fan =
         pub->fan_indices.empty()
             ? slice_index_ < list->expected_lists
             : std::find(pub->fan_indices.begin(), pub->fan_indices.end(),
@@ -189,7 +189,8 @@ double MHandler::cost_units(const engine::PayloadPtr& p) const {
 }
 
 std::size_t MHandler::split_state(const KeyCoverage& cov, BinaryWriter& w) {
-  const std::size_t before = matcher_->subscription_count();
+  [[maybe_unused]] const std::size_t before =
+      matcher_->subscription_count();
   const std::size_t moved = matcher_->split_state(cov, w);
   // Conservation: every subscription either stayed or was serialized for
   // the child — a split must not drop or duplicate stored state.
@@ -250,7 +251,7 @@ void EpHandler::on_event(engine::Context& ctx, const engine::PayloadPtr& p) {
   // completion target arrives with every partial list: the broadcast fan
   // pinned at AP emit time (falls back to a dense count for legacy /
   // never-split payloads).
-  const bool in_fan =
+  [[maybe_unused]] const bool in_fan =
       list->fan_indices.empty()
           ? list->m_slice_index < (list->expected_lists > 0
                                        ? list->expected_lists
@@ -275,7 +276,7 @@ void EpHandler::on_event(engine::Context& ctx, const engine::PayloadPtr& p) {
   // membership precondition and the full fan is covered, so set equality
   // reduces to a size check (dense fallback: `expected` distinct indices,
   // each below `expected`, is exactly {0 .. expected-1}).
-  const std::size_t fan_size =
+  [[maybe_unused]] const std::size_t fan_size =
       list->fan_indices.empty()
           ? (list->expected_lists > 0 ? list->expected_lists
                                       : static_cast<std::uint32_t>(m_slices_))

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <map>
 #include <memory>
 #include <vector>
 
+#include "common/keyspace.hpp"
 #include "common/rng.hpp"
 #include "filter/aspe.hpp"
 #include "filter/attribute.hpp"
@@ -398,6 +402,143 @@ TEST(IntervalIndexTest, WorkUnitsAreSlotLayoutIndependent) {
     EXPECT_EQ(a.subscribers, b.subscribers) << "publication " << p;
     EXPECT_DOUBLE_EQ(a.work_units, b.work_units) << "publication " << p;
   }
+}
+
+// The trees are maintained per attribute from sorted orders that churn
+// updates incrementally; they must come out exactly as a from-scratch build
+// would. After every match of a seeded add/remove/match interleaving, a
+// clone_empty() replica restored from the store's serialized state returns
+// the same subscribers in the same order for the same work units. The
+// stream frees and reuses slots between rebuilds, draws endpoints and
+// publication values from a coarse grid (equal-endpoint ties, values on a
+// center), mixes in zero-dimension subscriptions, adds a late subscription
+// wider than any before, and splits/absorbs and restores mid-stream.
+TEST(IntervalIndexTest, InterleavedChurnMatchesFreshStore) {
+  Rng rng{0x1d7e5eedULL};
+  IntervalIndexMatcher m;
+  std::map<std::uint64_t, Subscription> live;  // the reference live set
+  std::uint64_t next_id = 1;
+  std::size_t max_dims = 3;
+  const auto grid = [&] {
+    return static_cast<double>(rng.next_below(9)) / 8.0;
+  };
+  const auto add = [&](std::size_t d) {
+    Subscription s;
+    s.id = SubscriptionId{next_id};
+    s.subscriber = SubscriberId{1000 + next_id};
+    ++next_id;
+    for (std::size_t a = 0; a < d; ++a) {
+      const double x = grid();
+      const double y = grid();
+      s.predicates.push_back(Range{std::min(x, y), std::max(x, y)});
+    }
+    m.add(AnySubscription{s});
+    live.emplace(s.id.value(), s);
+  };
+  const auto remove_any = [&] {
+    if (live.empty()) return;
+    auto it = live.begin();
+    std::advance(it, static_cast<std::ptrdiff_t>(rng.next_below(live.size())));
+    EXPECT_TRUE(m.remove(it->second.id));
+    live.erase(it);
+  };
+  std::uint64_t matches = 0;
+  const auto check = [&](std::size_t d) {
+    Publication pub{PublicationId{++matches}, {}};
+    for (std::size_t a = 0; a < d; ++a) {
+      pub.attributes.push_back(rng.next_bool() ? grid() : rng.next_double());
+    }
+    const auto got = m.match(AnyPublication{pub});
+    BinaryWriter w;
+    m.serialize_state(w);
+    auto fresh = m.clone_empty();
+    BinaryReader r{w.buffer()};
+    fresh->restore_state(r);
+    const auto want = fresh->match(AnyPublication{pub});
+    EXPECT_EQ(got.subscribers, want.subscribers) << "match " << matches;
+    EXPECT_EQ(got.work_units, want.work_units) << "match " << matches;
+    std::vector<SubscriberId> direct;
+    for (const auto& [id, sub] : live) {
+      if (sub.matches(pub)) direct.push_back(sub.subscriber);
+    }
+    auto sorted = got.subscribers;
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_EQ(sorted, direct) << "match " << matches;
+    EXPECT_EQ(m.subscription_count(), live.size());
+  };
+
+  for (int i = 0; i < 40; ++i) add(3);
+  for (int i = 0; i < 3; ++i) add(0);
+  check(3);
+  check(0);
+  // Freed slots refilled (LIFO) before the next rebuild, twice over for
+  // one of them, and a zero-dimension slot reused by a 3-d subscription.
+  remove_any();
+  add(3);
+  remove_any();
+  remove_any();
+  add(3);
+  add(0);
+  EXPECT_TRUE(m.remove(SubscriptionId{next_id - 1}));
+  live.erase(next_id - 1);
+  add(3);
+  const auto zero_dim =
+      std::find_if(live.begin(), live.end(), [](const auto& entry) {
+        return entry.second.predicates.empty();
+      });
+  ASSERT_NE(zero_dim, live.end());
+  EXPECT_TRUE(m.remove(zero_dim->second.id));
+  live.erase(zero_dim);
+  add(3);
+  check(3);
+  check(0);
+
+  for (int step = 0; step < 400; ++step) {
+    if (step == 120) {
+      // Wider than any subscription so far: new attribute columns.
+      add(5);
+      max_dims = 5;
+    }
+    if (step == 200) {
+      // Split half the store off and absorb it back.
+      const KeyCoverage child = KeyCoverage{}.split_child();
+      BinaryWriter w;
+      const std::size_t moved = m.split_state(child, w);
+      EXPECT_GT(moved, 0u);
+      EXPECT_EQ(m.subscription_count() + moved, live.size());
+      std::map<std::uint64_t, Subscription> kept;
+      for (const auto& [id, sub] : live) {
+        if (!child.covers(id)) kept.emplace(id, sub);
+      }
+      std::swap(live, kept);
+      check(3);
+      BinaryReader r{w.buffer()};
+      m.absorb_state(r);
+      std::swap(live, kept);
+      check(3);
+    }
+    if (step == 300) {
+      // Restore onto itself mid-stream, with updates pending.
+      add(3);
+      remove_any();
+      BinaryWriter w;
+      m.serialize_state(w);
+      BinaryReader r{w.buffer()};
+      m.restore_state(r);
+      check(3);
+    }
+    const std::uint64_t op = rng.next_below(20);
+    if (op < 9) {
+      add(rng.next_below(20) == 0 ? 0 : std::min<std::size_t>(
+                                            max_dims, 3 + rng.next_below(3)));
+    } else if (op < 16) {
+      remove_any();
+    } else {
+      const std::uint64_t shape = rng.next_below(8);
+      check(shape == 0 ? 0 : (shape == 1 ? max_dims : 3));
+    }
+  }
+  EXPECT_GT(matches, 60u);
 }
 
 TEST(AspeMatcherTest, EndToEndEncryptedMatching) {
