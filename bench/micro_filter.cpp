@@ -34,6 +34,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/keyspace.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "filter/aspe.hpp"
@@ -137,17 +138,26 @@ void BM_PlainIntervalIndex(benchmark::State& state) {
 }
 BENCHMARK(BM_PlainIntervalIndex)->RangeMultiplier(4)->Range(256, 65536);
 
-void BM_OracleMatcher(benchmark::State& state) {
+// One slice's match per fresh publication (every call misses the oracle's
+// memo, so it times sampling, partitioning and the membership scan).
+// `split_child` stores half of bucket 0 in a child slice (index m_slices),
+// which scans every bucket.
+void oracle_matcher_bench(benchmark::State& state, double hot_fraction,
+                          bool split_child) {
   const auto n = static_cast<std::uint64_t>(state.range(0));
   workload::OracleParams params;
   params.total_subscriptions = n;
   params.m_slices = 16;
+  params.hot_fraction = hot_fraction;
   workload::OracleWorkload wl{params};
-  auto matcher = wl.make_matcher({}, 0);
+  const KeyCoverage child_keys = KeyCoverage{16, 0, 0, 0}.split_child();
+  auto matcher = wl.make_matcher({}, split_child ? params.m_slices : 0);
   for (std::uint64_t i = 0; i < n; ++i) {
-    if (wl.oracle()->slice_of(i) == 0) {
-      matcher->add(filter::AnySubscription{wl.subscription(i)});
+    if (wl.oracle()->slice_of(i) != 0) continue;
+    if (split_child && !child_keys.covers(wl.oracle()->sub_id(i).value())) {
+      continue;
     }
+    matcher->add(filter::AnySubscription{wl.subscription(i)});
   }
   std::uint64_t pub = 0;
   for (auto _ : state) {
@@ -156,7 +166,33 @@ void BM_OracleMatcher(benchmark::State& state) {
     benchmark::DoNotOptimize(matcher->match(filter::AnyPublication{p}));
   }
 }
+
+void BM_OracleMatcher(benchmark::State& state) {
+  oracle_matcher_bench(state, 0.0, false);
+}
 BENCHMARK(BM_OracleMatcher)->RangeMultiplier(4)->Range(4096, 262144);
+
+void BM_OracleMatcherHot(benchmark::State& state) {
+  oracle_matcher_bench(state, 0.3, false);
+}
+BENCHMARK(BM_OracleMatcherHot)->RangeMultiplier(4)->Range(4096, 262144);
+
+void BM_OracleMatcherSplitChild(benchmark::State& state) {
+  oracle_matcher_bench(state, 0.3, true);
+}
+BENCHMARK(BM_OracleMatcherSplitChild)->RangeMultiplier(4)->Range(4096, 262144);
+
+// The ground-truth sampler alone: one publication's sorted match set.
+void BM_MatchOracleSample(benchmark::State& state) {
+  workload::OracleParams params;
+  params.total_subscriptions = static_cast<std::uint64_t>(state.range(0));
+  const workload::MatchOracle oracle{params};
+  std::uint64_t pub = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(oracle.matches(PublicationId{++pub}));
+  }
+}
+BENCHMARK(BM_MatchOracleSample)->RangeMultiplier(4)->Range(4096, 262144);
 
 void BM_AspeStateSerialization(benchmark::State& state) {
   const auto n = static_cast<std::uint64_t>(state.range(0));

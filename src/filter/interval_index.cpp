@@ -19,6 +19,11 @@ constexpr double kNeverHigh = -std::numeric_limits<double>::infinity();
 
 // reg_attr_ sentinel for zero-dimension subscriptions and holes.
 constexpr std::uint32_t kNoAttribute = 0xffffffffu;
+// reg_attr_ value of a subscription with an empty predicate (low > high,
+// or a NaN bound): it can match nothing, so it is stored but registered
+// in no tree and not on the zero-dimension list, which matches every
+// zero-dimension publication.
+constexpr std::uint32_t kUnregistered = 0xfffffffeu;
 
 // Covering rule: the registered interval is the narrowest predicate (ties
 // break on the lowest attribute index), so the index admits the fewest
@@ -27,6 +32,11 @@ std::uint32_t registered_attribute(const Subscription& plain) {
   std::uint32_t reg = kNoAttribute;
   double best = std::numeric_limits<double>::infinity();
   for (std::size_t a = 0; a < plain.predicates.size(); ++a) {
+    // An inverted interval would also send build_node's recursion past
+    // every center forever.
+    if (!(plain.predicates[a].low <= plain.predicates[a].high)) {
+      return kUnregistered;
+    }
     const double width = plain.predicates[a].high - plain.predicates[a].low;
     if (width < best) {
       best = width;
@@ -78,7 +88,7 @@ void IntervalIndexMatcher::add(const AnySubscription& sub) {
   if (reg == kNoAttribute) {
     zero_dim_pending_.push_back(ref);
     zero_dim_dirty_ = true;
-  } else {
+  } else if (reg != kUnregistered) {
     attrs_[reg].pending.push_back(ref);
     attrs_[reg].dirty = true;
   }
@@ -94,7 +104,7 @@ void IntervalIndexMatcher::punch_hole(std::uint32_t slot) {
   ++gens_[slot];
   if (reg_attr_[slot] == kNoAttribute) {
     zero_dim_dirty_ = true;
-  } else {
+  } else if (reg_attr_[slot] != kUnregistered) {
     attrs_[reg_attr_[slot]].dirty = true;
   }
   predicate_count_ -= dims_[slot];

@@ -11,7 +11,9 @@
 // attribute's tree with its value and only the subscriptions whose registered
 // interval contains the value surface as candidates; each candidate is then
 // verified against the full rectangle (minus the already-certified registered
-// attribute) straight from the arena columns, with early exit.
+// attribute) straight from the arena columns, with early exit. A
+// subscription with an empty predicate (low > high, or a NaN bound) can
+// match nothing; it is stored like any other but registered nowhere.
 //
 // Storage is an arena-backed SoA pool: stable 32-bit slots, per-attribute
 // low/high columns with never-matching sentinels past a subscription's
@@ -156,7 +158,7 @@ class IntervalIndexMatcher final : public Matcher {
   std::vector<SubscriptionId> ids_;
   std::vector<SubscriberId> subscribers_;
   std::vector<std::uint32_t> dims_;
-  std::vector<std::uint32_t> reg_attr_;     // kNoAttribute for zero-dim
+  std::vector<std::uint32_t> reg_attr_;  // or kNoAttribute/kUnregistered
   std::vector<std::vector<double>> lows_;   // [attribute][slot]
   std::vector<std::vector<double>> highs_;  // [attribute][slot]
   std::vector<std::uint32_t> free_slots_;   // LIFO reuse

@@ -1,15 +1,26 @@
 #include "workload/oracle.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
-
-#include "common/det.hpp"
+#include <string>
 
 namespace esh::workload {
 
 namespace {
-constexpr std::size_t kOracleCacheCapacity = 2048;
+
+constexpr std::size_t kMemoSlots = 2048;
+
+// Appends the positions of the set bits of `word`, ascending, offset by
+// `base`.
+void append_set_bits(std::uint64_t word, std::uint64_t base,
+                     std::vector<std::uint64_t>& out) {
+  for (; word != 0; word &= word - 1) {
+    out.push_back(base + static_cast<std::uint64_t>(std::countr_zero(word)));
+  }
+}
+
 }  // namespace
 
 MatchOracle::MatchOracle(OracleParams params) : params_(params) {
@@ -22,23 +33,18 @@ MatchOracle::MatchOracle(OracleParams params) : params_(params) {
   if (params_.hot_fraction < 0.0 || params_.hot_fraction > 1.0) {
     throw std::invalid_argument{"MatchOracle: hot fraction in [0, 1]"};
   }
-  if (params_.zipf_exponent < 0.0 || params_.zipf_exponent > 4.0) {
-    throw std::invalid_argument{"MatchOracle: zipf exponent in [0, 4]"};
-  }
   if (params_.churn_fraction < 0.0 || params_.churn_fraction > 1.0) {
     throw std::invalid_argument{"MatchOracle: churn fraction in [0, 1]"};
   }
-  if (params_.zipf_exponent > 0.0) {
-    zipf_cum_.reserve(params_.total_subscriptions);
-    double cum = 0.0;
-    for (std::uint64_t i = 0; i < params_.total_subscriptions; ++i) {
-      cum += std::pow(static_cast<double>(i + 1), -params_.zipf_exponent);
-      zipf_cum_.push_back(cum);
-    }
+  if (params_.hot_fraction > 0.0 && params_.m_slices >= 2) {
+    hot_count_ = static_cast<std::uint64_t>(
+        params_.hot_fraction *
+        static_cast<double>(params_.total_subscriptions));
   }
 }
 
-std::vector<std::uint64_t> MatchOracle::matches(PublicationId pub) const {
+void MatchOracle::sample(PublicationId pub, std::vector<std::uint64_t>& seen,
+                         std::vector<std::uint64_t>& out) const {
   Rng rng{params_.seed ^ (pub.value() * 0x9e3779b97f4a7c15ULL + 11)};
   const auto n = params_.total_subscriptions;
   const double expected = static_cast<double>(n) * params_.matching_rate;
@@ -49,28 +55,61 @@ std::vector<std::uint64_t> MatchOracle::matches(PublicationId pub) const {
   k_real = std::clamp(k_real, 0.0, static_cast<double>(n));
   const auto k = static_cast<std::size_t>(std::lround(k_real));
 
-  std::vector<std::uint64_t> chosen;
-  chosen.reserve(k);
-  std::unordered_set<std::uint64_t> seen;
-  seen.reserve(k * 2);
-  while (chosen.size() < k) {
-    // Uniform popularity, or Zipf-weighted inversion sampling: the match
-    // count stays Binomial(n, p) either way, only which indices carry the
-    // matches skews (rejection handles without-replacement duplicates).
-    std::uint64_t idx;
-    if (zipf_cum_.empty()) {
-      idx = rng.next_below(n);
-    } else {
-      const double r = rng.next_double() * zipf_cum_.back();
-      idx = static_cast<std::uint64_t>(std::distance(
-          zipf_cum_.begin(),
-          std::lower_bound(zipf_cum_.begin(), zipf_cum_.end(), r)));
-      if (idx >= n) idx = n - 1;  // floating-point edge of the last bucket
+  // Rejection sampling without replacement; a draw that hits a set bit is
+  // a duplicate and is drawn again.
+  for (std::size_t drawn = 0; drawn < k;) {
+    const std::uint64_t index = rng.next_below(n);
+    std::uint64_t& word = seen[index >> 6];
+    const std::uint64_t bit = std::uint64_t{1} << (index & 63);
+    if ((word & bit) == 0) {
+      word |= bit;
+      ++drawn;
     }
-    if (seen.insert(idx).second) chosen.push_back(idx);
   }
-  std::sort(chosen.begin(), chosen.end());
-  return chosen;
+  // The set bits in word order are the match set in ascending order.
+  out.clear();
+  for (std::size_t w = 0; out.size() < k; ++w) {
+    append_set_bits(seen[w], w * 64, out);
+    seen[w] = 0;
+  }
+}
+
+std::vector<std::uint64_t> MatchOracle::matches(PublicationId pub) const {
+  std::vector<std::uint64_t> seen((params_.total_subscriptions + 63) / 64, 0);
+  std::vector<std::uint64_t> out;
+  sample(pub, seen, out);
+  return out;
+}
+
+const MatchOracle::Partition& MatchOracle::partitioned_matches(
+    PublicationId pub) const {
+  if (memo_.empty()) {
+    memo_.resize(kMemoSlots);
+    memo_seen_.assign((params_.total_subscriptions + 63) / 64, 0);
+  }
+  Partition& part = memo_[pub.value() % kMemoSlots];
+  if (part.pub == pub && !part.begin.empty()) return part;
+  sample(pub, memo_seen_, memo_sample_);
+  // Counting sort by slice; each slice stays ascending.
+  const std::size_t slices = params_.m_slices;
+  part.pub = pub;
+  part.begin.assign(slices + 1, 0);
+  for (const std::uint64_t index : memo_sample_) {
+    ++part.begin[slice_of(index) + 1];
+  }
+  for (std::size_t s = 0; s < slices; ++s) part.begin[s + 1] += part.begin[s];
+  // From empty, a resize past the capacity allocates exactly the size
+  // rather than doubling.
+  part.indices.clear();
+  part.indices.resize(memo_sample_.size());
+  // begin[s] serves as slice s's write cursor and ends at slice s + 1's
+  // start; shifting the offsets up by one slot restores them.
+  for (const std::uint64_t index : memo_sample_) {
+    part.indices[part.begin[slice_of(index)]++] = index;
+  }
+  for (std::size_t s = slices; s > 0; --s) part.begin[s] = part.begin[s - 1];
+  part.begin[0] = 0;
+  return part;
 }
 
 // ---- ChurnStream -------------------------------------------------------------
@@ -107,22 +146,6 @@ ChurnStream::Event ChurnStream::next() {
   return Event{false, index};
 }
 
-std::shared_ptr<const MatchOracle::Partition> MatchOracle::partitioned_matches(
-    PublicationId pub) const {
-  if (auto it = cache_.find(pub); it != cache_.end()) return it->second;
-  auto partition = std::make_shared<Partition>(params_.m_slices);
-  for (std::uint64_t index : matches(pub)) {
-    (*partition)[slice_of(index)].push_back(index);
-  }
-  cache_.emplace(pub, partition);
-  cache_order_.push_back(pub);
-  while (cache_order_.size() > kOracleCacheCapacity) {
-    cache_.erase(cache_order_.front());
-    cache_order_.pop_front();
-  }
-  return partition;
-}
-
 OracleMatcher::OracleMatcher(std::shared_ptr<const MatchOracle> oracle,
                              cluster::CostModel cost, std::size_t slice_index)
     : oracle_(std::move(oracle)), cost_(cost), slice_index_(slice_index) {
@@ -132,31 +155,52 @@ OracleMatcher::OracleMatcher(std::shared_ptr<const MatchOracle> oracle,
 
 void OracleMatcher::add(const filter::AnySubscription& sub) {
   const auto& enc = std::get<filter::EncryptedSubscription>(sub);
-  subs_[enc.id] = enc.subscriber;
+  insert(enc.id, enc.subscriber);
 }
 
-bool OracleMatcher::remove(SubscriptionId id) { return subs_.erase(id) > 0; }
+void OracleMatcher::insert(SubscriptionId id, SubscriberId subscriber) {
+  const auto index = oracle_->index_of(id);
+  if (!index || oracle_->subscriber_of(*index) != subscriber) {
+    throw std::invalid_argument{
+        "OracleMatcher: subscription not generated by the oracle"};
+  }
+  const std::uint64_t word = *index >> 6;
+  if (word >= stored_.size()) stored_.resize(word + 1, 0);
+  const std::uint64_t bit = std::uint64_t{1} << (*index & 63);
+  if ((stored_[word] & bit) == 0) ++count_;
+  stored_[word] |= bit;
+}
+
+void OracleMatcher::erase_index(std::uint64_t index) {
+  stored_[index >> 6] &= ~(std::uint64_t{1} << (index & 63));
+  --count_;
+}
+
+bool OracleMatcher::remove(SubscriptionId id) {
+  const auto index = oracle_->index_of(id);
+  if (!index || !stores(*index)) return false;
+  erase_index(*index);
+  return true;
+}
 
 filter::MatchOutcome OracleMatcher::match(const filter::AnyPublication& pub) {
   filter::MatchOutcome out;
-  const auto pub_id = filter::publication_id(pub);
-  const auto partition = oracle_->partitioned_matches(pub_id);
-  // Only subscriptions actually stored here may match: under partial
-  // storage, mid-migration or mid-split the matcher stays truthful.
-  const auto scan = [&](const std::vector<std::uint64_t>& indices) {
-    for (std::uint64_t index : indices) {
-      auto it = subs_.find(oracle_->sub_id(index));
-      if (it != subs_.end()) out.subscribers.push_back(it->second);
+  const auto& partition =
+      oracle_->partitioned_matches(filter::publication_id(pub));
+  // A deploy-time slice's store never leaves its own bucket: splits and
+  // merges only shuffle state within one bucket lineage. A split child's
+  // bucket comes from the parent lineage, which the matcher does not know,
+  // so it scans every bucket. Either way only subscriptions actually
+  // stored here match: under partial storage, mid-migration or mid-split
+  // the matcher stays truthful.
+  const std::span<const std::uint64_t> candidates =
+      slice_index_ < oracle_->params().m_slices
+          ? partition[slice_index_]
+          : std::span<const std::uint64_t>{partition.indices};
+  for (const std::uint64_t index : candidates) {
+    if (stores(index)) {
+      out.subscribers.push_back(oracle_->subscriber_of(index));
     }
-  };
-  if (slice_index_ < oracle_->params().m_slices) {
-    // A deploy-time slice's store never leaves its own bucket: splits and
-    // merges only shuffle state within one bucket lineage.
-    scan((*partition)[slice_index_]);
-  } else {
-    // Split child: its bucket comes from the parent lineage, which the
-    // matcher does not know. Scan every bucket; subs_ filters the rest.
-    for (const auto& indices : *partition) scan(indices);
   }
   out.work_units = estimate_match_units();
   return out;
@@ -164,78 +208,83 @@ filter::MatchOutcome OracleMatcher::match(const filter::AnyPublication& pub) {
 
 double OracleMatcher::estimate_match_units() const {
   return cost_.aspe_match_units(oracle_->params().dimensions) *
-         static_cast<double>(subs_.size());
+         static_cast<double>(count_);
 }
 
-std::size_t OracleMatcher::subscription_count() const { return subs_.size(); }
+std::size_t OracleMatcher::subscription_count() const { return count_; }
 
 std::size_t OracleMatcher::state_bytes() const {
-  return subs_.size() *
-         cost_.subscription_bytes(oracle_->params().dimensions);
+  return count_ * cost_.subscription_bytes(oracle_->params().dimensions);
 }
 
-void OracleMatcher::serialize_state(BinaryWriter& w) const {
+std::vector<std::uint64_t> OracleMatcher::indices_by_id() const {
+  std::vector<std::uint64_t> indices;
+  indices.reserve(count_);
+  for (std::size_t w = 0; w < stored_.size(); ++w) {
+    append_set_bits(stored_[w], w * 64, indices);
+  }
+  // Ascending index is ascending id within the hot range and within the
+  // uniform range; merging the two gives ascending id.
+  const auto uniform = std::lower_bound(indices.begin(), indices.end(),
+                                        oracle_->hot_count());
+  std::inplace_merge(indices.begin(), uniform, indices.end(),
+                     [this](std::uint64_t a, std::uint64_t b) {
+                       return oracle_->sub_id(a) < oracle_->sub_id(b);
+                     });
+  return indices;
+}
+
+void OracleMatcher::write_records(
+    BinaryWriter& w, const std::vector<std::uint64_t>& indices) const {
   // The blob must have the encrypted state's size: migrations transfer the
   // real ciphertexts in the paper's system. Pad each record accordingly.
   const std::size_t record =
       cost_.subscription_bytes(oracle_->params().dimensions);
   const std::size_t payload = 16;  // id + subscriber
-  w.write_u64(subs_.size());
-  w.write_u64(record);
   const std::string padding(record > payload ? record - payload : 0, '\0');
-  // Sorted: checkpoint bytes must not depend on hash-table layout.
-  for (const SubscriptionId id : sorted_keys(subs_)) {
-    w.write_id(id);
-    w.write_id(subs_.at(id));
+  w.write_u64(indices.size());
+  w.write_u64(record);
+  for (const std::uint64_t index : indices) {
+    w.write_id(oracle_->sub_id(index));
+    w.write_id(oracle_->subscriber_of(index));
     w.write_string(padding);
   }
+}
+
+void OracleMatcher::read_records(BinaryReader& r) {
+  const auto n = r.read_u64();
+  (void)r.read_u64();  // record size
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const auto id = r.read_id<SubscriptionTag>();
+    const auto subscriber = r.read_id<SubscriberTag>();
+    (void)r.read_string();  // padding
+    insert(id, subscriber);
+  }
+}
+
+void OracleMatcher::serialize_state(BinaryWriter& w) const {
+  write_records(w, indices_by_id());
 }
 
 std::size_t OracleMatcher::split_state(const KeyCoverage& cov,
                                        BinaryWriter& w) {
-  std::vector<SubscriptionId> moving;
-  // Sorted: split bytes must not depend on hash-table layout.
-  for (const SubscriptionId id : sorted_keys(subs_)) {
-    if (cov.covers(id.value())) moving.push_back(id);
-  }
-  const std::size_t record =
-      cost_.subscription_bytes(oracle_->params().dimensions);
-  const std::size_t payload = 16;  // id + subscriber
-  const std::string padding(record > payload ? record - payload : 0, '\0');
-  w.write_u64(moving.size());
-  w.write_u64(record);
-  for (const SubscriptionId id : moving) {
-    w.write_id(id);
-    w.write_id(subs_.at(id));
-    w.write_string(padding);
-  }
+  std::vector<std::uint64_t> moving = indices_by_id();
+  std::erase_if(moving, [&](std::uint64_t index) {
+    return !cov.covers(oracle_->sub_id(index).value());
+  });
+  write_records(w, moving);
   const std::size_t serialized = moving.size();
   if (testing_keep_one_on_split && !moving.empty()) moving.pop_back();
-  for (const SubscriptionId id : moving) subs_.erase(id);
+  for (const std::uint64_t index : moving) erase_index(index);
   return serialized;
 }
 
-void OracleMatcher::absorb_state(BinaryReader& r) {
-  const auto n = r.read_u64();
-  (void)r.read_u64();  // record size
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const auto id = r.read_id<SubscriptionTag>();
-    const auto subscriber = r.read_id<SubscriberTag>();
-    (void)r.read_string();  // padding
-    subs_[id] = subscriber;
-  }
-}
+void OracleMatcher::absorb_state(BinaryReader& r) { read_records(r); }
 
 void OracleMatcher::restore_state(BinaryReader& r) {
-  subs_.clear();
-  const auto n = r.read_u64();
-  (void)r.read_u64();  // record size
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const auto id = r.read_id<SubscriptionTag>();
-    const auto subscriber = r.read_id<SubscriberTag>();
-    (void)r.read_string();  // padding
-    subs_[id] = subscriber;
-  }
+  stored_.clear();
+  count_ = 0;
+  read_records(r);
 }
 
 std::unique_ptr<filter::Matcher> OracleMatcher::clone_empty() const {

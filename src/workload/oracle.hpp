@@ -18,10 +18,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "cluster/cost_model.hpp"
@@ -44,14 +43,6 @@ struct OracleParams {
   // a hotspot no whole-slice migration can dilute. 0 keeps the historical
   // uniform ids (index + 1).
   double hot_fraction = 0.0;
-  // Popularity skew (social-feed shape): with exponent s > 0, a
-  // publication's ground-truth match set is sampled with P(index i)
-  // proportional to 1 / (i + 1)^s instead of uniformly -- low indices are
-  // the celebrities that match almost every publication, the long tail
-  // almost never does. The match-count distribution (and with it every
-  // pinned throughput/notification expectation) is unchanged; only which
-  // indices match skews. 0 keeps the historical uniform sampling.
-  double zipf_exponent = 0.0;
   // Target steady-state size of the churning fringe driven by ChurnStream,
   // as a fraction of total_subscriptions. The fringe lives at indices >=
   // total_subscriptions (fresh, unique ids; see ChurnStream), so the base
@@ -73,19 +64,26 @@ class MatchOracle {
   // walk the non-multiples in order. Both ranges are injective and
   // disjoint, so ids stay unique and AP's modulo routing sees the skew.
   [[nodiscard]] SubscriptionId sub_id(std::uint64_t index) const {
-    const std::uint64_t hot = hot_count();
-    if (hot == 0) return SubscriptionId{index + 1};
+    if (hot_count_ == 0) return SubscriptionId{index + 1};
     const auto m = static_cast<std::uint64_t>(params_.m_slices);
-    if (index < hot) return SubscriptionId{(index + 1) * m};
-    const std::uint64_t j = index - hot;  // j-th id not divisible by m
+    if (index < hot_count_) return SubscriptionId{(index + 1) * m};
+    const std::uint64_t j = index - hot_count_;  // j-th id not divisible by m
     return SubscriptionId{(j / (m - 1)) * m + (j % (m - 1)) + 1};
   }
-  [[nodiscard]] std::uint64_t hot_count() const {
-    if (params_.hot_fraction <= 0.0 || params_.m_slices < 2) return 0;
-    return static_cast<std::uint64_t>(
-        params_.hot_fraction *
-        static_cast<double>(params_.total_subscriptions));
+  // Exact inverse of sub_id over every index, fringe included; nullopt
+  // for an id sub_id never returns.
+  [[nodiscard]] std::optional<std::uint64_t> index_of(SubscriptionId id) const {
+    const std::uint64_t v = id.value();
+    if (v == 0 || !id.valid()) return std::nullopt;
+    if (hot_count_ == 0) return v - 1;
+    const auto m = static_cast<std::uint64_t>(params_.m_slices);
+    if (v % m == 0) {
+      if (v / m > hot_count_) return std::nullopt;
+      return v / m - 1;
+    }
+    return hot_count_ + ((v - 1) / m) * (m - 1) + (v - 1) % m;
   }
+  [[nodiscard]] std::uint64_t hot_count() const { return hot_count_; }
   [[nodiscard]] SubscriberId subscriber_of(std::uint64_t index) const {
     return SubscriberId{index};
   }
@@ -94,26 +92,47 @@ class MatchOracle {
     return sub_id(index).value() % params_.m_slices;
   }
 
-  // Match set of one publication, partitioned by M slice; memoized so the
-  // m_slices queries for the same publication sample only once.
-  using Partition = std::vector<std::vector<std::uint64_t>>;
-  [[nodiscard]] std::shared_ptr<const Partition> partitioned_matches(
-      PublicationId pub) const;
+  // Match set of one publication grouped by M slice: slice s holds
+  // indices[begin[s], begin[s + 1]), ascending.
+  struct Partition {
+    PublicationId pub;
+    std::vector<std::uint64_t> indices;
+    std::vector<std::size_t> begin;  // m_slices + 1 offsets; empty = unfilled
 
-  // Flat ground-truth match set (sampled subscription indices).
+    [[nodiscard]] std::size_t size() const { return begin.size() - 1; }
+    [[nodiscard]] std::span<const std::uint64_t> operator[](
+        std::size_t slice) const {
+      return {indices.data() + begin[slice], indices.data() + begin[slice + 1]};
+    }
+  };
+  // Memoized, so the m_slices queries for one publication sample it once.
+  // The reference stays valid until the next call: a later publication may
+  // refill the same memo slot in place.
+  [[nodiscard]] const Partition& partitioned_matches(PublicationId pub) const;
+
+  // Flat ground-truth match set (sampled subscription indices, ascending).
   [[nodiscard]] std::vector<std::uint64_t> matches(PublicationId pub) const;
 
   [[nodiscard]] const OracleParams& params() const { return params_; }
 
  private:
+  // Draws pub's match set into `out`, ascending. `seen` holds one bit per
+  // base index and must be clear; it is left clear.
+  void sample(PublicationId pub, std::vector<std::uint64_t>& seen,
+              std::vector<std::uint64_t>& out) const;
+
   OracleParams params_;
-  // Cumulative Zipf weights over [0, total_subscriptions); empty when
-  // zipf_exponent == 0 (uniform sampling, the historical path).
-  std::vector<double> zipf_cum_;
-  // FIFO memoization (single-threaded simulation).
-  mutable std::unordered_map<PublicationId, std::shared_ptr<const Partition>>
-      cache_;
-  mutable std::deque<PublicationId> cache_order_;
+  std::uint64_t hot_count_ = 0;
+  // Memo of partitioned_matches: a ring of partitions keyed by
+  // pub % size and tagged with the publication id, refilled in place so a
+  // steady state allocates nothing. It is a memo of a pure function, so
+  // any eviction gives the same results. It is also unsynchronized: the
+  // oracle is shared by every OracleMatcher of a deployment, so it must
+  // stay off the matching worker pool. OracleMatcher therefore keeps
+  // Matcher's serial match_batch, and only the simulation thread calls it.
+  mutable std::vector<Partition> memo_;
+  mutable std::vector<std::uint64_t> memo_seen_;    // sample() bitmap
+  mutable std::vector<std::uint64_t> memo_sample_;  // sample() output
 };
 
 // Deterministic subscribe/unsubscribe stream over the churning fringe
@@ -152,9 +171,13 @@ class ChurnStream {
   std::uint64_t next_fresh_ = 0;
 };
 
-// Matcher backed by the oracle: stores (id -> subscriber) of its partition,
-// reports encrypted-equivalent state size and ASPE-model match cost, and
-// returns the oracle's ground truth restricted to the stored entries.
+// Matcher backed by the oracle: stores which oracle subscriptions it holds
+// (one membership bit per oracle index; the subscriber is the oracle's
+// subscriber_of), reports encrypted-equivalent state size and ASPE-model
+// match cost, and returns the oracle's ground truth restricted to the
+// stored entries. add accepts only subscriptions the oracle generated
+// (id and subscriber); anything else throws std::invalid_argument, as no
+// sampled match set could ever contain it.
 // Key-level split aware: a deploy-time slice (index < m_slices) only ever
 // stores subscriptions of its own oracle bucket, while a split child
 // (index >= m_slices) inherits its bucket from the parent lineage and
@@ -181,10 +204,23 @@ class OracleMatcher final : public filter::Matcher {
   }
 
  private:
+  void insert(SubscriptionId id, SubscriberId subscriber);
+  void erase_index(std::uint64_t index);
+  [[nodiscard]] bool stores(std::uint64_t index) const {
+    const std::uint64_t word = index >> 6;
+    return word < stored_.size() && ((stored_[word] >> (index & 63)) & 1) != 0;
+  }
+  // Stored indices in ascending subscription-id order (the wire order).
+  [[nodiscard]] std::vector<std::uint64_t> indices_by_id() const;
+  void write_records(BinaryWriter& w,
+                     const std::vector<std::uint64_t>& indices) const;
+  void read_records(BinaryReader& r);
+
   std::shared_ptr<const MatchOracle> oracle_;
   cluster::CostModel cost_;
   std::size_t slice_index_;
-  std::unordered_map<SubscriptionId, SubscriberId> subs_;
+  std::vector<std::uint64_t> stored_;  // membership bit per oracle index
+  std::size_t count_ = 0;
 };
 
 // Generates mock-encrypted events: payloads have exactly the sizes of real

@@ -56,6 +56,10 @@ class DifferentialHarness {
     std::size_t publish_batch = 8;   // publications per publish step
     double add_weight = 0.30;        // op mix; remainder publishes
     double remove_weight = 0.15;
+    // Adds of a subscription with one inverted predicate (low > high):
+    // it is stored, counted and transferred like any other, and matches
+    // nothing.
+    double inverted_weight = 0.0;
     std::size_t roundtrip_every = 97;  // ops between restore swaps (0 = off)
     double min_width = 0.05;           // per-attribute predicate width range
     double max_width = 0.45;
@@ -101,6 +105,9 @@ class DifferentialHarness {
         do_add();
       } else if (pick < params_.add_weight + params_.remove_weight) {
         do_remove();
+      } else if (pick < params_.add_weight + params_.remove_weight +
+                            params_.inverted_weight) {
+        do_add_inverted();
       } else {
         do_publish();
       }
@@ -167,8 +174,16 @@ class DifferentialHarness {
     return pub;
   }
 
-  void do_add() {
-    const Subscription sub = random_subscription();
+  void do_add() { add_subscription(random_subscription()); }
+
+  void do_add_inverted() {
+    Subscription sub = random_subscription();
+    Range& range = sub.predicates[rng_.next_below(sub.predicates.size())];
+    std::swap(range.low, range.high);
+    add_subscription(sub);
+  }
+
+  void add_subscription(const Subscription& sub) {
     const EncryptedSubscription enc = encryptor_.encrypt(sub);
     oracle_.emplace(sub.id, sub);
     enc_oracle_.emplace(sub.id, enc);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <memory>
 #include <vector>
@@ -413,6 +414,72 @@ TEST(IntervalIndexTest, WorkUnitsAreSlotLayoutIndependent) {
 // publication values from a coarse grid (equal-endpoint ties, values on a
 // center), mixes in zero-dimension subscriptions, adds a late subscription
 // wider than any before, and splits/absorbs and restores mid-stream.
+// An empty predicate (low > high, or a NaN bound) matches nothing. Such a
+// subscription stays stored -- counted, serialized, split and removed like
+// any other -- but is registered in no tree: an inverted interval used to
+// send build_node's recursion left forever (stack overflow on the first
+// match), and an all-NaN one would have gone on the zero-dimension list.
+TEST(IntervalIndexTest, EmptyPredicatesAreStoredButNeverMatch) {
+  Rng rng{0x1e7e57edULL};
+  IntervalIndexMatcher m;
+  BruteForceMatcher brute;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (std::uint64_t id = 1; id <= 300; ++id) {
+    Subscription s;
+    s.id = SubscriptionId{id};
+    s.subscriber = SubscriberId{id};
+    for (std::size_t a = 0; a < 2; ++a) {
+      const double x = rng.next_double();
+      const double y = rng.next_double();
+      s.predicates.push_back(Range{std::min(x, y), std::max(x, y)});
+    }
+    if (id % 5 == 0) {
+      s.predicates[id % 2] = Range{0.6, 0.4};
+    } else if (id % 7 == 0) {
+      s.predicates = {Range{nan, nan}, Range{nan, 0.5}};
+    }
+    m.add(AnySubscription{s});
+    brute.add(AnySubscription{s});
+  }
+  EXPECT_EQ(m.subscription_count(), 300u);
+  const auto check = [&] {
+    for (std::uint64_t p = 1; p <= 50; ++p) {
+      Publication pub{PublicationId{p}, {rng.next_double(), 0.5}};
+      auto got = m.match(AnyPublication{pub}).subscribers;
+      auto want = brute.match(AnyPublication{pub}).subscribers;
+      std::sort(got.begin(), got.end());
+      std::sort(want.begin(), want.end());
+      EXPECT_EQ(got, want) << "publication " << p;
+      for (const SubscriberId s : got) {
+        EXPECT_NE(s.value() % 5, 0u) << "inverted subscription matched";
+      }
+    }
+    // Zero-dimension publications match zero-dimension subscriptions only.
+    EXPECT_TRUE(m.match(AnyPublication{Publication{PublicationId{99}, {}}})
+                    .subscribers.empty());
+  };
+  check();
+  BinaryWriter w;
+  m.serialize_state(w);
+  auto fresh = m.clone_empty();
+  BinaryReader r{w.buffer()};
+  fresh->restore_state(r);
+  EXPECT_EQ(fresh->subscription_count(), 300u);
+  BinaryWriter w2;
+  fresh->serialize_state(w2);
+  EXPECT_EQ(w2.buffer(), w.buffer());
+  BinaryWriter split;
+  BinaryWriter brute_split;
+  EXPECT_EQ(m.split_state(KeyCoverage{}.split_child(), split),
+            brute.split_state(KeyCoverage{}.split_child(), brute_split));
+  for (const std::uint64_t id : {10, 14, 15, 21, 35}) {
+    EXPECT_EQ(m.remove(SubscriptionId{id}), brute.remove(SubscriptionId{id}))
+        << id;
+  }
+  EXPECT_EQ(m.subscription_count(), brute.subscription_count());
+  check();
+}
+
 TEST(IntervalIndexTest, InterleavedChurnMatchesFreshStore) {
   Rng rng{0x1d7e5eedULL};
   IntervalIndexMatcher m;

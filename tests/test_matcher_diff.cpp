@@ -85,6 +85,32 @@ TEST(MatcherDiff, PlainSchemesSeedSweep) {
   }
 }
 
+// Inverted predicates (low > high) mixed into the churn: every scheme
+// stores them and none matches them, through restores and split/merge
+// round trips.
+TEST(MatcherDiff, InvertedPredicatesAgreeWithBruteForce) {
+  DifferentialHarness::Params params;
+  params.dimensions = 3;
+  params.seed = 8675309;
+  params.initial_subscriptions = 16;
+  params.operations = 500;
+  params.publish_batch = 4;
+  params.inverted_weight = 0.1;
+  params.roundtrip_every = 47;
+  params.split_merge_every = 59;
+  DifferentialHarness h{params};
+  h.add_scheme("brute/scalar", std::make_unique<BruteForceMatcher>(), false,
+               false);
+  h.add_scheme("interval/scalar", std::make_unique<IntervalIndexMatcher>(),
+               false, false);
+  h.add_scheme("interval/batched", std::make_unique<IntervalIndexMatcher>(),
+               false, true);
+  h.add_scheme("aspe/scalar", std::make_unique<AspeMatcher>(), true, false);
+  h.run();
+  EXPECT_GE(h.operations_run(), 500u);
+  EXPECT_GE(h.splits_run(), 5u);
+}
+
 // Encrypted sweep at a second seed (one run; ASPE is the expensive scheme).
 TEST(MatcherDiff, EncryptedSchemesSecondSeed) {
   DifferentialHarness::Params params;

@@ -4,6 +4,7 @@
 #include <memory>
 #include <set>
 
+#include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "sim/simulator.hpp"
 #include "workload/driver.hpp"
@@ -90,6 +91,9 @@ TEST(MatchOracle, DeterministicPerPublication) {
   const auto b = oracle.matches(PublicationId{42});
   EXPECT_EQ(a, b);
   EXPECT_NE(a, oracle.matches(PublicationId{43}));
+  // A without-replacement sample, ascending: no duplicate indices.
+  EXPECT_TRUE(std::is_sorted(a.begin(), a.end()));
+  EXPECT_EQ(std::adjacent_find(a.begin(), a.end()), a.end());
 }
 
 TEST(MatchOracle, MatchCountNearExpectation) {
@@ -108,11 +112,11 @@ TEST(MatchOracle, PartitionConsistentWithFlatMatches) {
                       .matching_rate = 0.02, .m_slices = 8, .seed = 5}};
   const PublicationId pub{7};
   const auto flat = oracle.matches(pub);
-  const auto partition = oracle.partitioned_matches(pub);
-  ASSERT_EQ(partition->size(), 8u);
+  const auto& partition = oracle.partitioned_matches(pub);
+  ASSERT_EQ(partition.size(), 8u);
   std::vector<std::uint64_t> merged;
-  for (std::size_t s = 0; s < partition->size(); ++s) {
-    for (auto idx : (*partition)[s]) {
+  for (std::size_t s = 0; s < partition.size(); ++s) {
+    for (auto idx : partition[s]) {
       EXPECT_EQ(oracle.slice_of(idx), s);
       merged.push_back(idx);
     }
@@ -143,42 +147,41 @@ TEST(MatchOracle, SkewedIdsStayUniqueAndConcentrateInBucketZero) {
   }
 }
 
-TEST(MatchOracle, ZipfSkewIsDeterministicAndConcentrated) {
-  const OracleParams params{.dimensions = 4, .total_subscriptions = 10'000,
-                            .matching_rate = 0.01, .m_slices = 4, .seed = 33,
-                            .zipf_exponent = 1.1};
-  MatchOracle a{params};
-  MatchOracle b{params};
-  std::uint64_t total = 0, in_top_decile = 0;
-  RunningStats counts;
-  for (std::uint64_t p = 1; p <= 200; ++p) {
-    const auto m = a.matches(PublicationId{p});
-    // Deterministic per publication id, and a without-replacement sample:
-    // sorted with no duplicate indices.
-    EXPECT_EQ(m, b.matches(PublicationId{p}));
-    EXPECT_TRUE(std::is_sorted(m.begin(), m.end()));
-    EXPECT_EQ(std::adjacent_find(m.begin(), m.end()), m.end());
-    counts.add(static_cast<double>(m.size()));
-    for (const std::uint64_t idx : m) {
-      ++total;
-      if (idx < 1'000) ++in_top_decile;
-    }
-  }
-  // The match-count distribution is the same Binomial(n, p) as the uniform
-  // oracle; only which indices carry the matches skews.
-  EXPECT_NEAR(counts.mean(), 100.0, 3.0);
-  // At s = 1.1 the first decile of the popularity ranking holds ~78 % of
-  // the total Zipf mass; uniform sampling would put 10 % there.
-  EXPECT_GT(static_cast<double>(in_top_decile), 0.6 * static_cast<double>(total));
-}
-
-TEST(MatchOracle, RejectsBadZipfAndChurnParams) {
-  OracleParams bad_zipf;
-  bad_zipf.zipf_exponent = -0.1;
-  EXPECT_THROW((MatchOracle{bad_zipf}), std::invalid_argument);
+TEST(MatchOracle, RejectsBadParams) {
+  OracleParams no_slices;
+  no_slices.m_slices = 0;
+  EXPECT_THROW((MatchOracle{no_slices}), std::invalid_argument);
+  OracleParams bad_rate;
+  bad_rate.matching_rate = 1.5;
+  EXPECT_THROW((MatchOracle{bad_rate}), std::invalid_argument);
+  OracleParams bad_hot;
+  bad_hot.hot_fraction = -0.1;
+  EXPECT_THROW((MatchOracle{bad_hot}), std::invalid_argument);
   OracleParams bad_churn;
   bad_churn.churn_fraction = 1.5;
   EXPECT_THROW((MatchOracle{bad_churn}), std::invalid_argument);
+}
+
+TEST(MatchOracle, IndexOfInvertsSubIdOverHotUniformAndFringe) {
+  for (const double hot : {0.0, 0.3}) {
+    const MatchOracle oracle{{.dimensions = 4, .total_subscriptions = 1'000,
+                              .matching_rate = 0.01, .m_slices = 5,
+                              .seed = 4, .hot_fraction = hot}};
+    // Indices >= total_subscriptions are the churn fringe.
+    for (std::uint64_t i = 0; i < 3'000; ++i) {
+      const auto back = oracle.index_of(oracle.sub_id(i));
+      ASSERT_TRUE(back.has_value()) << i;
+      EXPECT_EQ(*back, i) << "hot " << hot;
+    }
+    EXPECT_FALSE(oracle.index_of(SubscriptionId{0}).has_value());
+    EXPECT_FALSE(oracle.index_of(SubscriptionId{}).has_value());
+  }
+  // Under skew, multiples of m_slices past the hot range are never ids.
+  const MatchOracle skewed{{.dimensions = 4, .total_subscriptions = 1'000,
+                            .matching_rate = 0.01, .m_slices = 5, .seed = 4,
+                            .hot_fraction = 0.3}};
+  EXPECT_EQ(skewed.index_of(SubscriptionId{300 * 5}), 299u);
+  EXPECT_FALSE(skewed.index_of(SubscriptionId{301 * 5}).has_value());
 }
 
 TEST(ChurnStream, DeterministicWithFreshUniqueIds) {
@@ -273,6 +276,152 @@ TEST(OracleMatcher, StateRoundTripPadsToEncryptedSize) {
   BinaryReader r{w.buffer()};
   restored->restore_state(r);
   EXPECT_EQ(restored->subscription_count(), added);
+}
+
+// ---- oracle golden digests -------------------------------------------------------
+//
+// Pinned 64-bit FNV-1a digests of oracle outputs. They pin the sampler's
+// draws and the state wire format: any change to either moves a digest.
+
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+
+std::uint64_t fnv1a_u64(std::uint64_t h, std::uint64_t v) {
+  for (int byte = 0; byte < 8; ++byte) {
+    h ^= (v >> (8 * byte)) & 0xffu;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+std::uint64_t fnv1a_bytes(const std::vector<std::byte>& bytes) {
+  std::uint64_t h = kFnvBasis;
+  for (const std::byte b : bytes) {
+    h ^= std::to_integer<std::uint64_t>(b);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// Digest of the match sets of publications 1..500, each index with the
+// id it maps to (hot_fraction moves ids, not the sampled indices).
+std::uint64_t match_digest(const OracleParams& params) {
+  const MatchOracle oracle{params};
+  std::uint64_t h = kFnvBasis;
+  for (std::uint64_t p = 1; p <= 500; ++p) {
+    const auto m = oracle.matches(PublicationId{p});
+    h = fnv1a_u64(h, m.size());
+    for (const std::uint64_t index : m) {
+      h = fnv1a_u64(fnv1a_u64(h, index), oracle.sub_id(index).value());
+    }
+  }
+  return h;
+}
+
+TEST(MatchOracle, GoldenMatchSetsUniformAndHot) {
+  OracleParams params{.dimensions = 4, .total_subscriptions = 20'000,
+                      .matching_rate = 0.01, .m_slices = 8, .seed = 123};
+  EXPECT_EQ(match_digest(params), 12338515340936850379ULL);
+  params.hot_fraction = 0.3;
+  EXPECT_EQ(match_digest(params), 5535867530821671280ULL);
+}
+
+TEST(OracleMatcher, GoldenStateBytesAfterChurnAndSplit) {
+  // Hot and uniform ids interleave in id order, and the fringe (indices
+  // >= total_subscriptions) extends the uniform range: the wire order must
+  // still be ascending id.
+  const OracleParams params{.dimensions = 4, .total_subscriptions = 3'000,
+                            .matching_rate = 0.02, .m_slices = 4, .seed = 31,
+                            .hot_fraction = 0.3};
+  const OracleWorkload workload{params};
+  const auto& oracle = *workload.oracle();
+  auto matcher = workload.make_matcher(cluster::CostModel{}, 0);
+  for (std::uint64_t i = 0; i < 3'200; ++i) {
+    if (i % 3 != 1) {
+      matcher->add(filter::AnySubscription{workload.subscription(i)});
+    }
+  }
+  for (std::uint64_t i = 0; i < 3'200; i += 7) {
+    (void)matcher->remove(oracle.sub_id(i));
+  }
+  BinaryWriter before;
+  matcher->serialize_state(before);
+  BinaryWriter split;
+  const std::size_t moved =
+      matcher->split_state(KeyCoverage{}.split_child(), split);
+  BinaryWriter after;
+  matcher->serialize_state(after);
+  EXPECT_EQ(moved, 917u);
+  EXPECT_EQ(matcher->subscription_count(), 911u);
+  EXPECT_EQ(fnv1a_bytes(before.buffer()), 397596063290869905ULL);
+  EXPECT_EQ(fnv1a_bytes(split.buffer()), 17941865255355267797ULL);
+  EXPECT_EQ(fnv1a_bytes(after.buffer()), 13826040708770358962ULL);
+
+  // Restore onto a clone is a byte fixpoint, and absorbing the split
+  // half back reunites the pre-split store.
+  auto clone = matcher->clone_empty();
+  BinaryReader after_reader{after.buffer()};
+  clone->restore_state(after_reader);
+  BinaryReader split_reader{split.buffer()};
+  clone->absorb_state(split_reader);
+  BinaryWriter reunited;
+  clone->serialize_state(reunited);
+  EXPECT_EQ(reunited.buffer(), before.buffer());
+}
+
+TEST(OracleMatcher, RejectsSubscriptionsTheOracleDidNotGenerate) {
+  const OracleWorkload workload{{.dimensions = 4, .total_subscriptions = 100,
+                                 .matching_rate = 0.1, .m_slices = 4,
+                                 .seed = 3, .hot_fraction = 0.5}};
+  auto matcher = workload.make_matcher({}, 0);
+  auto foreign_id = workload.subscription(7);
+  foreign_id.id = SubscriptionId{51 * 4};  // a multiple of 4 past the hot range
+  EXPECT_THROW(matcher->add(filter::AnySubscription{foreign_id}),
+               std::invalid_argument);
+  auto foreign_subscriber = workload.subscription(7);
+  foreign_subscriber.subscriber = SubscriberId{8};
+  EXPECT_THROW(matcher->add(filter::AnySubscription{foreign_subscriber}),
+               std::invalid_argument);
+  EXPECT_EQ(matcher->subscription_count(), 0u);
+  EXPECT_FALSE(matcher->remove(SubscriptionId{51 * 4}));
+  matcher->add(filter::AnySubscription{workload.subscription(7)});
+  matcher->add(filter::AnySubscription{workload.subscription(7)});
+  EXPECT_EQ(matcher->subscription_count(), 1u);
+  EXPECT_TRUE(matcher->remove(workload.oracle()->sub_id(7)));
+  EXPECT_FALSE(matcher->remove(workload.oracle()->sub_id(7)));
+}
+
+TEST(OracleMatcher, SplitChildMatchesExactlyItsStoredSubset) {
+  const OracleParams params{.dimensions = 4, .total_subscriptions = 2'000,
+                            .matching_rate = 0.05, .m_slices = 4, .seed = 12,
+                            .hot_fraction = 0.3};
+  const OracleWorkload workload{params};
+  const auto& oracle = *workload.oracle();
+  // A split child (slice index >= m_slices) holding a subset of every
+  // bucket, plus fringe subscriptions that never match.
+  auto child = workload.make_matcher({}, params.m_slices + 1);
+  std::set<std::uint64_t> stored;
+  Rng rng{5};
+  for (std::uint64_t i = 0; i < 2'100; ++i) {
+    if (rng.next_double() < 0.4) {
+      child->add(filter::AnySubscription{workload.subscription(i)});
+      stored.insert(i);
+    }
+  }
+  for (std::uint64_t p = 1; p <= 50; ++p) {
+    filter::EncryptedPublication pub;
+    pub.id = PublicationId{p};
+    const auto outcome = child->match(filter::AnyPublication{pub});
+    // Bucket by bucket, ascending within a bucket.
+    std::vector<SubscriberId> expected;
+    for (std::size_t s = 0; s < params.m_slices; ++s) {
+      for (const std::uint64_t index : oracle.matches(pub.id)) {
+        if (oracle.slice_of(index) == s && stored.contains(index)) {
+          expected.push_back(oracle.subscriber_of(index));
+        }
+      }
+    }
+    EXPECT_EQ(outcome.subscribers, expected) << "publication " << p;
+  }
 }
 
 TEST(OracleWorkload, MockCiphertextsHaveRealSizes) {
