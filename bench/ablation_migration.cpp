@@ -53,8 +53,8 @@ void state_size_sweep() {
 
     const SliceId slice = bed.hub().slices_of("M")[0];
     const HostId dst = bed.worker_hosts()[0];  // an AP host
-    std::optional<engine::MigrationReport> report;
-    bed.engine().migrate(slice, dst, [&](const engine::MigrationReport& r) {
+    std::optional<engine::ElasticReport> report;
+    bed.engine().migrate(slice, dst, [&](const engine::ElasticReport& r) {
       report = r;
     });
     bed.run_until([&] { return report.has_value(); }, seconds(120));

@@ -56,9 +56,9 @@ int main(int argc, char** argv) {
         }
       }
       bed.engine().migrate(slice, dst, [&markers, planned](
-                                            const engine::MigrationReport& r) {
+                                            const engine::ElasticReport& r) {
         markers.emplace_back(
-            r.completed,
+            r.finished,
             std::string(planned.op) + ":" + std::to_string(planned.index) +
                 " done, total " +
                 format_double(to_millis(r.total_duration()), 0) + " ms");

@@ -50,7 +50,7 @@ struct SeriesPoint {
 
 struct RunResult {
   const esh::engine::MigrationStrategy* strategy = nullptr;
-  esh::engine::MigrationReport report;
+  esh::engine::ElasticReport report;
   double downtime_ms = 0.0;
   double duration_ms = 0.0;
   double steady_ms = 0.0;  // mean bin delay before the migration
@@ -119,10 +119,10 @@ RunResult run_one(const esh::engine::MigrationStrategy& strategy) {
       if (host != src && !bed.engine().slices_on(host).empty()) dst = host;
     }
   }
-  std::vector<engine::MigrationReport> reports;
+  std::vector<engine::ElasticReport> reports;
   bed.simulator().schedule(seconds(kMigrateAtSec), [&] {
     bed.engine().migrate(slice, dst, strategy.kind(),
-                         [&](const engine::MigrationReport& r) {
+                         [&](const engine::ElasticReport& r) {
                            reports.push_back(r);
                          });
   });

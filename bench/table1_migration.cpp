@@ -55,8 +55,8 @@ RowStats run_migrations(harness::Testbed& bed, const std::string& op,
     while (dst == src) {
       dst = workers[rng.next_below(workers.size())];
     }
-    std::optional<engine::MigrationReport> report;
-    bed.engine().migrate(slice, dst, [&](const engine::MigrationReport& r) {
+    std::optional<engine::ElasticReport> report;
+    bed.engine().migrate(slice, dst, [&](const engine::ElasticReport& r) {
       report = r;
     });
     const bool ok = bed.run_until([&] { return report.has_value(); },

@@ -55,10 +55,11 @@ stage_lint() {
 # Robustness gate: the chaos schedules (crash + partition + gray + storm
 # faults), the split/merge torture suite, the migration-strategy differential
 # and torture suites, the reliable control channel, the adversarial network
-# tests, the interval-index determinism tests and the match-oracle suites
-# (bitmap sampler and bitmap store) must pass with every invariant live,
-# and stay clean under ASan and TSan.
-CHAOS_FILTER='Chaos|Reliable|Net|Contract|Split|Merge|Interval|Strateg|Oracle'
+# tests, the interval-index determinism tests, the match-oracle suites
+# (bitmap sampler and bitmap store) and the elastic-operation coordinator
+# suites (scheduling rule, golden report/step digest) must pass with every
+# invariant live, and stay clean under ASan and TSan.
+CHAOS_FILTER='Chaos|Reliable|Net|Contract|Split|Merge|Interval|Strateg|Oracle|ElasticOp'
 
 stage_chaos() {
   local dir=${BUILD_DIR:-build-ci-chaos}

@@ -387,7 +387,7 @@ void Manager::run_move(MigrationPlan::Move move, HostId dst,
 #endif
   engine_.migrate(
       slice, dst, strategy,
-      [this, move, slice, dst, attempt](const engine::MigrationReport& report) {
+      [this, move, slice, dst, attempt](const engine::ElasticReport& report) {
         migrations_.push_back(report);
         switch (report.outcome) {
           case engine::MigrationOutcome::kCompleted:
@@ -433,10 +433,10 @@ void Manager::run_next_split() {
   }
   engine_.split_slice(
       split.slice, split.dst,
-      [this](const engine::TransitionReport& report) {
+      [this](const engine::ElasticReport& report) {
         transitions_.push_back(report);
-        if (report.completed) {
-          persist_placement(report.child, engine_.slice_host(report.child));
+        if (report.outcome == engine::MigrationOutcome::kCompleted) {
+          persist_placement(report.other, engine_.slice_host(report.other));
         }
         // No retry: an aborted split leaves routing intact, and the
         // enforcer re-arms after the grace period if the hotspot persists.
@@ -455,7 +455,7 @@ void Manager::run_next_merge() {
     return;
   }
   engine_.merge_slices(merge.survivor, merge.retiree,
-                       [this](const engine::TransitionReport& report) {
+                       [this](const engine::ElasticReport& report) {
                          transitions_.push_back(report);
                          run_next_merge();
                        });
@@ -841,7 +841,7 @@ void Manager::drain_next_move() {
     return;
   }
   engine_.migrate(slice, dst,
-                  [this, slice, dst](const engine::MigrationReport& report) {
+                  [this, slice, dst](const engine::ElasticReport& report) {
                     migrations_.push_back(report);
                     if (report.outcome ==
                         engine::MigrationOutcome::kCompleted) {

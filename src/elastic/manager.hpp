@@ -147,12 +147,12 @@ class Manager {
   [[nodiscard]] const std::vector<LoadSample>& load_history() const {
     return load_history_;
   }
-  [[nodiscard]] const std::vector<engine::MigrationReport>& migrations() const {
+  // Migrations the manager ran (plan moves and suspect drains).
+  [[nodiscard]] const std::vector<engine::ElasticReport>& migrations() const {
     return migrations_;
   }
   // Key-level splits/merges executed from hotspot-split / cold-merge plans.
-  [[nodiscard]] const std::vector<engine::TransitionReport>& transitions()
-      const {
+  [[nodiscard]] const std::vector<engine::ElasticReport>& transitions() const {
     return transitions_;
   }
   [[nodiscard]] std::size_t managed_host_count() const {
@@ -264,8 +264,8 @@ class Manager {
   std::vector<DrainReport> drains_;
 
   std::vector<LoadSample> load_history_;
-  std::vector<engine::MigrationReport> migrations_;
-  std::vector<engine::TransitionReport> transitions_;
+  std::vector<engine::ElasticReport> migrations_;
+  std::vector<engine::ElasticReport> transitions_;
   std::uint64_t plans_executed_ = 0;
   std::set<std::string> elastic_ops_;
 };

@@ -89,10 +89,11 @@ void assert_migration_transition([[maybe_unused]] const MigrationStrategy&
 #endif
 }
 
-const char* to_string(TransitionKind kind) {
+const char* to_string(ElasticKind kind) {
   switch (kind) {
-    case TransitionKind::kSplit: return "split";
-    case TransitionKind::kMerge: return "merge";
+    case ElasticKind::kMigrate: return "migrate";
+    case ElasticKind::kSplit: return "split";
+    case ElasticKind::kMerge: return "merge";
   }
   return "unknown";
 }
@@ -344,13 +345,11 @@ std::vector<SliceId> Engine::fail_host(HostId host) {
     // replica (primary elsewhere) dies without losing anything.
     const auto loc = directory_.find(slice);
     if (loc != directory_.end() && loc->second.primary == host) {
-      // A split child mid-transition is owned by the transition coordinator
-      // (handle_transition_host_failure re-drives it onto a replacement
-      // host); keep it out of the generic recovery sweep so it is not
-      // restored twice.
-      if (current_transition_ &&
-          current_transition_->report.kind == TransitionKind::kSplit &&
-          slice == current_transition_->report.child) {
+      // A split child mid-split is owned by the coordinator
+      // (handle_host_failure re-drives it onto a replacement host); keep it
+      // out of the generic recovery sweep so it is not restored twice.
+      if (current_ && current_->report.kind == ElasticKind::kSplit &&
+          slice == current_->report.other) {
         continue;
       }
       lost.push_back(slice);
@@ -377,11 +376,9 @@ std::vector<SliceId> Engine::fail_host(HostId host) {
   // same sweep must see the clamp in its restore watermarks, and the order
   // in which the manager issues recover_slice calls is placement-driven.
   for (const SliceId slice : lost) register_recovery_rebases(slice);
-  // Unwedge the migration protocol: abort or advance the in-flight
-  // migration if the dead host participated in it.
+  // Unwedge the in-flight elastic operation if the dead host participated
+  // in it.
   handle_host_failure(host);
-  // Same for an in-flight split/merge.
-  handle_transition_host_failure(host);
   return lost;
 }
 
@@ -429,7 +426,7 @@ void Engine::recover_slice(SliceId slice, HostId dst,
   // No checkpoint: bootstrap restore with null state and zero watermarks.
   // The retained logs are complete precisely because no checkpoint ever
   // truncated them, so the full replay rebuilds the state from scratch.
-  send_control(host_runtimes_.at(dst)->endpoint(), std::move(msg), bytes);
+  send_control(dst, std::move(msg), bytes);
 }
 
 SliceId Engine::slice_id(std::string_view op, std::size_t slice_index) const {
@@ -491,293 +488,337 @@ void Engine::enable_probes(net::Endpoint target) {
   }
 }
 
-// ---- migration coordination --------------------------------------------------
+// ---- elastic-operation coordination -----------------------------------------
 
-void Engine::migrate(SliceId slice, HostId dst, MigrationCallback callback) {
+namespace {
+
+// requested <= frozen <= activated <= cutover <= finished, skipping every
+// phase the operation never reached (its stamp stays zero): a migration
+// aborted before its ActivatedAck has no frozen/activated, a split or
+// merge has none at all and no cutover if it ended before the flip.
+[[maybe_unused]] bool report_ordered(const ElasticReport& r) {
+  SimTime last = r.requested;
+  for (const SimTime phase : {r.frozen, r.activated, r.cutover, r.finished}) {
+    if (phase == SimTime{}) continue;
+    if (phase < last) return false;
+    last = phase;
+  }
+  return r.finished >= r.requested;
+}
+
+// A coordinator request {operation id, slice, reply-to} of type `Req`.
+template <typename Req>
+std::shared_ptr<Req> op_request(MigrationId id, SliceId slice,
+                                net::Endpoint reply_to) {
+  auto req = std::make_shared<Req>();
+  req->migration = id;
+  req->slice = slice;
+  req->reply_to = reply_to;
+  return req;
+}
+
+}  // namespace
+
+const char* Engine::ElasticOp::step_name() const {
+  switch (report.kind) {
+    case ElasticKind::kMigrate: return to_string(step);
+    case ElasticKind::kSplit: return to_string(split_step);
+    case ElasticKind::kMerge: return to_string(merge_step);
+  }
+  return "unknown";
+}
+
+bool Engine::ElasticOp::aborting() const {
+  switch (report.kind) {
+    case ElasticKind::kMigrate: return step == MigrationStep::kAborting;
+    case ElasticKind::kSplit: return split_step == SplitStep::kAborting;
+    case ElasticKind::kMerge: return false;  // merges never abort
+  }
+  return false;
+}
+
+void Engine::migrate(SliceId slice, HostId dst, ElasticCallback callback) {
   migrate(slice, dst, MigrationStrategyKind::kBufferedReplay,
           std::move(callback));
 }
 
 void Engine::migrate(SliceId slice, HostId dst, MigrationStrategyKind strategy,
-                     MigrationCallback callback) {
-  MigrationTask task;
-  task.strategy = &strategy_for(strategy);
-  task.report.strategy = task.strategy->name();
-  task.report.id = MigrationId{next_migration_++};
-  task.report.slice = slice;
-  task.report.dst = dst;
-  task.report.requested = simulator_.now();
-  task.callback = std::move(callback);
+                     ElasticCallback callback) {
+  ElasticOp op;
+  op.strategy = &strategy_for(strategy);
+  op.report.strategy = op.strategy->name();
+  op.report.id = MigrationId{next_migration_++};
+  op.report.slice = slice;
+  op.report.dst = dst;
+  op.report.requested = simulator_.now();
+  op.callback = std::move(callback);
   const auto dir_it = directory_.find(slice);
   if (dir_it == directory_.end() || !host_runtimes_.contains(dst)) {
     // Invalid request: reject through the callback so callers learn the
     // outcome the same way they learn any other.
-    task.report.outcome = MigrationOutcome::kRejected;
-    task.report.completed = simulator_.now();
-    if (task.callback) task.callback(task.report);
+    conclude(std::move(op), MigrationOutcome::kRejected);
     return;
   }
-  task.report.src = dir_it->second.primary;
-  if (task.report.src == dst) {
+  op.report.src = dir_it->second.primary;
+  if (op.report.src == dst) {
     // Degenerate migration: report immediately.
-    task.report.frozen = task.report.activated = task.report.completed =
-        simulator_.now();
-    if (task.callback) task.callback(task.report);
+    op.report.frozen = op.report.activated = simulator_.now();
+    conclude(std::move(op), MigrationOutcome::kCompleted);
     return;
   }
-  migration_queue_.push_back(std::move(task));
-  start_next_migration();
+  queue_.push_back(std::move(op));
+  start_next(Family::kMigrations);
 }
 
-void Engine::start_next_migration() {
-  // One elastic operation of either family (migration or split/merge) runs
-  // at a time; migrations take priority when both are queued.
-  while (!current_migration_ && !current_transition_ &&
-         !migration_queue_.empty()) {
-    MigrationTask task = std::move(migration_queue_.front());
-    migration_queue_.pop_front();
-    // Cluster state may have changed while the request was queued: the
-    // slice may have moved, been lost to a crash, or the destination host
-    // may have died. Reject stale moves instead of wedging on them.
-    const auto dir_it = directory_.find(task.report.slice);
-    const HostId src =
-        dir_it == directory_.end() ? HostId{} : dir_it->second.primary;
-    const auto src_it = host_runtimes_.find(src);
-    const bool src_ok = src_it != host_runtimes_.end() &&
-                        src_it->second->has_slice(task.report.slice);
-    if (!src_ok || !host_runtimes_.contains(task.report.dst)) {
-      task.report.outcome = MigrationOutcome::kRejected;
-      task.report.completed = simulator_.now();
-      if (task.callback) task.callback(task.report);
-      continue;
-    }
-    task.report.src = src;
-    if (src == task.report.dst) {
-      task.report.frozen = task.report.activated = task.report.completed =
-          simulator_.now();
-      if (task.callback) task.callback(task.report);
-      continue;
-    }
-    current_migration_ = std::move(task);
-    current_migration_->dup_bytes_base = duplicate_bytes_total_;
-    migration_step([this] {
-      MigrationTask& t = *current_migration_;
-      auto req = std::make_shared<CreateReplicaRequest>();
-      req->migration = t.report.id;
-      req->slice = t.report.slice;
-      req->reply_to = control_endpoint_;
-      send_control(host_runtimes_.at(t.report.dst)->endpoint(),
-                   std::move(req));
-    });
-    // Last: the hook may fail hosts, aborting this migration re-entrantly
-    // (the while condition re-checks current_migration_).
-    fire_migration_step();
-  }
-}
-
-bool Engine::fire_migration_step() {
-  if (!current_migration_) return false;
-  if (!migration_step_hook_) return true;
-  // The hook may fail hosts (the crash-at-every-step torture tests do
-  // exactly that), which can abort or finish the migration re-entrantly;
-  // tell the caller whether the one it was driving is still current.
-  const MigrationId id = current_migration_->report.id;
-  migration_step_hook_(current_migration_->report,
-                       to_string(current_migration_->step));
-  return current_migration_ && current_migration_->report.id == id;
-}
-
-void Engine::advance_after_duplication() {
-  MigrationTask& t = *current_migration_;
-  if (t.strategy->precopy_rounds(config_) > 0) {
-    t.set_step(MigrationTask::Step::kPrecopy);
-    start_precopy_round();
-  } else {
-    t.set_step(MigrationTask::Step::kTransfer);
-    migration_step([this] { send_freeze(); });
-    fire_migration_step();
-  }
-}
-
-void Engine::start_precopy_round() {
-  MigrationTask& t = *current_migration_;
-  ++t.round;
-  ESH_INVARIANT("engine", "precopy-rounds-bounded",
-                t.round <= t.strategy->precopy_rounds(config_),
-                ::esh::contracts::Detail{}
-                    .slice(t.report.slice)
-                    .expected("round <= " + std::to_string(
-                                  t.strategy->precopy_rounds(config_)))
-                    .actual(std::to_string(t.round))
-                    .note("migration " + std::to_string(t.report.id.value())));
-  migration_step([this] {
-    MigrationTask& t = *current_migration_;
-    auto req = std::make_shared<PrecopyRequest>();
-    req->migration = t.report.id;
-    req->slice = t.report.slice;
-    req->round = t.round;
-    req->dst_host = t.report.dst;
-    req->reply_to = control_endpoint_;
-    send_control(host_runtimes_.at(t.report.src)->endpoint(), std::move(req));
-  });
-  fire_migration_step();
-}
-
-void Engine::finish_migration(MigrationOutcome outcome) {
-  MigrationTask task = std::move(*current_migration_);
-  current_migration_.reset();
-  task.report.outcome = outcome;
-  task.report.completed = simulator_.now();
-  task.report.precopy_bytes = task.precopy_bytes;
-  // Migrations are serialized, so every duplicate byte since the snapshot
-  // belongs to this move.
-  task.report.duplicate_bytes = duplicate_bytes_total_ - task.dup_bytes_base;
-  // Report timestamps must be causally ordered. frozen/activated stay zero
-  // on abort paths where the ActivatedAck never arrived, so the freeze-
-  // before-activate ordering is only checkable when both were recorded.
-  ESH_INVARIANT("engine", "migration-report-ordered",
-                task.report.completed >= task.report.requested &&
-                    (task.report.frozen == SimTime{} ||
-                     task.report.activated == SimTime{} ||
-                     (task.report.frozen >= task.report.requested &&
-                      task.report.activated >= task.report.frozen &&
-                      task.report.completed >= task.report.activated)),
-                ::esh::contracts::Detail{}
-                    .slice(task.report.slice)
-                    .expected("requested <= frozen <= activated <= completed")
-                    .actual(std::to_string(task.report.requested.count()) +
-                            "/" + std::to_string(task.report.frozen.count()) +
-                            "/" +
-                            std::to_string(task.report.activated.count()) +
-                            "/" +
-                            std::to_string(task.report.completed.count())));
-  if (outcome == MigrationOutcome::kCompleted) ++migrations_completed_;
-  if (task.callback) task.callback(task.report);
-  start_next_migration();
-  start_next_transition();
-}
-
-// ---- split / merge coordination ---------------------------------------------
-
-void Engine::split_slice(SliceId parent, HostId dst,
-                         TransitionCallback callback) {
-  TransitionTask task;
-  task.report.id = MigrationId{next_migration_++};
-  task.report.kind = TransitionKind::kSplit;
-  task.report.parent = parent;
-  task.report.requested = simulator_.now();
-  task.callback = std::move(callback);
-  task.dst = dst;
-  transition_queue_.push_back(std::move(task));
-  start_next_transition();
+void Engine::split_slice(SliceId parent, HostId dst, ElasticCallback callback) {
+  ElasticOp op;
+  op.report.id = MigrationId{next_migration_++};
+  op.report.kind = ElasticKind::kSplit;
+  op.report.slice = parent;
+  op.report.dst = dst;
+  op.report.requested = simulator_.now();
+  op.callback = std::move(callback);
+  queue_.push_back(std::move(op));
+  start_next(Family::kTransitions);
 }
 
 void Engine::merge_slices(SliceId survivor, SliceId retiree,
-                          TransitionCallback callback) {
-  TransitionTask task;
-  task.report.id = MigrationId{next_migration_++};
-  task.report.kind = TransitionKind::kMerge;
-  task.report.parent = survivor;
-  task.report.child = retiree;
-  task.report.requested = simulator_.now();
-  task.callback = std::move(callback);
-  transition_queue_.push_back(std::move(task));
-  start_next_transition();
+                          ElasticCallback callback) {
+  ElasticOp op;
+  op.report.id = MigrationId{next_migration_++};
+  op.report.kind = ElasticKind::kMerge;
+  op.report.slice = survivor;
+  op.report.other = retiree;
+  op.report.requested = simulator_.now();
+  op.callback = std::move(callback);
+  queue_.push_back(std::move(op));
+  start_next(Family::kTransitions);
 }
 
-void Engine::start_next_transition() {
+void Engine::start_next(Family family) {
+  const auto is_migration = [](const ElasticOp& op) {
+    return op.report.kind == ElasticKind::kMigrate;
+  };
+  while (!current_) {
+    auto it = queue_.end();
+    if (family != Family::kTransitions) {
+      it = std::find_if(queue_.begin(), queue_.end(), is_migration);
+    }
+    if (it == queue_.end() && family != Family::kMigrations) {
+      it = std::find_if_not(queue_.begin(), queue_.end(), is_migration);
+    }
+    if (it == queue_.end()) return;
+    ElasticOp op = std::move(*it);
+    queue_.erase(it);
+    switch (admit(op)) {
+      case Admission::kDefer:
+        queue_.push_front(std::move(op));
+        return;
+      case Admission::kReject:
+        conclude(std::move(op), MigrationOutcome::kRejected);
+        continue;
+      case Admission::kNoop:
+        op.report.frozen = op.report.activated = simulator_.now();
+        conclude(std::move(op), MigrationOutcome::kCompleted);
+        continue;
+      case Admission::kStart:
+        break;
+    }
+    current_ = std::move(op);
+    // Each begin fires the step hook last; the hook may fail hosts, ending
+    // this operation re-entrantly (the loop re-checks current_).
+    switch (current_->report.kind) {
+      case ElasticKind::kMigrate: begin_migration(); break;
+      case ElasticKind::kSplit: begin_split(); break;
+      case ElasticKind::kMerge: begin_merge(); break;
+    }
+  }
+}
+
+Engine::Admission Engine::admit(ElasticOp& op) {
   // Coverage of a slice under the CURRENT routing, or nullptr when the
   // slice is not routed (merged away / never deployed).
   const auto coverage_of = [this](SliceId slice) -> const KeyCoverage* {
     if (!static_ || !static_->slice_infos.contains(slice)) return nullptr;
-    const auto& op = static_->op_of(slice);
-    for (std::size_t i = 0; i < op.slices.size(); ++i) {
-      if (op.slices[i] == slice) return &op.coverages[i];
+    const auto& info = static_->op_of(slice);
+    for (std::size_t i = 0; i < info.slices.size(); ++i) {
+      if (info.slices[i] == slice) return &info.coverages[i];
     }
     return nullptr;
   };
-  while (!current_migration_ && !current_transition_ &&
-         !transition_queue_.empty()) {
-    TransitionTask task = std::move(transition_queue_.front());
-    transition_queue_.pop_front();
-    const auto reject = [&] {
-      task.report.completed = false;
-      task.report.finished = simulator_.now();
-      if (task.callback) task.callback(task.report);
-    };
-    // Re-validate against current cluster state (the request may have
-    // queued behind operations that changed it).
-    if (task.report.kind == TransitionKind::kSplit) {
-      SliceRuntime* parent = slice_runtime(task.report.parent);
-      const KeyCoverage* cov = coverage_of(task.report.parent);
-      if (parent == nullptr || cov == nullptr ||
-          !host_runtimes_.contains(task.dst) ||
-          !parent->handler().supports_split() || cov->depth >= 62) {
-        reject();
-        continue;
+  ElasticReport& r = op.report;
+  switch (r.kind) {
+    case ElasticKind::kMigrate: {
+      // The slice may have moved or been lost to a crash, or the
+      // destination host may have died.
+      const auto dir_it = directory_.find(r.slice);
+      const HostId src =
+          dir_it == directory_.end() ? HostId{} : dir_it->second.primary;
+      const auto src_it = host_runtimes_.find(src);
+      if (src_it == host_runtimes_.end() ||
+          !src_it->second->has_slice(r.slice) ||
+          !host_runtimes_.contains(r.dst)) {
+        return Admission::kReject;
       }
-      if (rollforward_.contains(task.report.parent)) {
+      r.src = src;
+      return src == r.dst ? Admission::kNoop : Admission::kStart;
+    }
+    case ElasticKind::kSplit: {
+      SliceRuntime* parent = slice_runtime(r.slice);
+      const KeyCoverage* cov = coverage_of(r.slice);
+      if (parent == nullptr || cov == nullptr ||
+          !host_runtimes_.contains(r.dst) ||
+          !parent->handler().supports_split() || cov->depth >= 62) {
+        return Admission::kReject;
+      }
+      if (rollforward_.contains(r.slice)) {
         // An earlier capture on this slice is not yet proven durable, and
         // re-driving two stacked captures after a crash is unsupported.
         // Force the durability boundary and retry when it lands.
         parent->checkpoint(control_endpoint_);
-        transition_queue_.push_front(std::move(task));
-        return;
+        return Admission::kDefer;
       }
-      current_transition_ = std::move(task);
-      begin_split_transition();
-    } else {
-      SliceRuntime* survivor = slice_runtime(task.report.parent);
-      SliceRuntime* retiree = slice_runtime(task.report.child);
-      const KeyCoverage* surv_cov = coverage_of(task.report.parent);
-      const KeyCoverage* ret_cov = coverage_of(task.report.child);
+      return Admission::kStart;
+    }
+    case ElasticKind::kMerge: {
+      SliceRuntime* survivor = slice_runtime(r.slice);
+      SliceRuntime* retiree = slice_runtime(r.other);
+      const KeyCoverage* surv_cov = coverage_of(r.slice);
+      const KeyCoverage* ret_cov = coverage_of(r.other);
       if (survivor == nullptr || retiree == nullptr || surv_cov == nullptr ||
-          ret_cov == nullptr || task.report.parent == task.report.child ||
+          ret_cov == nullptr || r.slice == r.other ||
           !survivor->handler().supports_split() ||
           !surv_cov->sibling_of(*ret_cov)) {
-        reject();
-        continue;
+        return Admission::kReject;
       }
-      if (rollforward_.contains(task.report.parent) ||
-          rollforward_.contains(task.report.child)) {
+      if (rollforward_.contains(r.slice) || rollforward_.contains(r.other)) {
         survivor->checkpoint(control_endpoint_);
         retiree->checkpoint(control_endpoint_);
-        transition_queue_.push_front(std::move(task));
-        return;
+        return Admission::kDefer;
       }
-      current_transition_ = std::move(task);
-      begin_merge_transition();
+      return Admission::kStart;
     }
+  }
+  return Admission::kReject;
+}
+
+void Engine::finish(MigrationOutcome outcome) {
+  ElasticOp op = std::move(*current_);
+  current_.reset();
+  if (op.report.kind == ElasticKind::kMigrate) {
+    // Operations are serialized, so every duplicate byte since the
+    // snapshot belongs to this move.
+    op.report.duplicate_bytes = duplicate_bytes_total_ - op.dup_bytes_base;
+  }
+  conclude(std::move(op), outcome);
+  start_next();
+}
+
+void Engine::conclude(ElasticOp op, MigrationOutcome outcome) {
+  ElasticReport& r = op.report;
+  r.outcome = outcome;
+  r.finished = simulator_.now();
+  ESH_INVARIANT("engine", "migration-report-ordered", report_ordered(r),
+                ::esh::contracts::Detail{}
+                    .slice(r.slice)
+                    .expected("requested <= frozen <= activated <= cutover "
+                              "<= finished (unreached phases zero)")
+                    .actual(std::to_string(r.requested.count()) + "/" +
+                            std::to_string(r.frozen.count()) + "/" +
+                            std::to_string(r.activated.count()) + "/" +
+                            std::to_string(r.cutover.count()) + "/" +
+                            std::to_string(r.finished.count()))
+                    .note(std::string{to_string(r.kind)} + " " +
+                          std::to_string(r.id.value())));
+  if (outcome == MigrationOutcome::kCompleted) {
+    if (r.kind == ElasticKind::kSplit) ++splits_completed_;
+    if (r.kind == ElasticKind::kMerge) ++merges_completed_;
+  }
+  if (op.callback) op.callback(r);
+}
+
+bool Engine::fire_step() {
+  if (!current_) return false;
+  if (!step_hook_) return true;
+  // The hook may fail hosts (the crash-at-every-step torture tests do
+  // exactly that), which can abort or finish the operation re-entrantly;
+  // tell the caller whether the one it was driving is still current.
+  const MigrationId id = current_->report.id;
+  step_hook_(current_->report, current_->step_name());
+  return current_ && current_->report.id == id;
+}
+
+bool Engine::op_live(MigrationId id) const {
+  return current_ && current_->report.id == id && !current_->aborting();
+}
+
+// ---- migration --------------------------------------------------------------
+
+void Engine::begin_migration() {
+  current_->dup_bytes_base = duplicate_bytes_total_;
+  op_step([this] {
+    const ElasticReport& r = current_->report;
+    send_control(r.dst, op_request<CreateReplicaRequest>(r.id, r.slice,
+                                                         control_endpoint_));
+  });
+  fire_step();
+}
+
+void Engine::advance_after_duplication() {
+  ElasticOp& op = *current_;
+  if (op.strategy->precopy_rounds(config_) > 0) {
+    op.set_step(MigrationStep::kPrecopy);
+    start_precopy_round();
+  } else {
+    op.set_step(MigrationStep::kTransfer);
+    op_step([this] { send_freeze(); });
+    fire_step();
   }
 }
 
-void Engine::finish_transition(bool completed) {
-  TransitionTask task = std::move(*current_transition_);
-  current_transition_.reset();
-  task.report.completed = completed;
-  task.report.finished = simulator_.now();
-  if (completed) {
-    if (task.report.kind == TransitionKind::kSplit) {
-      ++splits_completed_;
-    } else {
-      ++merges_completed_;
-    }
-  }
-  if (task.callback) task.callback(task.report);
-  start_next_migration();
-  start_next_transition();
+void Engine::start_precopy_round() {
+  ElasticOp& op = *current_;
+  ++op.round;
+  ESH_INVARIANT("engine", "precopy-rounds-bounded",
+                op.round <= op.strategy->precopy_rounds(config_),
+                ::esh::contracts::Detail{}
+                    .slice(op.report.slice)
+                    .expected("round <= " + std::to_string(
+                                  op.strategy->precopy_rounds(config_)))
+                    .actual(std::to_string(op.round))
+                    .note("migration " +
+                          std::to_string(op.report.id.value())));
+  op_step([this] {
+    const ElasticOp& op = *current_;
+    auto req = std::make_shared<PrecopyRequest>();
+    req->migration = op.report.id;
+    req->slice = op.report.slice;
+    req->round = op.round;
+    req->dst_host = op.report.dst;
+    req->reply_to = control_endpoint_;
+    send_control(op.report.src, std::move(req));
+  });
+  fire_step();
 }
 
-bool Engine::fire_elastic_step(std::string_view step) {
-  if (!current_transition_) return false;
-  if (!elastic_step_hook_) return true;
-  // The hook may fail hosts (the torture tests do exactly that), which can
-  // abort or finish the transition re-entrantly; tell the caller whether
-  // the transition it was driving is still the current one.
-  const MigrationId id = current_transition_->report.id;
-  elastic_step_hook_(current_transition_->report, step);
-  return current_transition_ && current_transition_->report.id == id;
+void Engine::after_directory_acks() {
+  ElasticOp& op = *current_;
+  if (!host_runtimes_.contains(op.report.src)) {
+    // The source died after activation: nothing left to tear down, the
+    // slice is safe on the destination.
+    finish(MigrationOutcome::kCompleted);
+    return;
+  }
+  op.set_step(MigrationStep::kTeardown);
+  op_step([this] {
+    const ElasticReport& r = current_->report;
+    send_control(r.src, op_request<TeardownRequest>(r.id, r.slice,
+                                                    control_endpoint_));
+  });
+  fire_step();
 }
+
+// ---- split / merge ----------------------------------------------------------
 
 std::vector<std::pair<SliceId, SeqNo>> Engine::capture_cut_vector(
     SliceId slice) {
@@ -798,180 +839,137 @@ std::vector<std::pair<SliceId, SeqNo>> Engine::capture_cut_vector(
   return cut;
 }
 
-void Engine::begin_split_transition() {
-  TransitionTask& t = *current_transition_;
+void Engine::begin_split() {
+  ElasticOp& op = *current_;
+  ElasticReport& r = op.report;
   // Allocate the child identity: fresh SliceId, slice_index one past the
   // operator's current maximum. Indices stay sparse after merges — routing
   // goes by coverage and downstream completion by fan membership, so only
   // uniqueness matters.
-  StaticConfig::OperatorInfo& op = mutable_op_of(t.report.parent);
-  const std::uint32_t op_index = static_->info_of(t.report.parent).op_index;
+  StaticConfig::OperatorInfo& info = mutable_op_of(r.slice);
+  const std::uint32_t op_index = static_->info_of(r.slice).op_index;
   std::uint32_t child_index = 0;
-  for (const SliceId s : op.slices) {
+  for (const SliceId s : info.slices) {
     child_index = std::max(child_index, static_->info_of(s).slice_index + 1);
   }
   const SliceId child{next_slice_++};
-  t.report.child = child;
+  r.other = child;
   mutable_static_->slice_infos[child] =
       StaticConfig::SliceInfo{op_index, child_index};
-  const KeyCoverage parent_now = slice_coverage(t.report.parent);
-  t.parent_cov = parent_now.split_parent();
-  t.child_cov = parent_now.split_child();
+  const KeyCoverage parent_now = slice_coverage(r.slice);
+  op.parent_cov = parent_now.split_parent();
+  op.child_cov = parent_now.split_child();
   // Replica + directory registration precede the cut-over, so every event
   // ever routed to the child is either buffered by the replica or delivered
   // after activation.
-  directory_[child] = SliceLocation{t.dst, HostId{}};
-  auto req = std::make_shared<CreateReplicaRequest>();
-  req->migration = t.report.id;
-  req->slice = child;
-  req->reply_to = control_endpoint_;
-  send_control(host_runtimes_.at(t.dst)->endpoint(), std::move(req));
-  t.pending_update_hosts.clear();
-  // lint:allow(unordered-iteration): fills a std::set, order-free
-  for (const auto& [id, runtime] : host_runtimes_) {
-    t.pending_update_hosts.insert(id);
-  }
-  // Sorted: send order serializes on the manager NIC.
-  for (const HostId id : sorted_keys(host_runtimes_)) {
-    auto update = std::make_shared<DirectoryUpdateMessage>();
-    update->migration = t.report.id;
-    update->slice = child;
-    update->host = t.dst;
-    update->reply_to = control_endpoint_;
-    send_control(host_runtimes_.at(id)->endpoint(), std::move(update));
-  }
-  fire_elastic_step(to_string(SplitStep::kCreateChild));
+  directory_[child] = SliceLocation{r.dst, HostId{}};
+  send_control(r.dst, op_request<CreateReplicaRequest>(r.id, child,
+                                                       control_endpoint_));
+  await_directory_acks();
+  broadcast_location(child, r.dst, r.id);
+  fire_step();
 }
 
 void Engine::split_cutover() {
-  TransitionTask& t = *current_transition_;
-  t.set_split_step(SplitStep::kCutOver);
-  StaticConfig::OperatorInfo& op = mutable_op_of(t.report.parent);
-  std::size_t pos = op.slices.size();
-  for (std::size_t i = 0; i < op.slices.size(); ++i) {
-    if (op.slices[i] == t.report.parent) pos = i;
+  ElasticOp& op = *current_;
+  const ElasticReport& r = op.report;
+  op.set_step(SplitStep::kCutOver);
+  StaticConfig::OperatorInfo& info = mutable_op_of(r.slice);
+  std::size_t pos = info.slices.size();
+  for (std::size_t i = 0; i < info.slices.size(); ++i) {
+    if (info.slices[i] == r.slice) pos = i;
   }
   if (testing_corrupt_split_plan) {
     // Seeded fault: "forget" to refine the parent, leaving parent and child
     // overlapping. The completeness contract below must trip.
     testing_corrupt_split_plan = false;
   } else {
-    op.coverages.at(pos) = t.parent_cov;
+    info.coverages.at(pos) = op.parent_cov;
   }
-  op.slices.push_back(t.report.child);
-  op.coverages.push_back(t.child_cov);
-  op.refined = true;
+  info.slices.push_back(r.other);
+  info.coverages.push_back(op.child_cov);
+  info.refined = true;
   ESH_INVARIANT("engine", "key-coverage-complete",
-                coverage_complete(op.coverages, op.coverage_base),
+                coverage_complete(info.coverages, info.coverage_base),
                 ::esh::contracts::Detail{}
-                    .slice(t.report.parent)
-                    .note("split cut-over of operator " + op.name));
-  t.report.cutover = simulator_.now();
-  SliceRuntime* parent = slice_runtime(t.report.parent);
-  SliceRuntime::SplitSpec spec;
-  spec.transition = t.report.id;
-  spec.child = t.report.child;
-  spec.child_cov = t.child_cov;
-  spec.cutover = capture_cut_vector(t.report.parent);
-  spec.reply_to = control_endpoint_;
-  if (config_.checkpoints.enabled) {
-    RollForward roll;
-    roll.role = RollForward::Role::kSplitParent;
-    roll.transition = t.report.id;
-    roll.epoch = parent->coverage_epoch() + 1;
-    roll.other = t.report.child;
-    roll.cov = t.child_cov;
-    roll.cutover = spec.cutover;
-    rollforward_[t.report.parent] = std::move(roll);
-  }
-  parent->begin_split(std::move(spec));
-  t.set_split_step(SplitStep::kDrain);
-  fire_elastic_step(to_string(SplitStep::kDrain));
+                    .slice(r.slice)
+                    .note("split cut-over of operator " + info.name));
+  op.report.cutover = simulator_.now();
+  start_leg(r.slice, RollForward{.role = RollForward::Role::kSplitParent,
+                                 .other = r.other,
+                                 .cov = op.child_cov,
+                                 .cutover = capture_cut_vector(r.slice)});
+  op.set_step(SplitStep::kDrain);
+  fire_step();
 }
 
-void Engine::begin_merge_transition() {
-  TransitionTask& t = *current_transition_;
-  const SliceId survivor = t.report.parent;
-  const SliceId retiree = t.report.child;
-  t.retiree_host = directory_.at(retiree).primary;
-  t.merged_cov = slice_coverage(survivor).merged();
-  SliceRuntime* survivor_rt = slice_runtime(survivor);
-  SliceRuntime* retiree_rt = slice_runtime(retiree);
+void Engine::activate_split_child() {
+  const ElasticReport& r = current_->report;
+  recover_slice(r.other, r.dst, [this, id = r.id] {
+    if (op_live(id)) finish(MigrationOutcome::kCompleted);
+  });
+}
+
+void Engine::begin_merge() {
+  ElasticOp& op = *current_;
+  const SliceId survivor = op.report.slice;
+  const SliceId retiree = op.report.other;
+  op.retiree_host = directory_.at(retiree).primary;
+  const KeyCoverage merged_cov = slice_coverage(survivor).merged();
   // Cut vectors and the routing flip happen at one simulated instant, so
   // order within this callback is immaterial: no event moves in between.
   const auto survivor_cut = capture_cut_vector(survivor);
   const auto retiree_final = capture_cut_vector(retiree);
-  StaticConfig::OperatorInfo& op = mutable_op_of(survivor);
-  std::size_t surv_pos = op.slices.size();
-  std::size_t ret_pos = op.slices.size();
-  for (std::size_t i = 0; i < op.slices.size(); ++i) {
-    if (op.slices[i] == survivor) surv_pos = i;
-    if (op.slices[i] == retiree) ret_pos = i;
+  StaticConfig::OperatorInfo& info = mutable_op_of(survivor);
+  std::size_t surv_pos = info.slices.size();
+  std::size_t ret_pos = info.slices.size();
+  for (std::size_t i = 0; i < info.slices.size(); ++i) {
+    if (info.slices[i] == survivor) surv_pos = i;
+    if (info.slices[i] == retiree) ret_pos = i;
   }
-  op.coverages.at(surv_pos) = t.merged_cov;
-  op.slices.erase(op.slices.begin() + static_cast<std::ptrdiff_t>(ret_pos));
-  op.coverages.erase(op.coverages.begin() +
-                     static_cast<std::ptrdiff_t>(ret_pos));
+  info.coverages.at(surv_pos) = merged_cov;
+  info.slices.erase(info.slices.begin() + static_cast<std::ptrdiff_t>(ret_pos));
+  info.coverages.erase(info.coverages.begin() +
+                       static_cast<std::ptrdiff_t>(ret_pos));
   ESH_INVARIANT("engine", "key-coverage-complete",
-                coverage_complete(op.coverages, op.coverage_base),
+                coverage_complete(info.coverages, info.coverage_base),
                 ::esh::contracts::Detail{}
                     .slice(survivor)
-                    .note("merge cut-over of operator " + op.name));
-  t.report.cutover = simulator_.now();
-  if (config_.checkpoints.enabled) {
-    RollForward surv_roll;
-    surv_roll.role = RollForward::Role::kMergeSurvivor;
-    surv_roll.transition = t.report.id;
-    surv_roll.epoch = survivor_rt->coverage_epoch() + 1;
-    surv_roll.other = retiree;
-    surv_roll.cutover = survivor_cut;
-    rollforward_[survivor] = std::move(surv_roll);
-    RollForward ret_roll;
-    ret_roll.role = RollForward::Role::kMergeRetiree;
-    ret_roll.transition = t.report.id;
-    ret_roll.epoch = retiree_rt->coverage_epoch() + 1;
-    ret_roll.other = survivor;
-    ret_roll.cutover = retiree_final;
-    rollforward_[retiree] = std::move(ret_roll);
-  }
-  SliceRuntime::AbsorbSpec absorb;
-  absorb.transition = t.report.id;
-  absorb.retiree = retiree;
-  absorb.cutover = survivor_cut;
-  absorb.reply_to = control_endpoint_;
-  survivor_rt->begin_absorb(std::move(absorb));
-  SliceRuntime::FreezeSpec freeze;
-  freeze.migration = t.report.id;
-  freeze.catchup = retiree_final;
-  freeze.dst_host = HostId{};
-  freeze.reply_to = control_endpoint_;
-  freeze.merge_capture = true;
-  retiree_rt->request_freeze(std::move(freeze));
-  t.set_merge_step(MergeStep::kDrainRetiree);
-  fire_elastic_step(to_string(MergeStep::kDrainRetiree));
+                    .note("merge cut-over of operator " + info.name));
+  op.report.cutover = simulator_.now();
+  start_leg(survivor, RollForward{.role = RollForward::Role::kMergeSurvivor,
+                                  .other = retiree,
+                                  .cutover = survivor_cut});
+  start_leg(retiree, RollForward{.role = RollForward::Role::kMergeRetiree,
+                                 .other = survivor,
+                                 .cutover = retiree_final});
+  op.set_step(MergeStep::kDrainRetiree);
+  fire_step();
 }
 
-bool Engine::handle_transition_control(const net::Message* msg) {
+bool Engine::handle_capture_control(const net::Message* msg) {
+  // The in-flight operation when it is `id` of `kind`, else nullptr.
+  const auto current = [this](MigrationId id, ElasticKind kind) {
+    return current_ && current_->report.id == id &&
+                   current_->report.kind == kind
+               ? &*current_
+               : nullptr;
+  };
+
   if (const auto* cap = dynamic_cast<const SplitStateMessage*>(msg)) {
-    if (current_transition_ &&
-        cap->transition == current_transition_->report.id &&
-        current_transition_->report.kind == TransitionKind::kSplit &&
-        current_transition_->split_step == SplitStep::kDrain) {
-      TransitionTask& t = *current_transition_;
-      t.report.moved = cap->moved;
+    if (ElasticOp* split = current(cap->transition, ElasticKind::kSplit);
+        split != nullptr && split->split_step == SplitStep::kDrain) {
+      ElasticOp& op = *split;
+      op.report.moved = cap->moved;
       // The captured half becomes a synthetic checkpoint: the child
       // activates through the ordinary recovery path, channels starting
       // fresh at sequence 1 (empty watermarks ask for a full replay of the
       // post-cut-over traffic the logs / replica buffer hold).
-      checkpoints_[t.report.child] =
+      checkpoints_[op.report.other] =
           StoredCheckpoint{cap->state, {}, {}, {}, 0};
-      t.set_split_step(SplitStep::kActivate);
-      recover_slice(t.report.child, t.dst, [this, id = t.report.id] {
-        if (current_transition_ && current_transition_->report.id == id) {
-          finish_transition(true);
-        }
-      });
-      fire_elastic_step(to_string(SplitStep::kActivate));
+      op.set_step(SplitStep::kActivate);
+      activate_split_child();
+      fire_step();
       return true;
     }
     // Duplicate from a re-driven parent leg (deterministic replay makes the
@@ -990,206 +988,81 @@ bool Engine::handle_transition_control(const net::Message* msg) {
   }
 
   if (const auto* cap = dynamic_cast<const MergeStateMessage*>(msg)) {
-    if (current_transition_ &&
-        cap->transition == current_transition_->report.id &&
-        current_transition_->report.kind == TransitionKind::kMerge &&
-        current_transition_->merge_step == MergeStep::kDrainRetiree) {
-      TransitionTask& t = *current_transition_;
-      // The retiree's routable identity ends here: erase its directory
-      // entry and checkpoint so no recovery sweep resurrects a zombie copy.
-      directory_.erase(t.report.child);
-      checkpoints_.erase(t.report.child);
-      rollforward_.erase(t.report.child);
-      pending_replays_.erase(t.report.child);
-      if (auto roll = rollforward_.find(t.report.parent);
-          roll != rollforward_.end() &&
-          roll->second.transition == t.report.id) {
-        roll->second.state = cap->state;
-        roll->second.log = cap->log;
-        roll->second.state_ready = true;
-      }
-      t.set_merge_step(MergeStep::kAbsorb);
-      // Ship to the survivor's current primary. If the survivor is lost or
-      // mid-recovery the request is dropped there — its recovery re-drives
-      // the absorb from the RollForward stash instead.
-      const auto loc = directory_.find(t.report.parent);
-      if (loc != directory_.end() &&
-          host_runtimes_.contains(loc->second.primary)) {
-        auto req = std::make_shared<MergeAbsorbRequest>();
-        req->transition = t.report.id;
-        req->survivor = t.report.parent;
-        req->retiree = t.report.child;
-        req->state = cap->state;
-        req->log = cap->log;
-        req->reply_to = control_endpoint_;
-        const std::size_t bytes =
-            (cap->state ? cap->state->size() : 0) + 64 * cap->log.size() + 96;
-        send_control(host_runtimes_.at(loc->second.primary)->endpoint(),
-                     std::move(req), bytes);
-      }
-      fire_elastic_step(to_string(MergeStep::kAbsorb));
-      return true;
+    ElasticOp* merge = current(cap->transition, ElasticKind::kMerge);
+    if (merge == nullptr || merge->merge_step != MergeStep::kDrainRetiree) {
+      return true;  // stale duplicate from a re-driven retiree leg
     }
-    return true;  // stale duplicate from a re-driven retiree leg
+    ElasticOp& op = *merge;
+    const SliceId survivor = op.report.slice;
+    const SliceId retiree = op.report.other;
+    // The retiree's routable identity ends here: erase its directory
+    // entry and checkpoint so no recovery sweep resurrects a zombie copy.
+    directory_.erase(retiree);
+    checkpoints_.erase(retiree);
+    rollforward_.erase(retiree);
+    pending_replays_.erase(retiree);
+    if (auto roll = rollforward_.find(survivor);
+        roll != rollforward_.end() && roll->second.transition == op.report.id) {
+      roll->second.state = cap->state;
+      roll->second.log = cap->log;
+      roll->second.state_ready = true;
+    }
+    op.set_step(MergeStep::kAbsorb);
+    // Ship to the survivor's current primary. If the survivor is lost or
+    // mid-recovery the request is dropped there — its recovery re-drives
+    // the absorb from the RollForward stash instead.
+    const auto loc = directory_.find(survivor);
+    if (loc != directory_.end() &&
+        host_runtimes_.contains(loc->second.primary)) {
+      auto req = std::make_shared<MergeAbsorbRequest>();
+      req->transition = op.report.id;
+      req->survivor = survivor;
+      req->retiree = retiree;
+      req->state = cap->state;
+      req->log = cap->log;
+      req->reply_to = control_endpoint_;
+      const std::size_t bytes =
+          (cap->state ? cap->state->size() : 0) + 64 * cap->log.size() + 96;
+      send_control(loc->second.primary, std::move(req), bytes);
+    }
+    fire_step();
+    return true;
   }
 
   if (const auto* ack = dynamic_cast<const MergeAbsorbAck*>(msg)) {
-    if (current_transition_ &&
-        ack->transition == current_transition_->report.id &&
-        current_transition_->report.kind == TransitionKind::kMerge &&
-        current_transition_->merge_step == MergeStep::kAbsorb) {
-      TransitionTask& t = *current_transition_;
-      t.set_merge_step(MergeStep::kTeardown);
-      const bool retiree_live = host_runtimes_.contains(t.retiree_host);
-      if (retiree_live) {
-        auto req = std::make_shared<TeardownRequest>();
-        req->migration = t.report.id;
-        req->slice = t.report.child;
-        req->reply_to = control_endpoint_;
-        send_control(host_runtimes_.at(t.retiree_host)->endpoint(),
-                     std::move(req));
-      }
-      if (fire_elastic_step(to_string(MergeStep::kTeardown)) &&
-          !retiree_live) {
-        finish_transition(true);
-      }
+    ElasticOp* merge = current(ack->transition, ElasticKind::kMerge);
+    if (merge == nullptr || merge->merge_step != MergeStep::kAbsorb) {
+      return true;  // stale duplicate from a re-driven survivor leg
     }
-    return true;  // stale duplicate from a re-driven survivor leg
-  }
-
-  if (!current_transition_) return false;
-  TransitionTask& t = *current_transition_;
-
-  if (const auto* ack = dynamic_cast<const CreateReplicaAck*>(msg)) {
-    if (ack->migration != t.report.id) return false;
-    if (t.report.kind == TransitionKind::kSplit &&
-        t.split_step == SplitStep::kCreateChild) {
-      t.create_acked = true;
-      if (t.pending_update_hosts.empty()) split_cutover();
+    ElasticOp& op = *merge;
+    op.set_step(MergeStep::kTeardown);
+    const bool retiree_live = host_runtimes_.contains(op.retiree_host);
+    if (retiree_live) {
+      send_control(op.retiree_host,
+                   op_request<TeardownRequest>(op.report.id, op.report.other,
+                                               control_endpoint_));
     }
-    return true;
-  }
-  if (const auto* ack = dynamic_cast<const DirectoryUpdateAck*>(msg)) {
-    if (ack->migration != t.report.id) return false;
-    if (t.report.kind == TransitionKind::kSplit &&
-        t.split_step == SplitStep::kCreateChild) {
-      t.pending_update_hosts.erase(ack->from_host);
-      if (t.create_acked && t.pending_update_hosts.empty()) split_cutover();
-    }
-    return true;
-  }
-  if (const auto* ack = dynamic_cast<const TeardownAck*>(msg)) {
-    if (ack->migration != t.report.id) return false;
-    if (t.report.kind == TransitionKind::kMerge &&
-        t.merge_step == MergeStep::kTeardown) {
-      finish_transition(true);
-    }
-    return true;
-  }
-  if (const auto* ack = dynamic_cast<const AbortReplicaAck*>(msg)) {
-    if (ack->migration != t.report.id) return false;
-    if (t.report.kind == TransitionKind::kSplit &&
-        t.split_step == SplitStep::kAborting) {
-      finish_transition(false);
-    }
+    if (fire_step() && !retiree_live) finish(MigrationOutcome::kCompleted);
     return true;
   }
   return false;
 }
 
-void Engine::handle_transition_host_failure(HostId host) {
-  if (!current_transition_) return;
-  TransitionTask& t = *current_transition_;
-
-  if (t.report.kind == TransitionKind::kMerge) {
-    // Every merge leg re-drives through RollForward after the lost slice
-    // recovers; the only coordinator action is resolving a teardown aimed
-    // at a host that just died.
-    if (t.merge_step == MergeStep::kTeardown && host == t.retiree_host) {
-      finish_transition(true);
-    }
-    return;
-  }
-
-  if (host == t.dst) {
-    switch (t.split_step) {
-      case SplitStep::kCreateChild:
-        // Nothing routed to the child yet and its replica died with the
-        // host: abort the split outright.
-        t.set_split_step(SplitStep::kAborting);
-        directory_.erase(t.report.child);
-        mutable_static_->slice_infos.erase(t.report.child);
-        finish_transition(false);
-        return;
-      case SplitStep::kCutOver:
-        return;  // transient within one callback; never observed here
-      case SplitStep::kDrain:
-      case SplitStep::kActivate: {
-        // Post-cut-over the split can only roll forward: re-home the child
-        // on a deterministic replacement (smallest live host). Events
-        // routed there before the restore lands are dropped-but-logged
-        // upstream and replayed after activation.
-        const std::vector<HostId> live = hosts();
-        if (live.empty()) return;  // no cluster left; nothing to drive
-        t.dst = live.front();
-        directory_[t.report.child] = SliceLocation{t.dst, HostId{}};
-        broadcast_location(t.report.child, t.dst);
-        if (t.split_step == SplitStep::kActivate) {
-          // The restore went to the dead host; re-issue it.
-          recover_slice(t.report.child, t.dst, [this, id = t.report.id] {
-            if (current_transition_ && current_transition_->report.id == id) {
-              finish_transition(true);
-            }
-          });
-        }
-        return;
-      }
-      case SplitStep::kAborting:
-        // The abort-replica ack died with the host.
-        finish_transition(false);
-        return;
-    }
-    return;
-  }
-
-  const auto parent_loc = directory_.find(t.report.parent);
-  if (parent_loc != directory_.end() && parent_loc->second.primary == host) {
-    switch (t.split_step) {
-      case SplitStep::kCreateChild: {
-        // Parent lost pre-cut-over: abort, tearing the child replica down.
-        t.set_split_step(SplitStep::kAborting);
-        auto req = std::make_shared<AbortReplicaRequest>();
-        req->migration = t.report.id;
-        req->slice = t.report.child;
-        req->reply_to = control_endpoint_;
-        send_control(host_runtimes_.at(t.dst)->endpoint(), std::move(req));
-        return;
-      }
-      case SplitStep::kCutOver:
-      case SplitStep::kDrain:
-      case SplitStep::kActivate:
-        // Post-cut-over the parent's leg re-drives through RollForward
-        // after recovery; the coordinator keeps waiting.
-        return;
-      case SplitStep::kAborting:
-        return;  // abort ack comes from dst, unaffected
-    }
-    return;
-  }
-
-  // A third host died: strike it from the outstanding directory-ack set.
-  if (t.split_step == SplitStep::kCreateChild) {
-    t.pending_update_hosts.erase(host);
-    if (t.create_acked && t.pending_update_hosts.empty()) split_cutover();
-  }
+void Engine::start_leg(SliceId slice, RollForward roll) {
+  SliceRuntime* rt = slice_runtime(slice);
+  roll.transition = current_->report.id;
+  roll.epoch = rt->coverage_epoch() + 1;
+  if (config_.checkpoints.enabled) rollforward_[slice] = roll;
+  drive_leg(*rt, roll);
 }
 
 void Engine::redrive_rollforward(SliceId slice) {
   auto it = rollforward_.find(slice);
   if (it == rollforward_.end()) return;
-  RollForward& roll = it->second;
-  SliceRuntime* rt = slice_runtime(slice);
-  if (rt == nullptr) return;
+  if (SliceRuntime* rt = slice_runtime(slice)) drive_leg(*rt, it->second);
+}
+
+void Engine::drive_leg(SliceRuntime& rt, const RollForward& roll) {
   switch (roll.role) {
     case RollForward::Role::kSplitParent: {
       SliceRuntime::SplitSpec spec;
@@ -1198,7 +1071,7 @@ void Engine::redrive_rollforward(SliceId slice) {
       spec.child_cov = roll.cov;
       spec.cutover = roll.cutover;
       spec.reply_to = control_endpoint_;
-      rt->begin_split(std::move(spec));
+      rt.begin_split(std::move(spec));
       return;
     }
     case RollForward::Role::kMergeSurvivor: {
@@ -1207,8 +1080,8 @@ void Engine::redrive_rollforward(SliceId slice) {
       spec.retiree = roll.other;
       spec.cutover = roll.cutover;
       spec.reply_to = control_endpoint_;
-      rt->begin_absorb(std::move(spec));
-      if (roll.state_ready) rt->deliver_absorb_state(roll.state, roll.log);
+      rt.begin_absorb(std::move(spec));
+      if (roll.state_ready) rt.deliver_absorb_state(roll.state, roll.log);
       return;
     }
     case RollForward::Role::kMergeRetiree: {
@@ -1218,177 +1091,226 @@ void Engine::redrive_rollforward(SliceId slice) {
       spec.dst_host = HostId{};
       spec.reply_to = control_endpoint_;
       spec.merge_capture = true;
-      rt->request_freeze(std::move(spec));
+      rt.request_freeze(std::move(spec));
       return;
     }
   }
 }
 
-void Engine::broadcast_location(SliceId slice, HostId host) {
+void Engine::broadcast_location(SliceId slice, HostId host, MigrationId op) {
   // Sorted: send order serializes on the manager NIC and decides per-host
   // delivery times.
   for (const HostId id : sorted_keys(host_runtimes_)) {
     auto update = std::make_shared<DirectoryUpdateMessage>();
-    update->migration = MigrationId{};
+    update->migration = op;
     update->slice = slice;
     update->host = host;
-    update->reply_to = net::Endpoint{};  // no ack needed
-    send_control(host_runtimes_.at(id)->endpoint(), std::move(update));
+    if (op.valid()) update->reply_to = control_endpoint_;  // else no ack
+    send_control(id, std::move(update));
   }
 }
 
-void Engine::after_directory_acks() {
-  MigrationTask& t = *current_migration_;
-  if (!host_runtimes_.contains(t.report.src)) {
-    // The source died after activation: nothing left to tear down, the
-    // slice is safe on the destination.
-    finish_migration(MigrationOutcome::kCompleted);
-    return;
-  }
-  t.set_step(MigrationTask::Step::kTeardown);
-  migration_step([this] {
-    MigrationTask& t = *current_migration_;
-    auto req = std::make_shared<TeardownRequest>();
-    req->migration = t.report.id;
-    req->slice = t.report.slice;
-    req->reply_to = control_endpoint_;
-    send_control(host_runtimes_.at(t.report.src)->endpoint(), std::move(req));
-  });
-  fire_migration_step();
+void Engine::await_directory_acks() {
+  const std::vector<HostId> ids = sorted_keys(host_runtimes_);
+  current_->pending_update_hosts = {ids.begin(), ids.end()};
 }
+
+void Engine::strike_directory_ack(HostId host) {
+  ElasticOp& op = *current_;
+  op.pending_update_hosts.erase(host);
+  if (!op.pending_update_hosts.empty()) return;
+  if (op.report.kind == ElasticKind::kMigrate) {
+    after_directory_acks();
+  } else if (op.create_acked) {
+    split_cutover();
+  }
+}
+
+// ---- participant failure ----------------------------------------------------
 
 void Engine::handle_host_failure(HostId host) {
-  if (!current_migration_) return;
-  MigrationTask& t = *current_migration_;
-  using Step = MigrationTask::Step;
-  const SliceId slice = t.report.slice;
+  if (!current_) return;
+  ElasticOp& op = *current_;
+  const ElasticReport& r = op.report;
 
-  if (host == t.report.dst) {
-    switch (t.step) {
-      case Step::kCreateReplica:
+  if (r.kind == ElasticKind::kMerge) {
+    // Every merge leg re-drives through RollForward after the lost slice
+    // recovers; the only coordinator action is resolving a teardown aimed
+    // at a host that just died.
+    if (op.merge_step == MergeStep::kTeardown && host == op.retiree_host) {
+      finish(MigrationOutcome::kCompleted);
+    }
+    return;
+  }
+
+  if (r.kind == ElasticKind::kSplit) {
+    if (host == r.dst) {
+      switch (op.split_step) {
+        case SplitStep::kCreateChild:
+          // Nothing routed to the child yet and its replica died with the
+          // host: abort the split outright.
+          op.set_step(SplitStep::kAborting);
+          directory_.erase(r.other);
+          mutable_static_->slice_infos.erase(r.other);
+          finish(MigrationOutcome::kAbortedDstFailed);
+          return;
+        case SplitStep::kCutOver:
+          return;  // transient within one callback; never observed here
+        case SplitStep::kDrain:
+        case SplitStep::kActivate: {
+          // Post-cut-over the split can only roll forward: re-home the
+          // child on a deterministic replacement (smallest live host).
+          // Events routed there before the restore lands are
+          // dropped-but-logged upstream and replayed after activation.
+          const std::vector<HostId> live = hosts();
+          if (live.empty()) return;  // no cluster left; nothing to drive
+          op.report.dst = live.front();
+          directory_[r.other] = SliceLocation{r.dst, HostId{}};
+          broadcast_location(r.other, r.dst);
+          // The restore went to the dead host; re-issue it.
+          if (op.split_step == SplitStep::kActivate) activate_split_child();
+          return;
+        }
+        case SplitStep::kAborting:
+          // The abort-replica ack died with the host.
+          finish(op.abort_outcome);
+          return;
+      }
+      return;
+    }
+    const auto parent_loc = directory_.find(r.slice);
+    if (parent_loc != directory_.end() && parent_loc->second.primary == host) {
+      // Post-cut-over the parent's leg re-drives through RollForward after
+      // recovery and the coordinator keeps waiting; an abort in progress
+      // awaits its ack from the child's host, unaffected.
+      if (op.split_step != SplitStep::kCreateChild) return;
+      // Parent lost pre-cut-over: abort, tearing the child replica down.
+      op.set_step(SplitStep::kAborting);
+      op.abort_outcome = MigrationOutcome::kAbortedSrcFailed;
+      send_control(r.dst, op_request<AbortReplicaRequest>(r.id, r.other,
+                                                          control_endpoint_));
+      return;
+    }
+    // A third host died: strike it from the outstanding directory-ack set.
+    if (op.split_step == SplitStep::kCreateChild) strike_directory_ack(host);
+    return;
+  }
+
+  // A death during the directory update: the move already completed (a
+  // copy lost with the destination is recovery's problem); converge the
+  // survivors. While aborting, the abort peer's death resolves the abort
+  // (its ack died with it).
+  if (op.step == MigrationStep::kDirectoryUpdate) {
+    strike_directory_ack(host);
+    return;
+  }
+  if (op.step == MigrationStep::kAborting) {
+    if (host == op.abort_peer) finish(op.abort_outcome);
+    return;
+  }
+  const SliceId slice = r.slice;
+  if (host == r.dst) {
+    switch (op.step) {
+      case MigrationStep::kCreateReplica:
         // No duplication started yet; the replica died with the host.
-        finish_migration(MigrationOutcome::kAbortedDstFailed);
+        finish(MigrationOutcome::kAbortedDstFailed);
         return;
-      case Step::kDuplication:
-      case Step::kPrecopy:
+      case MigrationStep::kDuplication:
+      case MigrationStep::kPrecopy:
         // Upstreams may already duplicate to the dead host: stop them. The
         // source never stopped serving (pre-copy rounds run while active),
         // so nothing else needs repair.
         directory_[slice].shadow = HostId{};
         directory_[slice].redirect = false;
-        broadcast_location(slice, t.report.src);
-        finish_migration(MigrationOutcome::kAbortedDstFailed);
+        broadcast_location(slice, r.src);
+        finish(MigrationOutcome::kAbortedDstFailed);
         return;
-      case Step::kPark:
-      case Step::kTransfer: {
+      case MigrationStep::kPark:
+      case MigrationStep::kTransfer: {
         // The freeze may or may not have reached the source. Ask it to
         // resume the slice; if the state already shipped (to a dead host),
         // the source reports the slice unusable and it goes to recovery.
-        t.set_step(Step::kAborting);
-        t.abort_peer = t.report.src;
-        t.abort_outcome = MigrationOutcome::kAbortedDstFailed;
-        auto req = std::make_shared<AbortMigrationRequest>();
-        req->migration = t.report.id;
-        req->slice = slice;
-        req->reply_to = control_endpoint_;
+        op.set_step(MigrationStep::kAborting);
+        op.abort_peer = r.src;
+        op.abort_outcome = MigrationOutcome::kAbortedDstFailed;
+        auto req =
+            op_request<AbortMigrationRequest>(r.id, slice, control_endpoint_);
         // Both new strategies freeze the source only at their final
         // stop-and-copy point, so a frozen source is exact at its freeze
         // watermark: it may thaw in place and have the missing suffix
         // replayed from the upstream logs, instead of being evicted into
         // recovery. Buffered-replay keeps its original abort semantics.
         req->thaw_frozen =
-            t.strategy->kind() != MigrationStrategyKind::kBufferedReplay;
-        send_control(host_runtimes_.at(t.report.src)->endpoint(),
-                     std::move(req));
+            op.strategy->kind() != MigrationStrategyKind::kBufferedReplay;
+        send_control(r.src, std::move(req));
         return;
       }
-      case Step::kDirectoryUpdate:
-        // Already activated on dst: the move completed, then the host
-        // died. The lost slice is recovery's problem; converge survivors.
-        t.pending_update_hosts.erase(host);
-        if (t.pending_update_hosts.empty()) after_directory_acks();
-        return;
-      case Step::kTeardown:
+      case MigrationStep::kTeardown:
         return;  // teardown targets the source; unaffected
-      case Step::kAborting:
-        if (host == t.abort_peer) finish_migration(t.abort_outcome);
-        return;
+      case MigrationStep::kDirectoryUpdate:
+      case MigrationStep::kAborting:
+        return;  // handled above
     }
     return;
   }
 
-  if (host == t.report.src) {
-    switch (t.step) {
-      case Step::kCreateReplica:
-      case Step::kDuplication:
-      case Step::kPark:
-      case Step::kPrecopy:
-      case Step::kTransfer: {
+  if (host == r.src) {
+    switch (op.step) {
+      case MigrationStep::kCreateReplica:
+      case MigrationStep::kDuplication:
+      case MigrationStep::kPark:
+      case MigrationStep::kPrecopy:
+      case MigrationStep::kTransfer: {
         // The slice was lost with the source. The replica on dst must be
         // torn down — unless the state transfer raced ahead and it already
         // activated, in which case the migration completed. Ask dst.
         directory_[slice].shadow = HostId{};
         directory_[slice].redirect = false;
-        t.set_step(Step::kAborting);
-        t.abort_peer = t.report.dst;
-        t.abort_outcome = MigrationOutcome::kAbortedSrcFailed;
-        auto req = std::make_shared<AbortReplicaRequest>();
-        req->migration = t.report.id;
-        req->slice = slice;
-        req->reply_to = control_endpoint_;
-        send_control(host_runtimes_.at(t.report.dst)->endpoint(),
-                     std::move(req));
+        op.set_step(MigrationStep::kAborting);
+        op.abort_peer = r.dst;
+        op.abort_outcome = MigrationOutcome::kAbortedSrcFailed;
+        send_control(r.dst, op_request<AbortReplicaRequest>(
+                                r.id, slice, control_endpoint_));
         return;
       }
-      case Step::kDirectoryUpdate:
-        t.pending_update_hosts.erase(host);
-        if (t.pending_update_hosts.empty()) after_directory_acks();
-        return;
-      case Step::kTeardown:
+      case MigrationStep::kTeardown:
         // The dead source was the last protocol participant.
-        finish_migration(MigrationOutcome::kCompleted);
+        finish(MigrationOutcome::kCompleted);
         return;
-      case Step::kAborting:
-        if (host == t.abort_peer) finish_migration(t.abort_outcome);
-        return;
+      case MigrationStep::kDirectoryUpdate:
+      case MigrationStep::kAborting:
+        return;  // handled above
     }
     return;
   }
 
-  // A third host died: strike it from any outstanding ack set so the
-  // protocol does not wait for a host that will never answer.
-  if (t.step == Step::kDuplication || t.step == Step::kPark) {
-    for (auto it = t.pending_dup_slices.begin();
-         it != t.pending_dup_slices.end();) {
-      if (directory_.at(*it).primary == host) {
-        // The upstream died with its host; its channel gets no catch-up
-        // entry. Once recovered, its replayed suffix reaches the replica
-        // through shadow duplication (or the park redirect) like any live
-        // traffic.
-        it = t.pending_dup_slices.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    if (t.pending_dup_slices.empty()) advance_after_duplication();
-  } else if (t.step == Step::kDirectoryUpdate) {
-    t.pending_update_hosts.erase(host);
-    if (t.pending_update_hosts.empty()) after_directory_acks();
+  // A third host died: strike its upstream slices from the outstanding
+  // duplication acks so the protocol does not wait for a host that will
+  // never answer. Such an upstream's channel gets no catch-up entry; once
+  // recovered, its replayed suffix reaches the replica through shadow
+  // duplication (or the park redirect) like any live traffic.
+  if (op.step != MigrationStep::kDuplication &&
+      op.step != MigrationStep::kPark) {
+    return;
   }
+  std::erase_if(op.pending_dup_slices, [&](SliceId up) {
+    return directory_.at(up).primary == host;
+  });
+  if (op.pending_dup_slices.empty()) advance_after_duplication();
 }
 
 void Engine::send_freeze() {
-  MigrationTask& t = *current_migration_;
+  const ElasticOp& op = *current_;
   auto req = std::make_shared<FreezeRequest>();
-  req->migration = t.report.id;
-  req->slice = t.report.slice;
-  req->catchup = t.catchup;
-  req->dst_host = t.report.dst;
+  req->migration = op.report.id;
+  req->slice = op.report.slice;
+  req->catchup = op.catchup;
+  req->dst_host = op.report.dst;
   req->reply_to = control_endpoint_;
   // After pre-copy rounds the replica holds a patched baseline image; the
   // final stop-and-copy ships only the dirty pages against it.
-  req->delta = t.strategy->delta_transfer() && t.round > 0;
-  send_control(host_runtimes_.at(t.report.src)->endpoint(), std::move(req));
+  req->delta = op.strategy->delta_transfer() && op.round > 0;
+  send_control(op.report.src, std::move(req));
 }
 
 void Engine::repair_redirected_channels(
@@ -1403,7 +1325,7 @@ void Engine::repair_redirected_channels(
   replay->processed = processed;
   // Sorted: send order serializes on the manager NIC.
   for (const HostId id : sorted_keys(host_runtimes_)) {
-    send_control(host_runtimes_.at(id)->endpoint(), replay);
+    send_control(id, replay);
   }
   // External injections: re-deliver the logged suffix directly.
   SeqNo external_watermark = 0;
@@ -1431,22 +1353,20 @@ void Engine::step_after_tick(std::function<void()> fn) {
   simulator_.schedule(delay, std::move(fn));
 }
 
-void Engine::migration_step(std::function<void()> fn) {
-  // A migration can be aborted (and a successor started) while a scheduled
+void Engine::op_step(std::function<void()> fn) {
+  // An operation can be aborted (and a successor started) while a scheduled
   // step is in flight: the guard keeps a stale step from firing into the
-  // wrong migration, and from racing an abort handshake (e.g. sending the
+  // wrong operation, and from racing an abort handshake (e.g. sending the
   // freeze after the source was already told to resume the slice).
-  const MigrationId id = current_migration_->report.id;
+  const MigrationId id = current_->report.id;
   step_after_tick([this, id, fn = std::move(fn)] {
-    if (current_migration_ && current_migration_->report.id == id &&
-        current_migration_->step != MigrationTask::Step::kAborting) {
-      fn();
-    }
+    if (op_live(id)) fn();
   });
 }
 
-void Engine::send_control(net::Endpoint to, net::MessagePtr msg,
+void Engine::send_control(HostId host, net::MessagePtr msg,
                           std::size_t bytes) {
+  const net::Endpoint to = host_runtimes_.at(host)->endpoint();
   if (control_channel_) {
     control_channel_->send(to, std::move(msg), bytes);
   } else {
@@ -1566,7 +1486,7 @@ void Engine::on_control(const net::Delivery& delivery) {
         roll != rollforward_.end() &&
         checkpoint->coverage_epoch >= roll->second.epoch) {
       rollforward_.erase(roll);
-      start_next_transition();
+      start_next(Family::kTransitions);
     }
     // A checkpoint whose watermark reaches a recovered upstream's
     // regenerated base proves this consumer advanced in the new numbering;
@@ -1600,7 +1520,7 @@ void Engine::on_control(const net::Delivery& delivery) {
     }
     // Sorted: broadcast order serializes on the manager NIC.
     for (const HostId id : sorted_keys(host_runtimes_)) {
-      send_control(host_runtimes_.at(id)->endpoint(), notice);
+      send_control(id, notice);
     }
     return;
   }
@@ -1655,27 +1575,26 @@ void Engine::on_control(const net::Delivery& delivery) {
       update->reply_to = net::Endpoint{};  // no ack needed
       update->reset_channels = input_channels > 1;
       update->out_bases = out_bases;
-      send_control(host_runtimes_.at(id)->endpoint(), update);
+      send_control(id, update);
     }
     auto replay = std::make_shared<ReplayRequest>();
     replay->slice = ack->slice;
     replay->processed = processed;
     for (const HostId id : sorted_keys(host_runtimes_)) {
-      send_control(host_runtimes_.at(id)->endpoint(), replay);
+      send_control(id, replay);
     }
     // Co-recovery rendezvous: slices recovered before this one broadcast
     // their replay requests while this slice was not live anywhere, so the
     // events only its (restored) log holds were never re-sent. Re-deliver
     // those requests to the new host; channel/handler deduplication
     // absorbs any redundancy.
-    const auto dst_endpoint = host_runtimes_.at(dst)->endpoint();
     // Sorted: re-sent replay requests serialize on the manager NIC too.
     for (const SliceId other : sorted_keys(pending_replays_)) {
       if (other == ack->slice) continue;
       auto again = std::make_shared<ReplayRequest>();
       again->slice = other;
       again->processed = pending_replays_.at(other);
-      send_control(dst_endpoint, again);
+      send_control(dst, again);
     }
     pending_replays_[ack->slice] = processed;
     // External injections: re-deliver the logged suffix directly.
@@ -1702,93 +1621,100 @@ void Engine::on_control(const net::Delivery& delivery) {
     return;
   }
 
-  // ---- split / merge traffic (ids never clash with migrations: both
-  // families draw from the same counter) ----
-  if (handle_transition_control(msg)) return;
-
-  if (!current_migration_) {
-    ESH_WARN << "Engine: control message with no migration in flight";
+  // ---- elastic-operation traffic (ids never clash across kinds: all
+  // three draw from the same counter) ----
+  if (handle_capture_control(msg)) return;
+  if (!current_) {
+    ESH_WARN << "Engine: control message with no elastic operation in flight";
     return;
   }
-  MigrationTask& task = *current_migration_;
-  using Step = MigrationTask::Step;
+  handle_op_control(msg);
+}
+
+void Engine::handle_op_control(const net::Message* msg) {
+  ElasticOp& op = *current_;
+  const ElasticKind kind = op.report.kind;
 
   if (const auto* ack = dynamic_cast<const CreateReplicaAck*>(msg)) {
-    if (ack->migration != task.report.id ||
-        task.step != Step::kCreateReplica) {
+    if (ack->migration != op.report.id) return;
+    if (kind == ElasticKind::kSplit) {
+      if (op.split_step != SplitStep::kCreateChild) return;
+      op.create_acked = true;
+      if (op.pending_update_hosts.empty()) split_cutover();
       return;
     }
+    if (op.step != MigrationStep::kCreateReplica) return;
     // Duplication (or, for a redirecting strategy, the park hand-off) of the
     // external injection channel starts now: record the shadow
     // (Engine::inject consults it) and the catch-up point.
-    directory_[task.report.slice].shadow = task.report.dst;
-    directory_[task.report.slice].redirect =
-        task.strategy->redirect_channels();
-    task.catchup.clear();
-    const auto inject_it = next_inject_seq_.find(task.report.slice);
-    task.catchup.emplace_back(
+    directory_[op.report.slice].shadow = op.report.dst;
+    directory_[op.report.slice].redirect = op.strategy->redirect_channels();
+    op.catchup.clear();
+    const auto inject_it = next_inject_seq_.find(op.report.slice);
+    op.catchup.emplace_back(
         kExternalChannel,
         inject_it == next_inject_seq_.end() ? SeqNo{1} : inject_it->second);
 
-    task.pending_dup_slices.clear();
+    op.pending_dup_slices.clear();
     std::set<HostId> hosts;
-    for (SliceId up : upstream_slices(task.report.slice)) {
+    for (SliceId up : upstream_slices(op.report.slice)) {
       const HostId up_host = directory_.at(up).primary;
       // A lost upstream (host dead, recovery pending) cannot ack; once it
       // recovers, its replayed suffix reaches the replica through shadow
       // duplication like any live traffic.
       if (!host_runtimes_.contains(up_host)) continue;
-      task.pending_dup_slices.insert(up);
+      op.pending_dup_slices.insert(up);
       hosts.insert(up_host);
     }
-    if (task.pending_dup_slices.empty()) {
+    if (op.pending_dup_slices.empty()) {
       // No live DAG channels (source operator): pre-copy or freeze directly.
       advance_after_duplication();
       return;
     }
-    task.set_step(task.strategy->redirect_channels() ? Step::kPark
-                                                     : Step::kDuplication);
+    op.set_step(op.strategy->redirect_channels() ? MigrationStep::kPark
+                                                 : MigrationStep::kDuplication);
     // One request per host holding at least one upstream slice.
-    migration_step([this, hosts] {
-      MigrationTask& t = *current_migration_;
+    op_step([this, hosts] {
+      const ElasticOp& op = *current_;
       for (HostId host : hosts) {
         if (!host_runtimes_.contains(host)) continue;  // died meanwhile
         auto req = std::make_shared<StartDuplicationRequest>();
-        req->migration = t.report.id;
-        req->slice = t.report.slice;
-        req->shadow_host = t.report.dst;
-        req->redirect = t.strategy->redirect_channels();
+        req->migration = op.report.id;
+        req->slice = op.report.slice;
+        req->shadow_host = op.report.dst;
+        req->redirect = op.strategy->redirect_channels();
         req->reply_to = control_endpoint_;
-        send_control(host_runtimes_.at(host)->endpoint(), std::move(req));
+        send_control(host, std::move(req));
       }
     });
-    fire_migration_step();
+    fire_step();
     return;
   }
 
   if (const auto* ack = dynamic_cast<const StartDuplicationAck*>(msg)) {
-    if (ack->migration != task.report.id ||
-        (task.step != Step::kDuplication && task.step != Step::kPark)) {
+    if (ack->migration != op.report.id ||
+        (op.step != MigrationStep::kDuplication &&
+         op.step != MigrationStep::kPark)) {
       return;
     }
-    if (task.pending_dup_slices.erase(ack->upstream_slice) == 0) return;
-    task.catchup.emplace_back(ack->upstream_slice, ack->next_seq);
-    if (!task.pending_dup_slices.empty()) return;
+    if (op.pending_dup_slices.erase(ack->upstream_slice) == 0) return;
+    op.catchup.emplace_back(ack->upstream_slice, ack->next_seq);
+    if (!op.pending_dup_slices.empty()) return;
     advance_after_duplication();
     return;
   }
 
   if (const auto* ack = dynamic_cast<const PrecopyAck*>(msg)) {
-    if (ack->migration != task.report.id || task.step != Step::kPrecopy ||
-        ack->round != task.round) {
+    if (ack->migration != op.report.id || op.step != MigrationStep::kPrecopy ||
+        ack->round != op.round) {
       return;
     }
-    task.precopy_bytes += ack->bytes;
+    op.report.precopy_bytes += ack->bytes;
     // Another round while the budget lasts and the state is still dirtying;
     // a zero-delta round means the next diff would be empty too, so cut to
     // the final stop-and-copy early.
     bool more =
-        task.round < task.strategy->precopy_rounds(config_) && ack->bytes > 0;
+        op.round < op.strategy->precopy_rounds(config_) && ack->bytes > 0;
     if (testing_force_extra_precopy_round && !more) {
       // Seeded fault: issue one round past the bound; the
       // precopy-rounds-bounded contract in start_precopy_round must trip.
@@ -1796,35 +1722,38 @@ void Engine::on_control(const net::Delivery& delivery) {
       more = true;
     }
     if (more) {
-      task.set_step(Step::kPrecopy);  // self-edge: next round
+      op.set_step(MigrationStep::kPrecopy);  // self-edge: next round
       start_precopy_round();
     } else {
-      task.set_step(Step::kTransfer);
-      migration_step([this] { send_freeze(); });
-      fire_migration_step();
+      op.set_step(MigrationStep::kTransfer);
+      op_step([this] { send_freeze(); });
+      fire_step();
     }
     return;
   }
 
   if (const auto* ack = dynamic_cast<const ActivatedAck*>(msg)) {
-    if (ack->migration != task.report.id) return;
+    if (ack->migration != op.report.id) return;
     // Ignore an activation that raced a destination crash: the activated
     // copy died with the host and the slice goes through the abort path.
-    if (!host_runtimes_.contains(task.report.dst)) return;
-    if (task.step != Step::kTransfer && task.step != Step::kAborting) return;
-    task.report.frozen = ack->frozen_at;
-    task.report.activated = ack->activated_at;
-    task.report.state_bytes = ack->state_bytes;
-    task.report.transfer_bytes = ack->transfer_bytes;
+    if (!host_runtimes_.contains(op.report.dst)) return;
+    if (op.step != MigrationStep::kTransfer &&
+        op.step != MigrationStep::kAborting) {
+      return;
+    }
+    op.report.frozen = ack->frozen_at;
+    op.report.activated = ack->activated_at;
+    op.report.state_bytes = ack->state_bytes;
+    op.report.transfer_bytes = ack->transfer_bytes;
 #if ESH_INVARIANTS_ENABLED
-    if (task.strategy->redirect_channels()) {
+    if (op.strategy->redirect_channels()) {
       // Stop-and-restart: the park drained the source to a freeze before the
       // state ever shipped, so the replica going live with the source still
       // active would mean two primaries serving the slice at once.
       SliceRuntime* src_rt = nullptr;
-      if (auto src_it = host_runtimes_.find(task.report.src);
+      if (auto src_it = host_runtimes_.find(op.report.src);
           src_it != host_runtimes_.end()) {
-        src_rt = src_it->second->slice(task.report.slice);
+        src_rt = src_it->second->slice(op.report.slice);
       }
       if (testing_force_src_active_on_activate && src_rt != nullptr) {
         // Seeded fault: resurrect the source right under the check.
@@ -1835,101 +1764,93 @@ void Engine::on_control(const net::Delivery& delivery) {
                     src_rt == nullptr ||
                         src_rt->state() != SliceRuntime::State::kActive,
                     ::esh::contracts::Detail{}
-                        .slice(task.report.slice)
+                        .slice(op.report.slice)
                         .expected("source frozen/retired at activation")
                         .actual(src_rt != nullptr ? to_string(src_rt->state())
                                                   : "gone")
                         .note("migration " +
-                              std::to_string(task.report.id.value())));
+                              std::to_string(op.report.id.value())));
     }
 #endif
-    directory_[task.report.slice] =
-        SliceLocation{task.report.dst, HostId{}};
-    task.set_step(Step::kDirectoryUpdate);
-    task.pending_update_hosts.clear();
-    // lint:allow(unordered-iteration): fills a std::set, order-free
-    for (const auto& [id, runtime] : host_runtimes_) {
-      task.pending_update_hosts.insert(id);
-    }
-    migration_step([this] {
-      MigrationTask& t = *current_migration_;
-      // Sorted: update send order serializes on the manager NIC.
-      for (const HostId id : sorted_keys(host_runtimes_)) {
-        auto update = std::make_shared<DirectoryUpdateMessage>();
-        update->migration = t.report.id;
-        update->slice = t.report.slice;
-        update->host = t.report.dst;
-        update->reply_to = control_endpoint_;
-        send_control(host_runtimes_.at(id)->endpoint(), std::move(update));
-      }
+    directory_[op.report.slice] = SliceLocation{op.report.dst, HostId{}};
+    op.set_step(MigrationStep::kDirectoryUpdate);
+    await_directory_acks();
+    op_step([this] {
+      const ElasticReport& r = current_->report;
+      broadcast_location(r.slice, r.dst, r.id);
     });
-    fire_migration_step();
+    fire_step();
     return;
   }
 
   if (const auto* ack = dynamic_cast<const DirectoryUpdateAck*>(msg)) {
-    if (ack->migration != task.report.id ||
-        task.step != Step::kDirectoryUpdate) {
-      return;
+    if (ack->migration != op.report.id) return;
+    if ((kind == ElasticKind::kSplit &&
+         op.split_step == SplitStep::kCreateChild) ||
+        (kind == ElasticKind::kMigrate &&
+         op.step == MigrationStep::kDirectoryUpdate)) {
+      strike_directory_ack(ack->from_host);
     }
-    task.pending_update_hosts.erase(ack->from_host);
-    if (task.pending_update_hosts.empty()) after_directory_acks();
     return;
   }
 
   if (const auto* ack = dynamic_cast<const TeardownAck*>(msg)) {
-    if (ack->migration != task.report.id || task.step != Step::kTeardown) {
-      return;
+    if (ack->migration != op.report.id) return;
+    if ((kind == ElasticKind::kMigrate &&
+         op.step == MigrationStep::kTeardown) ||
+        (kind == ElasticKind::kMerge &&
+         op.merge_step == MergeStep::kTeardown)) {
+      finish(MigrationOutcome::kCompleted);
     }
-    finish_migration(MigrationOutcome::kCompleted);
     return;
   }
 
   if (const auto* ack = dynamic_cast<const AbortMigrationAck*>(msg)) {
-    if (ack->migration != task.report.id || task.step != Step::kAborting) {
+    if (ack->migration != op.report.id || op.step != MigrationStep::kAborting) {
       return;
     }
     // The source resolved the abort: either the slice resumed in place, or
     // its frozen state shipped to the dead destination and it needs
     // recovery. Either way, stop any lingering duplication.
-    directory_[task.report.slice].shadow = HostId{};
-    directory_[task.report.slice].redirect = false;
-    broadcast_location(task.report.slice,
-                       directory_.at(task.report.slice).primary);
-    if (ack->resumed && (task.strategy->redirect_channels() || ack->thawed)) {
+    directory_[op.report.slice].shadow = HostId{};
+    directory_[op.report.slice].redirect = false;
+    broadcast_location(op.report.slice,
+                       directory_.at(op.report.slice).primary);
+    if (ack->resumed && (op.strategy->redirect_channels() || ack->thawed)) {
       // Stop-and-restart: everything redirected since the park went only to
       // the now-dead replica, so the resumed source needs the suffix replayed
       // whether or not it reached its freeze. A thawed pre-copy source needs
       // the same replay for the events dropped during its final freeze.
       // Either way the upstream logs re-send above the source's watermarks.
-      repair_redirected_channels(task.report.slice, ack->processed);
+      repair_redirected_channels(op.report.slice, ack->processed);
     }
     if (!ack->resumed) {
       ESH_WARN << "Engine: migration abort lost slice "
-               << task.report.slice.value() << " (state shipped to dead host)";
+               << op.report.slice.value() << " (state shipped to dead host)";
     }
-    finish_migration(task.abort_outcome);
+    finish(op.abort_outcome);
     return;
   }
 
   if (const auto* ack = dynamic_cast<const AbortReplicaAck*>(msg)) {
-    if (ack->migration != task.report.id || task.step != Step::kAborting) {
+    if (ack->migration != op.report.id || !op.aborting()) return;
+    if (kind == ElasticKind::kSplit) {
+      finish(op.abort_outcome);  // the child replica is gone
       return;
     }
     if (ack->was_active) {
       // The state transfer raced the abort and the replica went live: the
       // migration actually completed despite the source's death.
-      directory_[task.report.slice] =
-          SliceLocation{task.report.dst, HostId{}};
-      broadcast_location(task.report.slice, task.report.dst);
-      finish_migration(MigrationOutcome::kCompleted);
+      directory_[op.report.slice] = SliceLocation{op.report.dst, HostId{}};
+      broadcast_location(op.report.slice, op.report.dst);
+      finish(MigrationOutcome::kCompleted);
       return;
     }
-    directory_[task.report.slice].shadow = HostId{};
-    directory_[task.report.slice].redirect = false;
-    broadcast_location(task.report.slice,
-                       directory_.at(task.report.slice).primary);
-    finish_migration(task.abort_outcome);
+    directory_[op.report.slice].shadow = HostId{};
+    directory_[op.report.slice].redirect = false;
+    broadcast_location(op.report.slice,
+                       directory_.at(op.report.slice).primary);
+    finish(op.abort_outcome);
     return;
   }
 

@@ -82,15 +82,18 @@ struct EngineConfig {
   cluster::CostModel cost;
 };
 
-// How a migration ended. Anything but kCompleted leaves the slice where the
-// abort semantics put it: still on the source (kAbortedDstFailed with the
-// slice resumed), on the destination (a source crash that raced the state
-// transfer counts as kCompleted), or lost and handed to recovery.
+// How an elastic operation ended. Anything but kCompleted leaves the slice
+// where the abort semantics put it: a migrated slice still on the source
+// (kAbortedDstFailed with the slice resumed), on the destination (a source
+// crash that raced the state transfer counts as kCompleted), or lost and
+// handed to recovery; a split aborted before its cut-over leaves routing as
+// it was (kAbortedDstFailed: the child's host died; kAbortedSrcFailed: the
+// parent's did).
 enum class MigrationOutcome {
   kCompleted,
-  kRejected,         // invalid slice/destination; nothing happened
-  kAbortedSrcFailed, // source host died mid-protocol
-  kAbortedDstFailed, // destination host died mid-protocol
+  kRejected,         // invalid or stale request; nothing happened
+  kAbortedSrcFailed, // source (split: parent) host died mid-protocol
+  kAbortedDstFailed, // destination (split: child) host died mid-protocol
 };
 
 [[nodiscard]] const char* to_string(MigrationOutcome outcome);
@@ -134,10 +137,12 @@ void assert_migration_transition(const MigrationStrategy& strategy,
 // A split refines one slice's key coverage by a bit: the parent keeps one
 // half, a fresh child slice takes the other. A merge is the inverse: a
 // retiree's coverage and state fold back into its coverage-sibling
-// survivor. See PROTOCOL.md for the cut-over sequence.
-enum class TransitionKind { kSplit, kMerge };
+// survivor. See PROTOCOL.md for the cut-over sequence. Migrations, splits
+// and merges are the three kinds of one elastic operation: they share the
+// coordinator's queue, report, callback and step hook.
+enum class ElasticKind { kMigrate, kSplit, kMerge };
 
-[[nodiscard]] const char* to_string(TransitionKind kind);
+[[nodiscard]] const char* to_string(ElasticKind kind);
 
 // Coordinator-side protocol position of an in-flight split.
 enum class SplitStep {
@@ -169,44 +174,39 @@ void assert_split_transition(MigrationId id, SliceId slice, SplitStep from,
 void assert_merge_transition(MigrationId id, SliceId slice, MergeStep from,
                              MergeStep to);
 
-struct TransitionReport {
+// Outcome and timeline of one elastic operation, whatever its kind.
+struct ElasticReport {
   MigrationId id;
-  TransitionKind kind = TransitionKind::kSplit;
-  SliceId parent;  // split parent / merge survivor
-  SliceId child;   // split child / merge retiree
-  bool completed = false;  // false: rejected or aborted
-  SimTime requested{};
-  SimTime cutover{};    // routing flipped (start of the drain)
-  SimTime finished{};
-  std::size_t moved = 0;  // state entries split off (splits only)
-};
-
-using TransitionCallback = std::function<void(const TransitionReport&)>;
-
-struct MigrationReport {
-  MigrationId id;
-  SliceId slice;
-  HostId src;
-  HostId dst;
-  // Name of the protocol that ran the move (a registry singleton's name(),
-  // so the view outlives every report).
-  std::string_view strategy = "buffered-replay";
+  ElasticKind kind = ElasticKind::kMigrate;
+  SliceId slice;  // moved slice / split parent / merge survivor
+  SliceId other;  // split child / merge retiree
+  HostId src;     // migration source
+  HostId dst;     // migration destination / split child's host
+  // Name of the protocol that ran a migration (a registry singleton's
+  // name(), so the view outlives every report); empty for splits/merges.
+  std::string_view strategy;
   MigrationOutcome outcome = MigrationOutcome::kCompleted;
   SimTime requested{};
-  SimTime frozen{};     // processing stopped on the source host
-  SimTime activated{};  // processing resumed on the destination host
-  SimTime completed{};  // old slice torn down, directory converged
+  SimTime frozen{};     // migration: processing stopped on the source host
+  SimTime activated{};  // migration: processing resumed on the destination
+  SimTime cutover{};    // split/merge: routing flipped (start of the drain)
+  // The operation is over: old slice torn down and directory converged, the
+  // split child live, the merge retiree torn down -- or the rejection or
+  // abort was reported.
+  SimTime finished{};
   std::size_t state_bytes = 0;
-  // Protocol byte accounting (the tradeoff axes of fig_migration_strategies):
-  // the final state transfer as shipped (== state_bytes for a full copy,
-  // the dirty-page total for a delta one), the pre-copy rounds, and the
-  // shadow-mirror duplicates sent while this move was in flight.
+  // Protocol byte accounting of a migration (the tradeoff axes of
+  // fig_migration_strategies): the final state transfer as shipped
+  // (== state_bytes for a full copy, the dirty-page total for a delta one),
+  // the pre-copy rounds, and the shadow-mirror duplicates sent while this
+  // move was in flight.
   std::size_t transfer_bytes = 0;
   std::size_t precopy_bytes = 0;
   std::size_t duplicate_bytes = 0;
+  std::size_t moved = 0;  // state entries split off (splits only)
 
   [[nodiscard]] SimDuration total_duration() const {
-    return completed - requested;
+    return finished - requested;
   }
   [[nodiscard]] SimDuration interruption() const { return activated - frozen; }
   [[nodiscard]] std::size_t bytes_shipped() const {
@@ -214,7 +214,7 @@ struct MigrationReport {
   }
 };
 
-using MigrationCallback = std::function<void(const MigrationReport&)>;
+using ElasticCallback = std::function<void(const ElasticReport&)>;
 
 class Engine {
  public:
@@ -244,34 +244,29 @@ class Engine {
   void inject(std::string_view op, std::size_t slice_index, PayloadPtr payload);
 
   // ---- elasticity mechanism ----
-  // Migrates `slice` to `dst`. Migrations are executed one at a time in
-  // request order (the enforcer minimizes their number; serializing them
-  // bounds interference). The callback always fires exactly once and carries
-  // the outcome: an unknown slice or destination is rejected through the
-  // callback (kRejected), and a source/destination crash mid-protocol aborts
-  // the move cleanly instead of wedging the queue.
-  void migrate(SliceId slice, HostId dst, MigrationCallback callback);
-  // Strategy-selecting overload; the two-argument form runs the paper's
-  // buffered-replay protocol, so every existing caller is unchanged.
+  // Migrations, splits and merges run one at a time on one coordinator:
+  // queued migrations start before queued splits/merges (the enforcer
+  // minimizes their number; serializing them bounds interference), and
+  // each family starts in request order. Every callback fires exactly once
+  // and carries the outcome: an invalid or stale request is rejected
+  // through it (kRejected), and a participant crash mid-protocol aborts or
+  // rolls the operation forward instead of wedging the queue.
+  //
+  // Migrates `slice` to `dst` with the paper's buffered-replay protocol.
+  void migrate(SliceId slice, HostId dst, ElasticCallback callback);
+  // Strategy-selecting overload.
   void migrate(SliceId slice, HostId dst, MigrationStrategyKind strategy,
-               MigrationCallback callback);
-  [[nodiscard]] std::size_t pending_migrations() const {
-    return migration_queue_.size() + (current_migration_ ? 1 : 0);
-  }
-
-  // ---- fine-grained elasticity: key-level split / merge ----
+               ElasticCallback callback);
   // Splits `parent`'s key coverage in two: the parent keeps one half and a
-  // fresh child slice hosted on `dst` takes the other. Serialized with
-  // migrations on the same coordinator (one elastic operation in flight at
-  // a time). The callback fires exactly once; invalid arguments reject
-  // through it (completed=false).
-  void split_slice(SliceId parent, HostId dst, TransitionCallback callback);
+  // fresh child slice hosted on `dst` takes the other.
+  void split_slice(SliceId parent, HostId dst, ElasticCallback callback);
   // Inverse of split_slice: `retiree`'s coverage and state fold back into
   // its coverage-sibling `survivor`, and the retiree slice is torn down.
   void merge_slices(SliceId survivor, SliceId retiree,
-                    TransitionCallback callback);
-  [[nodiscard]] std::size_t pending_transitions() const {
-    return transition_queue_.size() + (current_transition_ ? 1 : 0);
+                    ElasticCallback callback);
+  // Queued plus in-flight elastic operations of every kind.
+  [[nodiscard]] std::size_t pending_ops() const {
+    return queue_.size() + (current_ ? 1 : 0);
   }
   [[nodiscard]] std::uint64_t splits_completed() const {
     return splits_completed_;
@@ -283,25 +278,19 @@ class Engine {
   [[nodiscard]] std::uint64_t seed() const { return seed_; }
   // Key coverage currently routed to `slice` (throws for unknown slices).
   [[nodiscard]] KeyCoverage slice_coverage(SliceId slice) const;
-  // Chaos hook: fired after every coordinator step change of an in-flight
-  // split or merge; `step` matches to_string(SplitStep/MergeStep). The hook
-  // may fail hosts, which is exactly what the torture tests do.
+  // Chaos hook: fired when the in-flight elastic operation enters a step;
+  // `step` matches to_string() of the kind's step enum (MigrationStep,
+  // SplitStep, MergeStep; a migration's kPrecopy fires once per round). The
+  // hook may fail hosts -- the crash-at-every-step torture tests do exactly
+  // that.
   void on_elastic_step(
-      std::function<void(const TransitionReport&, std::string_view)> hook) {
-    elastic_step_hook_ = std::move(hook);
+      std::function<void(const ElasticReport&, std::string_view)> hook) {
+    step_hook_ = std::move(hook);
   }
   // Testing seam: the next split cut-over "forgets" to refine the parent's
   // coverage, leaving parent and child overlapping — the key-coverage
   // completeness contract must trip (checked builds only).
   bool testing_corrupt_split_plan = false;
-  // Chaos hook: fired when the coordinator of an in-flight migration enters
-  // a step (`step` matches to_string(MigrationStep); kPrecopy fires once per
-  // round). The hook may fail hosts — the crash-at-every-step torture tests
-  // do exactly that.
-  void on_migration_step(
-      std::function<void(const MigrationReport&, std::string_view)> hook) {
-    migration_step_hook_ = std::move(hook);
-  }
   // Testing seam: issue one pre-copy round past the strategy's bound — the
   // precopy-rounds-bounded contract must trip (checked builds only).
   bool testing_force_extra_precopy_round = false;
@@ -366,13 +355,9 @@ class Engine {
                                  std::size_t slice_index) const;
   [[nodiscard]] std::vector<SliceId> slices_on(HostId host) const;
   [[nodiscard]] SliceRuntime* slice_runtime(SliceId slice);
-  [[nodiscard]] std::uint64_t migrations_completed() const {
-    return migrations_completed_;
-  }
   [[nodiscard]] sim::Simulator& simulator() { return simulator_; }
   [[nodiscard]] net::Network& network() { return network_; }
   [[nodiscard]] const EngineConfig& config() const { return config_; }
-  [[nodiscard]] Rng& rng() { return rng_; }
   // Worker pool for M's batched matching; nullptr when
   // config.worker_threads <= 1. MHandler::on_batch_start fans its
   // match_batch across it and joins before any result is committed on the
@@ -380,65 +365,61 @@ class Engine {
   [[nodiscard]] ThreadPool* worker_pool() { return worker_pool_.get(); }
 
  private:
-  struct MigrationTask {
-    // Protocol position of the coordinator; determines the correct abort
-    // action when the source or destination host dies.
-    using Step = MigrationStep;
-    MigrationReport report;
-    MigrationCallback callback;
-    // Protocol of this move; set at migrate() and never null afterwards.
+  // One queued or in-flight elastic operation: its report and callback,
+  // its kind's coordinator step, and that step's outstanding-ack scratch.
+  struct ElasticOp {
+    ElasticReport report;
+    ElasticCallback callback;
+    // Migration protocol; set at migrate() and never null for a migration.
     const MigrationStrategy* strategy = nullptr;
-    std::vector<std::pair<SliceId, SeqNo>> catchup;
-    Step step = Step::kCreateReplica;
-    // Every step change goes through here so the state-machine contract
-    // sees it against the strategy's own spec table (illegal transitions
-    // throw in checked builds).
-    void set_step(Step next) {
+    // Protocol position of the coordinator, one per kind; determines the
+    // correct abort or roll-forward action when a participant host dies.
+    MigrationStep step = MigrationStep::kCreateReplica;
+    SplitStep split_step = SplitStep::kCreateChild;
+    MergeStep merge_step = MergeStep::kCutOver;
+    // Every step change goes through these so the state-machine contracts
+    // see it against the kind's spec table (a migration's: the strategy's
+    // own); illegal transitions throw in checked builds.
+    void set_step(MigrationStep next) {
       assert_migration_transition(*strategy, report.id, report.slice, step,
                                   next);
       step = next;
     }
-    // Incremental precopy: the in-flight round (1-based; 0 before the first)
-    // and the delta bytes acknowledged so far.
-    std::size_t round = 0;
-    std::size_t precopy_bytes = 0;
-    // Engine-wide duplicate-bytes counter at the move's start (migrations
-    // are serialized, so the difference at completion is this move's).
-    std::size_t dup_bytes_base = 0;
-    // Outstanding acks tracked as sets (not counters) so a dead host can be
-    // struck from the wait without wedging the protocol.
-    std::set<SliceId> pending_dup_slices;
-    std::set<HostId> pending_update_hosts;
-    // While kAborting: the host whose ack resolves the abort, and the
-    // outcome to report (first failure wins).
-    HostId abort_peer;
-    MigrationOutcome abort_outcome = MigrationOutcome::kCompleted;
-  };
-
-  // One in-flight split or merge, serialized with migrations: the
-  // coordinator runs at most one elastic operation (of either family) at a
-  // time, migrations first.
-  struct TransitionTask {
-    TransitionReport report;
-    TransitionCallback callback;
-    HostId dst;               // split: child host (replaced if it dies)
-    HostId retiree_host;      // merge: where the retiree drains
-    KeyCoverage parent_cov;   // split: parent's post-cut-over coverage
-    KeyCoverage child_cov;    // split: child's coverage
-    KeyCoverage merged_cov;   // merge: survivor's post-cut-over coverage
-    SplitStep split_step = SplitStep::kCreateChild;
-    MergeStep merge_step = MergeStep::kCutOver;
-    void set_split_step(SplitStep next) {
-      assert_split_transition(report.id, report.parent, split_step, next);
+    void set_step(SplitStep next) {
+      assert_split_transition(report.id, report.slice, split_step, next);
       split_step = next;
     }
-    void set_merge_step(MergeStep next) {
-      assert_merge_transition(report.id, report.parent, merge_step, next);
+    void set_step(MergeStep next) {
+      assert_merge_transition(report.id, report.slice, merge_step, next);
       merge_step = next;
     }
-    // kCreateChild: outstanding directory acks (dead hosts are struck).
+    [[nodiscard]] const char* step_name() const;
+    // Unwinding an abort handshake: no further protocol step may fire.
+    [[nodiscard]] bool aborting() const;
+
+    // Migration: catch-up vector of the replica, the in-flight pre-copy
+    // round (1-based; 0 before the first), and the engine-wide
+    // duplicate-bytes counter at the move's start (operations are
+    // serialized, so the difference at the finish is this move's).
+    std::vector<std::pair<SliceId, SeqNo>> catchup;
+    std::size_t round = 0;
+    std::size_t dup_bytes_base = 0;
+    // Outstanding acks tracked as sets (not counters) so a dead host can be
+    // struck from the wait without wedging the protocol: a migration's
+    // duplication acks and directory acks, a split's directory acks (its
+    // child replica's ack sets create_acked).
+    std::set<SliceId> pending_dup_slices;
     std::set<HostId> pending_update_hosts;
     bool create_acked = false;
+    // While aborting: the host whose ack resolves a migration's abort, and
+    // the outcome to report (first failure wins).
+    HostId abort_peer;
+    MigrationOutcome abort_outcome = MigrationOutcome::kCompleted;
+    // Split: the parent's post-cut-over coverage and the child's. Merge:
+    // where the retiree drains.
+    KeyCoverage parent_cov;
+    KeyCoverage child_cov;
+    HostId retiree_host;
   };
 
   // Roll-forward record of a slice mid split/merge (checkpointed clusters
@@ -449,43 +430,74 @@ class Engine {
   struct RollForward {
     enum class Role { kSplitParent, kMergeSurvivor, kMergeRetiree };
     Role role = Role::kSplitParent;
-    MigrationId transition;
+    MigrationId transition{};
     std::uint64_t epoch = 0;  // coverage epoch the pending capture produces
-    SliceId other;            // split: child; merge: the opposite slice
-    KeyCoverage cov;          // split: child coverage (for re-capture)
-    std::vector<std::pair<SliceId, SeqNo>> cutover;
+    SliceId other{};          // split: child; merge: the opposite slice
+    KeyCoverage cov{};        // split: child coverage (for re-capture)
+    std::vector<std::pair<SliceId, SeqNo>> cutover{};
     // Merge survivor: the retiree's captured state, once shipped.
-    std::shared_ptr<const std::vector<std::byte>> state;
-    std::vector<WireEvent> log;
+    std::shared_ptr<const std::vector<std::byte>> state{};
+    std::vector<WireEvent> log{};
     bool state_ready = false;
   };
 
-  void start_next_migration();
-  void finish_migration(MigrationOutcome outcome);
-  void start_next_transition();
-  void finish_transition(bool completed);
-  void begin_split_transition();
-  void begin_merge_transition();
+  // Starts queued operations while none is in flight: migrations first,
+  // then splits/merges, each family FIFO. A new request tries its own
+  // family only (a new migration never re-evaluates a split/merge deferred
+  // behind a roll-forward record; a new split/merge starts even when a
+  // re-entrant callback left migrations queued), as does a spent
+  // roll-forward record (kTransitions).
+  enum class Family { kAny, kMigrations, kTransitions };
+  void start_next(Family family = Family::kAny);
+  enum class Admission { kStart, kReject, kNoop, kDefer };
+  // Re-validates a dequeued operation against current cluster state (the
+  // request may have queued behind operations that changed it).
+  Admission admit(ElasticOp& op);
+  // The in-flight operation ended: report it and start the next one.
+  void finish(MigrationOutcome outcome);
+  // Fires the callback of an operation that is over (or never started).
+  void conclude(ElasticOp op, MigrationOutcome outcome);
+  void begin_migration();
+  void begin_split();
+  void begin_merge();
   void split_cutover();
-  // Split/merge control traffic is dispatched before the migration block in
-  // on_control; returns true when the message was consumed.
-  bool handle_transition_control(const net::Message* msg);
-  void handle_transition_host_failure(HostId host);
-  // Re-drive the pending protocol leg of a just-recovered slice (see
-  // RollForward).
+  // Restores the split child from its captured half on the child's host.
+  void activate_split_child();
+  // Split/merge capture traffic; also arrives as duplicates from re-driven
+  // legs with no operation in flight. Returns true when consumed.
+  bool handle_capture_control(const net::Message* msg);
+  // Acks of the in-flight operation, routed by its kind.
+  void handle_op_control(const net::Message* msg);
+  // Unwedges the in-flight operation after `host` died: abort it, strike
+  // the host from its ack sets, or leave it to roll forward.
+  void handle_host_failure(HostId host);
+  // Starts `slice`'s leg of the in-flight split/merge from `roll` (role,
+  // other slice, cut vector; the id and epoch are filled in here) and, on
+  // checkpointed clusters, keeps the record for redrive_rollforward.
+  void start_leg(SliceId slice, RollForward roll);
+  // Re-drive the pending protocol leg of a just-recovered slice.
   void redrive_rollforward(SliceId slice);
-  bool fire_elastic_step(std::string_view step);
+  void drive_leg(SliceRuntime& rt, const RollForward& roll);
+  // Fires the step hook for the in-flight operation's current step; returns
+  // false when the hook failed a host and the operation is no longer the
+  // same one.
+  bool fire_step();
+  // True while `id` is the in-flight operation and is not aborting.
+  [[nodiscard]] bool op_live(MigrationId id) const;
   [[nodiscard]] std::vector<std::pair<SliceId, SeqNo>> capture_cut_vector(
       SliceId slice);
   [[nodiscard]] StaticConfig::OperatorInfo& mutable_op_of(SliceId slice);
-  void handle_host_failure(HostId host);
   void after_directory_acks();
-  void broadcast_location(SliceId slice, HostId host);
+  // Tells every host that `slice` now lives on `host`; an operation's
+  // update (valid `op`) asks each host to ack.
+  void broadcast_location(SliceId slice, HostId host, MigrationId op = {});
+  // The in-flight operation awaits a directory ack from every live host.
+  void await_directory_acks();
+  // A directory ack came in from `host`, or `host` died: after the last
+  // one a migration tears down and a split (replica acked) cuts over.
+  void strike_directory_ack(HostId host);
   void on_control(const net::Delivery& delivery);
   void send_freeze();
-  // Fires the migration chaos hook for the current step; returns false when
-  // the hook failed a host and the migration is no longer the same one.
-  bool fire_migration_step();
   // Advance past the duplication/park round: into the first pre-copy round
   // for a pre-copying strategy, straight to the freeze otherwise.
   void advance_after_duplication();
@@ -499,9 +511,10 @@ class Engine {
                                   const std::vector<std::pair<SliceId, SeqNo>>&
                                       processed);
   void step_after_tick(std::function<void()> fn);
-  void migration_step(std::function<void()> fn);
-  void send_control(net::Endpoint to, net::MessagePtr msg,
-                    std::size_t bytes = 96);
+  // Runs `fn` after one control tick, unless the in-flight operation was
+  // aborted or replaced meanwhile.
+  void op_step(std::function<void()> fn);
+  void send_control(HostId host, net::MessagePtr msg, std::size_t bytes = 96);
   // A reliable channel (the coordinator's or a host runtime's) exhausted
   // its retry budget toward `peer`; resolve to a HostId and escalate.
   void notify_control_give_up(net::Endpoint peer);
@@ -544,20 +557,14 @@ class Engine {
   bool deployed_ = false;
   std::uint64_t next_slice_ = 1;
   std::uint64_t next_migration_ = 1;
-  std::uint64_t migrations_completed_ = 0;
   std::uint64_t seed_ = 0;
   std::uint64_t splits_completed_ = 0;
   std::uint64_t merges_completed_ = 0;
 
-  std::deque<MigrationTask> migration_queue_;
-  std::optional<MigrationTask> current_migration_;
-  std::deque<TransitionTask> transition_queue_;
-  std::optional<TransitionTask> current_transition_;
+  std::deque<ElasticOp> queue_;
+  std::optional<ElasticOp> current_;
   std::map<SliceId, RollForward> rollforward_;
-  std::function<void(const TransitionReport&, std::string_view)>
-      elastic_step_hook_;
-  std::function<void(const MigrationReport&, std::string_view)>
-      migration_step_hook_;
+  std::function<void(const ElasticReport&, std::string_view)> step_hook_;
   // Mirror-duplication wire bytes since engine start; per-migration figures
   // are differences of snapshots (migrations are serialized).
   std::size_t duplicate_bytes_total_ = 0;

@@ -10,7 +10,7 @@
 //
 // Strategies are stateless singletons looked up through a registry (the
 // pluggable-capability idiom of mtl_operator_specification in SNIPPETS.md):
-// a MigrationTask holds a strategy pointer, and every step change is
+// a migration's ElasticOp holds a strategy pointer, and every step change is
 // checked against the strategy's own spec table in
 // src/analysis/protocol_spec.cpp.
 #pragma once

@@ -529,16 +529,16 @@ TEST(SplitMergeTortureTest, SplitThenMergeUnderLoadIsExactlyOnce) {
 
   const SliceId parent = bed.engine().slice_id("M", 0);
   const HostId dst = other_m_worker(bed, parent);
-  std::optional<engine::TransitionReport> split_report;
-  std::optional<engine::TransitionReport> merge_report;
+  std::optional<engine::ElasticReport> split_report;
+  std::optional<engine::ElasticReport> merge_report;
   bed.simulator().schedule(seconds(2), [&] {
     bed.engine().split_slice(
-        parent, dst, [&](const engine::TransitionReport& r) {
+        parent, dst, [&](const engine::ElasticReport& r) {
           split_report = r;
           bed.simulator().schedule(seconds(1), [&] {
             bed.engine().merge_slices(
-                parent, split_report->child,
-                [&](const engine::TransitionReport& r2) { merge_report = r2; });
+                parent, split_report->other,
+                [&](const engine::ElasticReport& r2) { merge_report = r2; });
           });
         });
   });
@@ -551,13 +551,13 @@ TEST(SplitMergeTortureTest, SplitThenMergeUnderLoadIsExactlyOnce) {
   bed.run_for(seconds(1));
 
   ASSERT_TRUE(split_report.has_value());
-  EXPECT_TRUE(split_report->completed);
-  EXPECT_EQ(split_report->kind, engine::TransitionKind::kSplit);
+  EXPECT_EQ(split_report->outcome, engine::MigrationOutcome::kCompleted);
+  EXPECT_EQ(split_report->kind, engine::ElasticKind::kSplit);
   EXPECT_GT(split_report->moved, 0u);  // state actually changed hands
   EXPECT_GE(split_report->cutover, split_report->requested);
   EXPECT_GE(split_report->finished, split_report->cutover);
-  EXPECT_TRUE(merge_report->completed);
-  EXPECT_EQ(merge_report->kind, engine::TransitionKind::kMerge);
+  EXPECT_EQ(merge_report->outcome, engine::MigrationOutcome::kCompleted);
+  EXPECT_EQ(merge_report->kind, engine::ElasticKind::kMerge);
   EXPECT_EQ(bed.engine().splits_completed(), 1u);
   EXPECT_EQ(bed.engine().merges_completed(), 1u);
   EXPECT_EQ(bed.engine().slice_coverage(parent).depth, 0u);
@@ -598,9 +598,9 @@ TEST(SplitMergeTortureTest, CrashAtEverySplitStepHealsExactlyOnce) {
     const HostId parent_host = bed.engine().slice_host(parent);
     const HostId dst = other_m_worker(bed, parent);
     bool crashed = false;
-    std::optional<engine::TransitionReport> report;
+    std::optional<engine::ElasticReport> report;
     bed.engine().on_elastic_step(
-        [&](const engine::TransitionReport&, std::string_view step) {
+        [&](const engine::ElasticReport&, std::string_view step) {
           if (crashed || step != c.step) return;
           crashed = true;
           bed.network().set_host_down(c.kill_parent ? parent_host : dst, true);
@@ -608,7 +608,7 @@ TEST(SplitMergeTortureTest, CrashAtEverySplitStepHealsExactlyOnce) {
     bed.simulator().schedule(seconds(2), [&] {
       bed.engine().split_slice(
           parent, dst,
-          [&](const engine::TransitionReport& r) { report = r; });
+          [&](const engine::ElasticReport& r) { report = r; });
     });
 
     bed.run_for(seconds(6) + millis(10));
@@ -620,7 +620,7 @@ TEST(SplitMergeTortureTest, CrashAtEverySplitStepHealsExactlyOnce) {
     await_drain(bed);
     bed.run_for(seconds(2));
 
-    EXPECT_EQ(bed.engine().pending_transitions(), 0u);
+    EXPECT_EQ(bed.engine().pending_ops(), 0u);
     const auto audit = verify_exactly_once(bed);
     EXPECT_TRUE(audit.exactly_once())
         << "published=" << audit.published << " missing=" << audit.missing
@@ -656,9 +656,9 @@ TEST(SplitMergeTortureTest, CrashAtEveryMergeStepHealsExactlyOnce) {
     const HostId parent_host = bed.engine().slice_host(parent);
     const HostId dst = other_m_worker(bed, parent);
     bool crashed = false;
-    std::optional<engine::TransitionReport> merge_report;
+    std::optional<engine::ElasticReport> merge_report;
     bed.engine().on_elastic_step(
-        [&](const engine::TransitionReport&, std::string_view step) {
+        [&](const engine::ElasticReport&, std::string_view step) {
           if (crashed || step != c.step) return;
           crashed = true;
           bed.network().set_host_down(c.kill_survivor ? parent_host : dst,
@@ -666,14 +666,14 @@ TEST(SplitMergeTortureTest, CrashAtEveryMergeStepHealsExactlyOnce) {
         });
     bed.simulator().schedule(seconds(1), [&] {
       bed.engine().split_slice(
-          parent, dst, [&](const engine::TransitionReport& split_r) {
-            ASSERT_TRUE(split_r.completed);
-            const SliceId child = split_r.child;
+          parent, dst, [&](const engine::ElasticReport& split_r) {
+            ASSERT_EQ(split_r.outcome, engine::MigrationOutcome::kCompleted);
+            const SliceId child = split_r.other;
             bed.simulator().schedule(millis(500), [&bed, parent, child,
                                                    &merge_report] {
               bed.engine().merge_slices(
                   parent, child,
-                  [&merge_report](const engine::TransitionReport& r) {
+                  [&merge_report](const engine::ElasticReport& r) {
                     merge_report = r;
                   });
             });
@@ -686,11 +686,11 @@ TEST(SplitMergeTortureTest, CrashAtEveryMergeStepHealsExactlyOnce) {
     await_heal(bed, *bed.manager(), 1);
     ASSERT_TRUE(
         bed.run_until([&] { return merge_report.has_value(); }, seconds(60)));
-    EXPECT_TRUE(merge_report->completed);
+    EXPECT_EQ(merge_report->outcome, engine::MigrationOutcome::kCompleted);
     await_drain(bed);
     bed.run_for(seconds(2));
 
-    EXPECT_EQ(bed.engine().pending_transitions(), 0u);
+    EXPECT_EQ(bed.engine().pending_ops(), 0u);
     EXPECT_EQ(bed.engine().merges_completed(), 1u);
     const auto audit = verify_exactly_once(bed);
     EXPECT_TRUE(audit.exactly_once())
@@ -718,23 +718,24 @@ TEST(SplitMergeTortureTest, SplitCrashMergeByteIdenticalAcrossThreads) {
     const HostId parent_host = bed.engine().slice_host(parent);
     const HostId dst = other_m_worker(bed, parent);
     bool crashed = false;
-    std::optional<engine::TransitionReport> merge_report;
+    std::optional<engine::ElasticReport> merge_report;
     bed.engine().on_elastic_step(
-        [&](const engine::TransitionReport&, std::string_view step) {
+        [&](const engine::ElasticReport&, std::string_view step) {
           if (crashed || step != "drain") return;
           crashed = true;
           bed.network().set_host_down(parent_host, true);
         });
     bed.simulator().schedule(millis(1500), [&] {
       bed.engine().split_slice(
-          parent, dst, [&](const engine::TransitionReport& split_r) {
-            EXPECT_TRUE(split_r.completed) << threads << " threads";
-            const SliceId child = split_r.child;
+          parent, dst, [&](const engine::ElasticReport& split_r) {
+            EXPECT_EQ(split_r.outcome, engine::MigrationOutcome::kCompleted)
+                << threads << " threads";
+            const SliceId child = split_r.other;
             bed.simulator().schedule(seconds(1), [&bed, parent, child,
                                                   &merge_report] {
               bed.engine().merge_slices(
                   parent, child,
-                  [&merge_report](const engine::TransitionReport& r) {
+                  [&merge_report](const engine::ElasticReport& r) {
                     merge_report = r;
                   });
             });
@@ -822,9 +823,9 @@ TEST(MigrationStrategyTortureTest, StopRestartCrashAtEveryStepHealsExactlyOnce) 
     const HostId src = bed.engine().slice_host(slice);
     const HostId dst = other_m_worker(bed, slice);
     bool crashed = false;
-    std::optional<engine::MigrationReport> report;
-    bed.engine().on_migration_step(
-        [&](const engine::MigrationReport&, std::string_view step) {
+    std::optional<engine::ElasticReport> report;
+    bed.engine().on_elastic_step(
+        [&](const engine::ElasticReport&, std::string_view step) {
           if (crashed || step != c.step) return;
           crashed = true;
           bed.network().set_host_down(c.kill_src ? src : dst, true);
@@ -832,7 +833,7 @@ TEST(MigrationStrategyTortureTest, StopRestartCrashAtEveryStepHealsExactlyOnce) 
     bed.simulator().schedule(seconds(2), [&] {
       bed.engine().migrate(
           slice, dst, engine::MigrationStrategyKind::kStopAndRestart,
-          [&](const engine::MigrationReport& r) { report = r; });
+          [&](const engine::ElasticReport& r) { report = r; });
     });
 
     bed.run_for(seconds(6) + millis(10));
@@ -853,7 +854,7 @@ TEST(MigrationStrategyTortureTest, StopRestartCrashAtEveryStepHealsExactlyOnce) 
     await_drain(bed);
     bed.run_for(seconds(2));
 
-    EXPECT_EQ(bed.engine().pending_migrations(), 0u);
+    EXPECT_EQ(bed.engine().pending_ops(), 0u);
     const auto audit = verify_exactly_once(bed);
     EXPECT_TRUE(audit.exactly_once())
         << "published=" << audit.published << " missing=" << audit.missing
@@ -897,9 +898,9 @@ TEST(MigrationStrategyTortureTest, PrecopyCrashAtEveryStepHealsExactlyOnce) {
     const HostId dst = other_m_worker(bed, slice);
     bool crashed = false;
     int seen = 0;
-    std::optional<engine::MigrationReport> report;
-    bed.engine().on_migration_step(
-        [&](const engine::MigrationReport&, std::string_view step) {
+    std::optional<engine::ElasticReport> report;
+    bed.engine().on_elastic_step(
+        [&](const engine::ElasticReport&, std::string_view step) {
           if (crashed || step != c.step) return;
           if (++seen < c.nth) return;
           crashed = true;
@@ -908,7 +909,7 @@ TEST(MigrationStrategyTortureTest, PrecopyCrashAtEveryStepHealsExactlyOnce) {
     bed.simulator().schedule(seconds(2), [&] {
       bed.engine().migrate(
           slice, dst, engine::MigrationStrategyKind::kIncrementalPrecopy,
-          [&](const engine::MigrationReport& r) { report = r; });
+          [&](const engine::ElasticReport& r) { report = r; });
     });
 
     bed.run_for(seconds(6) + millis(10));
@@ -929,7 +930,7 @@ TEST(MigrationStrategyTortureTest, PrecopyCrashAtEveryStepHealsExactlyOnce) {
     await_drain(bed);
     bed.run_for(seconds(2));
 
-    EXPECT_EQ(bed.engine().pending_migrations(), 0u);
+    EXPECT_EQ(bed.engine().pending_ops(), 0u);
     const auto audit = verify_exactly_once(bed);
     EXPECT_TRUE(audit.exactly_once())
         << "published=" << audit.published << " missing=" << audit.missing
@@ -984,9 +985,9 @@ TEST(MigrationStrategyTortureTest, ManagerPartitionAtEveryStepStillCompletes) {
     std::vector<HostId> others = bed.worker_hosts();
     others.insert(others.end(), bed.io_hosts().begin(), bed.io_hosts().end());
     bool cut = false;
-    std::optional<engine::MigrationReport> report;
-    bed.engine().on_migration_step(
-        [&](const engine::MigrationReport&, std::string_view step) {
+    std::optional<engine::ElasticReport> report;
+    bed.engine().on_elastic_step(
+        [&](const engine::ElasticReport&, std::string_view step) {
           if (cut || step != c.step) return;
           cut = true;
           bed.network().partition("mgr-cut", {bed.manager_host()}, others);
@@ -996,7 +997,7 @@ TEST(MigrationStrategyTortureTest, ManagerPartitionAtEveryStepStillCompletes) {
         });
     bed.simulator().schedule(millis(1500), [&] {
       bed.engine().migrate(slice, dst, c.kind,
-                           [&](const engine::MigrationReport& r) {
+                           [&](const engine::ElasticReport& r) {
                              report = r;
                            });
     });
@@ -1011,7 +1012,7 @@ TEST(MigrationStrategyTortureTest, ManagerPartitionAtEveryStepStillCompletes) {
     await_drain(bed);
     bed.run_for(seconds(1));
 
-    EXPECT_EQ(bed.engine().pending_migrations(), 0u);
+    EXPECT_EQ(bed.engine().pending_ops(), 0u);
     EXPECT_TRUE(bed.manager()->recoveries().empty());
     // The partition really severed control traffic, and the reliable
     // channel really carried the protocol across it.
@@ -1061,11 +1062,13 @@ TEST(SplitMergeTortureTest, EnforcerHotspotSplitsAndColdMergesAutomatically) {
 
   const auto& transitions = bed.manager()->transitions();
   ASSERT_GE(transitions.size(), 2u);
-  EXPECT_EQ(transitions.front().kind, engine::TransitionKind::kSplit);
-  EXPECT_TRUE(transitions.front().completed);
+  EXPECT_EQ(transitions.front().kind, engine::ElasticKind::kSplit);
+  EXPECT_EQ(transitions.front().outcome,
+            engine::MigrationOutcome::kCompleted);
   bool merged = false;
   for (const auto& t : transitions) {
-    if (t.kind == engine::TransitionKind::kMerge && t.completed) merged = true;
+    merged |= t.kind == engine::ElasticKind::kMerge &&
+              t.outcome == engine::MigrationOutcome::kCompleted;
   }
   EXPECT_TRUE(merged);
 

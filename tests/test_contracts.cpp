@@ -515,7 +515,7 @@ TEST(SeededFaultTest, CorruptSplitPlanTripsKeyCoverageCompleteness) {
   bed.engine().testing_corrupt_split_plan = true;
   bed.simulator().schedule(millis(10), [&] {
     bed.engine().split_slice(parent, dst,
-                             [](const engine::TransitionReport&) {});
+                             [](const engine::ElasticReport&) {});
   });
   try {
     bed.run_for(seconds(5));
@@ -580,7 +580,7 @@ TEST(SeededFaultTest, ExtraPrecopyRoundTripsRoundBudget) {
   bed.simulator().schedule(millis(10), [&] {
     bed.engine().migrate(mv.slice, mv.dst,
                          engine::MigrationStrategyKind::kIncrementalPrecopy,
-                         [](const engine::MigrationReport&) {});
+                         [](const engine::ElasticReport&) {});
   });
   try {
     bed.run_for(seconds(5));
@@ -606,7 +606,7 @@ TEST(SeededFaultTest, ResurrectedSourceTripsStopRestartDualActive) {
   bed.simulator().schedule(millis(10), [&] {
     bed.engine().migrate(mv.slice, mv.dst,
                          engine::MigrationStrategyKind::kStopAndRestart,
-                         [](const engine::MigrationReport&) {});
+                         [](const engine::ElasticReport&) {});
   });
   try {
     bed.run_for(seconds(5));

@@ -241,8 +241,8 @@ TEST_F(EngineTest, MigrationPreservesStateAndLosesNothing) {
   const HostId src = engine->slice_host(slice);
   const HostId dst = hosts[2]->id();
   ASSERT_NE(src, dst);
-  std::optional<MigrationReport> report;
-  engine->migrate(slice, dst, [&](const MigrationReport& r) { report = r; });
+  std::optional<ElasticReport> report;
+  engine->migrate(slice, dst, [&](const ElasticReport& r) { report = r; });
   sim.run_until(sim.now() + seconds(4));
 
   ASSERT_TRUE(report.has_value());
@@ -253,7 +253,7 @@ TEST_F(EngineTest, MigrationPreservesStateAndLosesNothing) {
   EXPECT_GT(report->state_bytes, 5000u);
   EXPECT_GE(report->frozen, report->requested);
   EXPECT_GE(report->activated, report->frozen);
-  EXPECT_GE(report->completed, report->activated);
+  EXPECT_GE(report->finished, report->activated);
 
   // No event lost or duplicated end to end.
   ASSERT_EQ(collected->size(), 400u);
@@ -281,8 +281,8 @@ TEST_F(EngineTest, MigrationOfStatelessEntrySlice) {
 
   const SliceId slice = engine->slice_id("gen", 0);
   const HostId dst = hosts[2]->id();
-  std::optional<MigrationReport> report;
-  engine->migrate(slice, dst, [&](const MigrationReport& r) { report = r; });
+  std::optional<ElasticReport> report;
+  engine->migrate(slice, dst, [&](const ElasticReport& r) { report = r; });
   sim.run_until(sim.now() + seconds(3));
   ASSERT_TRUE(report.has_value());
   // Stateless: tiny state, short interruption.
@@ -308,12 +308,12 @@ TEST_F(EngineTest, SequentialMigrationsQueue) {
                           ? hosts[2]->id()
                           : hosts[0]->id();
   int completed = 0;
-  engine->migrate(w0, dst0, [&](const MigrationReport&) { ++completed; });
-  engine->migrate(w1, dst1, [&](const MigrationReport&) { ++completed; });
-  EXPECT_EQ(engine->pending_migrations(), 2u);
+  engine->migrate(w0, dst0, [&](const ElasticReport&) { ++completed; });
+  engine->migrate(w1, dst1, [&](const ElasticReport&) { ++completed; });
+  EXPECT_EQ(engine->pending_ops(), 2u);
   sim.run_until(sim.now() + seconds(5));
   EXPECT_EQ(completed, 2);
-  EXPECT_EQ(engine->pending_migrations(), 0u);
+  EXPECT_EQ(engine->pending_ops(), 0u);
   EXPECT_EQ(engine->slice_host(w0), dst0);
   EXPECT_EQ(engine->slice_host(w1), dst1);
   ASSERT_EQ(collected->size(), 100u);
@@ -326,7 +326,7 @@ TEST_F(EngineTest, MigrateToSameHostIsImmediate) {
   const SliceId slice = engine->slice_id("work", 0);
   const HostId host = engine->slice_host(slice);
   bool done = false;
-  engine->migrate(slice, host, [&](const MigrationReport& r) {
+  engine->migrate(slice, host, [&](const ElasticReport& r) {
     done = true;
     EXPECT_EQ(r.total_duration(), SimDuration::zero());
   });
@@ -340,25 +340,25 @@ TEST_F(EngineTest, MigrationValidation) {
   // Invalid requests are rejected through the callback, not by throwing.
   std::vector<MigrationOutcome> outcomes;
   engine->migrate(SliceId{12345}, hosts[0]->id(),
-                  [&](const MigrationReport& r) {
+                  [&](const ElasticReport& r) {
                     outcomes.push_back(r.outcome);
                   });
   engine->migrate(engine->slice_id("work", 0), HostId{777},
-                  [&](const MigrationReport& r) {
+                  [&](const ElasticReport& r) {
                     outcomes.push_back(r.outcome);
                   });
   ASSERT_EQ(outcomes.size(), 2u);
   EXPECT_EQ(outcomes[0], MigrationOutcome::kRejected);
   EXPECT_EQ(outcomes[1], MigrationOutcome::kRejected);
-  EXPECT_EQ(engine->pending_migrations(), 0u);
+  EXPECT_EQ(engine->pending_ops(), 0u);
 
   // The engine stays fully usable: a valid migration still completes.
   const SliceId slice = engine->slice_id("work", 0);
   const HostId dst = engine->slice_host(slice) == hosts[0]->id()
                          ? hosts[1]->id()
                          : hosts[0]->id();
-  std::optional<MigrationReport> report;
-  engine->migrate(slice, dst, [&](const MigrationReport& r) { report = r; });
+  std::optional<ElasticReport> report;
+  engine->migrate(slice, dst, [&](const ElasticReport& r) { report = r; });
   sim.run_until(sim.now() + seconds(5));
   ASSERT_TRUE(report.has_value());
   EXPECT_EQ(report->outcome, MigrationOutcome::kCompleted);
@@ -460,7 +460,7 @@ TEST_P(EngineStormTest, ExactlyOnceUnderRandomMigrations) {
         dst = hosts[(host_index + 1) % hosts.size()]->id();
       }
       engine->migrate(slice, dst, [&completed_migrations](
-                                      const MigrationReport&) {
+                                      const ElasticReport&) {
         ++completed_migrations;
       });
     });

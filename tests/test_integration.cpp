@@ -69,9 +69,9 @@ TEST(Integration, ManualMigrationUnderLoadKeepsDelaysBounded) {
   bed.run_for(seconds(2));
   bed.engine().add_host(bed.pool().host(new_host));
   const SliceId m0 = bed.hub().slices_of("M")[0];
-  std::optional<engine::MigrationReport> report;
+  std::optional<engine::ElasticReport> report;
   bed.engine().migrate(m0, new_host,
-                       [&](const engine::MigrationReport& r) { report = r; });
+                       [&](const engine::ElasticReport& r) { report = r; });
   const bool done = bed.run_until([&] { return report.has_value(); },
                                   seconds(30));
   ASSERT_TRUE(done);

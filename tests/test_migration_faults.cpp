@@ -162,18 +162,18 @@ TEST(MigrationFaults, DestinationCrashAtEveryStep) {
     const SliceId slice = rig.engine->slice_id("work", 0);
     const HostId src = rig.engine->slice_host(slice);
     const HostId dst = rig.hosts[4]->id();
-    std::vector<MigrationReport> reports;
+    std::vector<ElasticReport> reports;
     rig.engine->migrate(slice, dst,
-                        [&](const MigrationReport& r) { reports.push_back(r); });
+                        [&](const ElasticReport& r) { reports.push_back(r); });
     rig.sim.schedule(offset, [&] { rig.engine->fail_host(dst); });
     rig.sim.run_until(rig.sim.now() + seconds(5));
 
     ASSERT_EQ(reports.size(), 1u) << "offset " << offset.count();
-    const MigrationReport& report = reports.front();
+    const ElasticReport& report = reports.front();
     EXPECT_TRUE(report.outcome == MigrationOutcome::kAbortedDstFailed ||
                 report.outcome == MigrationOutcome::kCompleted)
         << "offset " << offset.count();
-    EXPECT_EQ(rig.engine->pending_migrations(), 0u);
+    EXPECT_EQ(rig.engine->pending_ops(), 0u);
 
     // The slice either kept running on the source, or was lost (state
     // shipped to the dead host / completed onto it) and recovery places it.
@@ -191,9 +191,9 @@ TEST(MigrationFaults, DestinationCrashAtEveryStep) {
 
     // The engine is still able to migrate other slices.
     const SliceId other = rig.engine->slice_id("work", 1);
-    std::optional<MigrationReport> follow_up;
+    std::optional<ElasticReport> follow_up;
     rig.engine->migrate(other, rig.hosts[0]->id(),
-                        [&](const MigrationReport& r) { follow_up = r; });
+                        [&](const ElasticReport& r) { follow_up = r; });
     rig.sim.run_until(rig.sim.now() + seconds(5));
     ASSERT_TRUE(follow_up.has_value()) << "offset " << offset.count();
     EXPECT_EQ(follow_up->outcome, MigrationOutcome::kCompleted);
@@ -211,18 +211,18 @@ TEST(MigrationFaults, SourceCrashAtEveryStep) {
     const SliceId slice = rig.engine->slice_id("work", 0);
     const HostId src = rig.engine->slice_host(slice);
     const HostId dst = rig.hosts[4]->id();
-    std::vector<MigrationReport> reports;
+    std::vector<ElasticReport> reports;
     rig.engine->migrate(slice, dst,
-                        [&](const MigrationReport& r) { reports.push_back(r); });
+                        [&](const ElasticReport& r) { reports.push_back(r); });
     rig.sim.schedule(offset, [&] { rig.engine->fail_host(src); });
     rig.sim.run_until(rig.sim.now() + seconds(5));
 
     ASSERT_EQ(reports.size(), 1u) << "offset " << offset.count();
-    const MigrationReport& report = reports.front();
+    const ElasticReport& report = reports.front();
     EXPECT_TRUE(report.outcome == MigrationOutcome::kAbortedSrcFailed ||
                 report.outcome == MigrationOutcome::kCompleted)
         << "offset " << offset.count();
-    EXPECT_EQ(rig.engine->pending_migrations(), 0u);
+    EXPECT_EQ(rig.engine->pending_ops(), 0u);
 
     if (rig.engine->slice_lost(slice)) {
       bool recovered = false;
@@ -238,9 +238,9 @@ TEST(MigrationFaults, SourceCrashAtEveryStep) {
     rig.expect_exactly_once(kValues);
 
     const SliceId other = rig.engine->slice_id("work", 1);
-    std::optional<MigrationReport> follow_up;
+    std::optional<ElasticReport> follow_up;
     rig.engine->migrate(other, rig.hosts[3]->id(),
-                        [&](const MigrationReport& r) { follow_up = r; });
+                        [&](const ElasticReport& r) { follow_up = r; });
     rig.sim.run_until(rig.sim.now() + seconds(5));
     ASSERT_TRUE(follow_up.has_value()) << "offset " << offset.count();
     EXPECT_EQ(follow_up->outcome, MigrationOutcome::kCompleted);
@@ -256,11 +256,11 @@ TEST(MigrationFaults, QueuedMigrationSurvivesAbortOfCurrent) {
   const SliceId second = rig.engine->slice_id("work", 1);
   const HostId dst = rig.hosts[4]->id();
   std::vector<MigrationOutcome> outcomes;
-  rig.engine->migrate(first, dst, [&](const MigrationReport& r) {
+  rig.engine->migrate(first, dst, [&](const ElasticReport& r) {
     outcomes.push_back(r.outcome);
   });
   rig.engine->migrate(second, rig.hosts[0]->id(),
-                      [&](const MigrationReport& r) {
+                      [&](const ElasticReport& r) {
                         outcomes.push_back(r.outcome);
                       });
   // Kill the first migration's destination while it is in flight; the
@@ -272,7 +272,7 @@ TEST(MigrationFaults, QueuedMigrationSurvivesAbortOfCurrent) {
   EXPECT_NE(outcomes[0], MigrationOutcome::kRejected);
   EXPECT_EQ(outcomes[1], MigrationOutcome::kCompleted);
   EXPECT_EQ(rig.engine->slice_host(second), rig.hosts[0]->id());
-  EXPECT_EQ(rig.engine->pending_migrations(), 0u);
+  EXPECT_EQ(rig.engine->pending_ops(), 0u);
 }
 
 TEST(MigrationFaults, QueuedMigrationToDeadHostIsRejected) {
@@ -286,10 +286,10 @@ TEST(MigrationFaults, QueuedMigrationToDeadHostIsRejected) {
   std::vector<MigrationOutcome> outcomes;
   // Both moves target host5; it dies while the first is in flight, so the
   // queued second must be rejected at start instead of wedging the queue.
-  rig.engine->migrate(first, dst, [&](const MigrationReport& r) {
+  rig.engine->migrate(first, dst, [&](const ElasticReport& r) {
     outcomes.push_back(r.outcome);
   });
-  rig.engine->migrate(second, dst, [&](const MigrationReport& r) {
+  rig.engine->migrate(second, dst, [&](const ElasticReport& r) {
     outcomes.push_back(r.outcome);
   });
   rig.sim.schedule(millis(10), [&] { rig.engine->fail_host(dst); });
@@ -298,7 +298,7 @@ TEST(MigrationFaults, QueuedMigrationToDeadHostIsRejected) {
   ASSERT_EQ(outcomes.size(), 2u);
   EXPECT_NE(outcomes[0], MigrationOutcome::kRejected);
   EXPECT_EQ(outcomes[1], MigrationOutcome::kRejected);
-  EXPECT_EQ(rig.engine->pending_migrations(), 0u);
+  EXPECT_EQ(rig.engine->pending_ops(), 0u);
 }
 
 }  // namespace

@@ -117,7 +117,7 @@ struct Fingerprint {
   std::vector<Record> audit;
   std::vector<std::vector<std::byte>> work_state;  // per work slice
   std::vector<std::uint64_t> collect_processed;    // per collect slice
-  MigrationReport report;
+  ElasticReport report;
 
   [[nodiscard]] std::vector<std::pair<std::size_t, std::uint64_t>>
   sorted_audit() const {
@@ -213,9 +213,9 @@ Fingerprint run_scenario(MigrationStrategyKind kind, std::size_t threads,
 
   const SliceId slice = rig.engine->slice_id("work", 0);
   const HostId dst = rig.hosts[4]->id();
-  std::vector<MigrationReport> reports;
+  std::vector<ElasticReport> reports;
   rig.engine->migrate(slice, dst, kind,
-                      [&](const MigrationReport& r) { reports.push_back(r); });
+                      [&](const ElasticReport& r) { reports.push_back(r); });
   if (crash_dst_after) {
     rig.sim.schedule(*crash_dst_after, [&] { rig.engine->fail_host(dst); });
   }

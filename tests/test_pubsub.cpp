@@ -165,8 +165,8 @@ TEST_F(StreamHubAspeTest, MMigrationUnderLoadPreservesSemantics) {
   const HostId dst = hosts[(3) % hosts.size()]->id() == engine->slice_host(m0)
                          ? hosts[0]->id()
                          : hosts[3]->id();
-  std::optional<engine::MigrationReport> report;
-  engine->migrate(m0, dst, [&](const engine::MigrationReport& r) { report = r; });
+  std::optional<engine::ElasticReport> report;
+  engine->migrate(m0, dst, [&](const engine::ElasticReport& r) { report = r; });
   sim.run_until(sim.now() + seconds(10));
 
   for (const auto& plain_pub : pending_pubs_) {
