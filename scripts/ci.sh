@@ -120,7 +120,11 @@ stage_analysis() {
   expect_counterexample timeout "$clock" "$mc" --model migration-stop-restart \
     --plant-wedge
   expect_counterexample timeout "$clock" "$mc" --model migration-stop-restart \
+    --plant-invariant
+  expect_counterexample timeout "$clock" "$mc" --model migration-stop-restart \
     --mutate migration-stop-restart:park:transfer
+  expect_counterexample timeout "$clock" "$mc" --model migration-precopy \
+    --plant-wedge
   expect_counterexample timeout "$clock" "$mc" --model migration-precopy \
     --plant-invariant
   expect_counterexample timeout "$clock" "$mc" --model migration-precopy \

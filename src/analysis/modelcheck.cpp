@@ -1,6 +1,7 @@
 #include "analysis/modelcheck.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -199,333 +200,187 @@ std::string slot_name(std::uint8_t v) {
   }
 }
 
-class ModelBase : public Model {
- public:
-  explicit ModelBase(ModelOptions options) : options_(std::move(options)) {}
+void add(std::vector<Successor>& out, const ModelState& s, std::string label,
+         const StateMachineSpec* machine, std::uint8_t from, std::uint8_t to,
+         const std::function<void(ModelState&)>& mut) {
+  ModelState next = s;
+  mut(next);
+  out.push_back({ModelAction{std::move(label), machine, from, to},
+                 std::move(next)});
+}
 
- protected:
-  static void add(std::vector<Successor>& out, const ModelState& s,
-                  std::string label, const StateMachineSpec* machine,
-                  std::uint8_t from, std::uint8_t to,
-                  const std::function<void(ModelState&)>& mut) {
-    ModelState next = s;
-    mut(next);
-    out.push_back({ModelAction{std::move(label), machine, from, to},
-                   std::move(next)});
-  }
-
-  ModelOptions options_;
+// Byte layout of the two-party protocol models (migration, split, merge).
+// The coordinator and every other host are immortal; the two participants
+// each own a slice slot and a host that may crash. A single request/response
+// round is in flight at a time (the coordinator protocol is sequential per
+// step), and one frame drop and one crash are budgeted.
+enum : std::size_t {
+  kStep = 0,     // the model's spec-table index
+  kFirst,        // slice slot of the first participant
+  kSecond,       // slice slot of the second participant
+  kAwait,        // a request/response round is outstanding
+  kDropped,      // the round's current frame was dropped (awaiting rto)
+  kDropBudget,
+  kCrashBudget,
+  kFirstAlive,
+  kSecondAlive,
+  kPartyBytes,   // model-specific bytes follow
 };
 
-// ---- Migration --------------------------------------------------------------
-//
-// Hosts: coordinator (immortal), source, destination, peers (immortal).
-// One migration of one slice. Byte layout below; single in-flight
-// request/response round at a time (the coordinator protocol is sequential
-// per step), one crash and one frame drop budgeted.
-class MigrationModel final : public ModelBase {
-  // state bytes
-  enum : std::size_t {
-    kStep = 0,     // migration_spec index; 6 = abort record erased
-    kSrc,          // slice slot of the source instance
-    kDst,          // slice slot of the destination replica
-    kAwait,        // a request/response round is outstanding
-    kDropped,      // the round's current frame was dropped (awaiting rto)
-    kDropBudget,
-    kCrashBudget,
-    kSrcAlive,
-    kDstAlive,
-    kBytes,
-  };
-  static constexpr std::uint8_t kResolved = 6;  // abort cleaned, record erased
+// How a participant shows up in traces: its crash action and describe().
+struct Role {
+  const char* name;
+  const char* tag;
+};
 
+class ModelBase : public Model {
  public:
-  explicit MigrationModel(ModelOptions options)
-      : ModelBase(std::move(options)),
-        mig_(bind_spec(options_, migration_spec())),
-        slice_(bind_spec(options_, slice_lifecycle_spec())) {}
+  ModelBase(ModelOptions options, Role first, Role second)
+      : options_(std::move(options)), roles_{first, second} {}
 
-  std::string name() const override { return "migration"; }
-
-  ModelState initial() const override {
-    ModelState s(kBytes, 0);
-    s[kStep] = 0;
-    s[kSrc] = kActive;
-    s[kDst] = kNone;
+ protected:
+  // Both participants alive, nothing in flight, budgets full.
+  static ModelState parties(std::uint8_t first, std::uint8_t second,
+                            std::size_t extra_bytes = 0) {
+    ModelState s(kPartyBytes + extra_bytes, 0);
+    s[kFirst] = first;
+    s[kSecond] = second;
     s[kDropBudget] = 1;
     s[kCrashBudget] = 1;
-    s[kSrcAlive] = 1;
-    s[kDstAlive] = 1;
+    s[kFirstAlive] = 1;
+    s[kSecondAlive] = 1;
     return s;
   }
 
-  void successors(const ModelState& s, std::vector<Successor>& out) const override {
-    const std::uint8_t step = s[kStep];
-    const bool both = s[kSrcAlive] && s[kDstAlive];
-    const PlantedFault fault = options_.fault;
-
-    // Planted wedge: the coordinator's reaction to a destination crash during
-    // transfer was dropped, so the run sits awaiting an ack from a corpse —
-    // model the blocked coordinator as a deadlock.
-    if (fault == PlantedFault::kWedge && step == 2 && !s[kDstAlive]) return;
-
-    auto step_to = [](std::uint8_t to) {
-      return [to](ModelState& n) {
-        n[kStep] = to;
-        n[kAwait] = 0;
-      };
-    };
-
-    // Protocol rounds (request -> processing -> ack), steps 0-2 ride the
-    // src/dst control channels, step 3 fans out to the immortal peers.
-    if (step == 0 && both) {
-      if (!s[kAwait] && s[kDst] == kNone) {
-        add(out, s, "request: CreateReplica -> dst", nullptr, 0, 0,
-            [](ModelState& n) { n[kAwait] = 1; });
-      }
-      if (s[kAwait] && !s[kDropped]) {
-        add(out, s, "ack: CreateReplicaAck (live upstreams)", mig_.get(), 0, 1,
-            [step_to](ModelState& n) {
-              n[kDst] = kReplica;
-              step_to(1)(n);
-            });
-        add(out, s, "ack: CreateReplicaAck (no upstreams)", mig_.get(), 0, 2,
-            [step_to](ModelState& n) {
-              n[kDst] = kReplica;
-              step_to(2)(n);
-            });
-      }
-    }
-    if (step == 1 && both) {
-      if (!s[kAwait]) {
-        add(out, s, "request: StartDuplication -> dst", nullptr, 0, 0,
-            [](ModelState& n) { n[kAwait] = 1; });
-      }
-      if (s[kAwait] && !s[kDropped]) {
-        add(out, s, "ack: StartDuplicationAck", mig_.get(), 1, 2, step_to(2));
-      }
-    }
-    // Freeze of the source happens around the duplication -> transfer
-    // boundary; the kInvariant fault ships state without ever freezing.
-    if ((step == 1 || step == 2) && s[kSrcAlive] &&
-        fault != PlantedFault::kInvariant && s[kSrc] == kActive) {
-      add(out, s, "source: freeze requested", slice_.get(), kActive,
-          kFreezePending,
-          [](ModelState& n) { n[kSrc] = kFreezePending; });
-    }
-    if ((step == 1 || step == 2) && s[kSrcAlive] && s[kSrc] == kFreezePending) {
-      add(out, s, "source: caught up to freeze point", slice_.get(),
-          kFreezePending, kFrozen, [](ModelState& n) { n[kSrc] = kFrozen; });
-    }
-    if (step == 2 && both) {
-      const bool frozen = s[kSrc] == kFrozen;
-      const bool faulty_ship =
-          fault == PlantedFault::kInvariant && s[kSrc] == kActive;
-      if (!s[kAwait] && (frozen || faulty_ship)) {
-        add(out, s, "request: ship frozen state -> dst", nullptr, 0, 0,
-            [](ModelState& n) { n[kAwait] = 1; });
-      }
-      if (s[kAwait] && !s[kDropped] && s[kDst] == kReplica &&
-          (frozen || faulty_ship)) {
-        add(out, s, "dst: restored state; replica activates", slice_.get(),
-            kReplica, kActive, [](ModelState& n) { n[kDst] = kActive; });
-      }
-      if (s[kAwait] && !s[kDropped] && s[kDst] == kActive) {
-        add(out, s, "ack: ActivatedAck", mig_.get(), 2, 3, step_to(3));
-      }
-    }
-    if (step == 3) {
-      if (!s[kAwait]) {
-        add(out, s, "request: DirectoryUpdate -> peers", nullptr, 0, 0,
-            [](ModelState& n) { n[kAwait] = 1; });
-      }
-      if (s[kAwait] && !s[kDropped]) {
-        add(out, s, "ack: DirectoryUpdateAcks complete", mig_.get(), 3, 4,
-            step_to(4));
-      }
-    }
-    if (step == 4 && s[kSrcAlive] && s[kSrc] == kFrozen) {
-      add(out, s, "source: instance torn down", slice_.get(), kFrozen,
-          kRetired, [](ModelState& n) { n[kSrc] = kRetired; });
-    }
-
-    // Abort cleanup (step 5). Messaging during cleanup is abstracted into
-    // atomic actions; the record is erased once no replica or freeze is left.
-    if (step == 5) {
-      if (s[kSrc] == kFreezePending && s[kSrcAlive]) {
-        add(out, s, "abort: thaw the source", slice_.get(), kFreezePending,
-            kActive, [](ModelState& n) { n[kSrc] = kActive; });
-      }
-      if (s[kSrc] == kFrozen && s[kSrcAlive]) {
-        add(out, s, "abort: retire the frozen source (re-homed)", slice_.get(),
-            kFrozen, kRetired, [](ModelState& n) { n[kSrc] = kRetired; });
-      }
-      if (s[kDst] == kReplica && s[kDstAlive]) {
-        add(out, s, "abort: retire the replica", slice_.get(), kReplica,
-            kRetired, [](ModelState& n) { n[kDst] = kRetired; });
-      }
-      if (s[kDst] == kActive && s[kDstAlive]) {
-        add(out, s, "abort: activation raced the abort; converge", mig_.get(),
-            5, 3, step_to(3));
-      }
-      const bool src_clean =
-          s[kSrc] == kActive || s[kSrc] == kRetired || s[kSrc] == kLost;
-      const bool dst_clean = s[kDst] == kRetired || s[kDst] == kNone ||
-                             s[kDst] == kLost;
-      if (src_clean && dst_clean) {
-        add(out, s, "abort: cleanup complete; record erased", nullptr, 0, 0,
-            [](ModelState& n) { n[kStep] = kResolved; });
-      }
-    }
-
-    // Manager re-covers a slice whose every incarnation is gone, once the
-    // protocol record is resolved (recovery itself is out of scope here).
-    const bool no_active = s[kSrc] != kActive && s[kDst] != kActive;
-    if (no_active && (step == 4 || step == kResolved) && s[kSrc] != kFrozen &&
-        s[kSrc] != kFreezePending) {
-      add(out, s, "manager: respawn lost slice from checkpoint", nullptr, 0, 0,
-          [](ModelState& n) { n[kSrc] = kActive; });
-    }
-
-    // Channel nondeterminism: drop the round's frame (the reliable channel
-    // will retransmit), then retransmit restores it.
+  // Channel nondeterminism: drop the round's frame (the reliable channel
+  // will retransmit), then retransmit restores it while its endpoints are
+  // reachable.
+  static void add_frame_faults(std::vector<Successor>& out,
+                               const ModelState& s, bool reachable) {
     if (s[kAwait] && !s[kDropped] && s[kDropBudget] > 0) {
       add(out, s, "net: frame dropped", nullptr, 0, 0, [](ModelState& n) {
         n[kDropped] = 1;
         --n[kDropBudget];
       });
     }
-    if (s[kDropped] && (step == 3 || both)) {
+    if (s[kDropped] && reachable) {
       add(out, s, "net: rto retransmit", nullptr, 0, 0,
           [](ModelState& n) { n[kDropped] = 0; });
     }
-
-    // Crashes. The coordinator reaction (handle_host_failure) runs atomically
-    // with the failure-detector conviction; outstanding frames to/from the
-    // dead host are purged and the round restarts under the abort.
-    if (s[kCrashBudget] > 0) {
-      if (s[kSrcAlive]) {
-        const bool abort = step <= 2;
-        add(out, s, "crash: source host dies", abort ? mig_.get() : nullptr,
-            step, 5, [abort](ModelState& n) {
-              n[kSrcAlive] = 0;
-              if (n[kSrc] != kRetired) n[kSrc] = kLost;
-              --n[kCrashBudget];
-              n[kAwait] = 0;
-              n[kDropped] = 0;
-              if (abort) n[kStep] = 5;
-            });
-      }
-      if (s[kDstAlive]) {
-        const bool react = !(fault == PlantedFault::kWedge && step == 2);
-        const bool abort = react && step <= 2;
-        add(out, s,
-            react ? "crash: destination host dies"
-                  : "crash: destination host dies (reaction dropped)",
-            abort ? mig_.get() : nullptr, step, 5,
-            [abort](ModelState& n) {
-              n[kDstAlive] = 0;
-              if (n[kDst] != kRetired && n[kDst] != kNone) n[kDst] = kLost;
-              --n[kCrashBudget];
-              n[kAwait] = 0;
-              n[kDropped] = 0;
-              if (abort) n[kStep] = 5;
-            });
-      }
-    }
   }
 
-  bool quiescent(const ModelState& s) const override {
-    if (s[kAwait] || s[kDropped]) return false;
-    if (s[kStep] == 4) {
-      // Exactly one active incarnation covers the slice: the destination
-      // after a completed move, or the manager's respawn if the newly
-      // active destination died right after the directory update.
-      const bool src_settled = s[kSrc] == kRetired || s[kSrc] == kLost;
-      return (s[kDst] == kActive && src_settled) ||
-             (s[kSrc] == kActive && s[kDst] == kLost);
-    }
-    if (s[kStep] == kResolved) {
-      return s[kSrc] == kActive;  // abort cleaned; the source (or its
-                                  // respawned incarnation) serves the slice
-    }
-    return false;
+  // A participant's host dies (party 0 or 1). The coordinator reaction
+  // (handle_host_failure) runs atomically with the failure-detector
+  // conviction: outstanding frames to/from the dead host are purged and,
+  // when `abort_machine` is set, the protocol takes its step -> `abort_to`
+  // edge.
+  void add_crash(std::vector<Successor>& out, const ModelState& s,
+                 std::size_t party,
+                 const StateMachineSpec* abort_machine = nullptr,
+                 std::uint8_t abort_to = 0, const char* note = "") const {
+    const std::size_t slot = kFirst + party;
+    const std::size_t alive = kFirstAlive + party;
+    if (s[kCrashBudget] == 0 || !s[alive]) return;
+    add(out, s,
+        "crash: " + std::string{roles_[party].name} + " host dies" + note,
+        abort_machine, s[kStep], abort_to,
+        [slot, alive, aborts = abort_machine != nullptr,
+         abort_to](ModelState& n) {
+          n[alive] = 0;
+          if (n[slot] != kRetired && n[slot] != kNone) n[slot] = kLost;
+          --n[kCrashBudget];
+          n[kAwait] = 0;
+          n[kDropped] = 0;
+          if (aborts) n[kStep] = abort_to;
+        });
   }
 
-  std::string invariant(const ModelState& s) const override {
-    if (s[kSrc] == kActive && s[kDst] == kActive) {
-      return "exactly-once: source and destination active concurrently "
-             "(duplicate delivery of every publication on the slice)";
+  // The tail of describe(): both participants and the round in flight.
+  std::string describe_parties(const ModelState& s) const {
+    std::string out;
+    for (std::size_t i = 0; i < 2; ++i) {
+      out += " " + std::string{roles_[i].tag} + "=" +
+             slot_name(s[kFirst + i]) +
+             (s[kFirstAlive + i] ? "" : "(host down)");
     }
-    return "";
-  }
-
-  std::string describe(const ModelState& s) const override {
-    std::string step = s[kStep] == kResolved
-                           ? "resolved"
-                           : std::string{mig_->state_name(s[kStep])};
-    return "migration{step=" + step + " src=" + slot_name(s[kSrc]) +
-           (s[kSrcAlive] ? "" : "(host down)") + " dst=" + slot_name(s[kDst]) +
-           (s[kDstAlive] ? "" : "(host down)") +
-           " awaiting=" + std::to_string(s[kAwait]) +
+    return out + " awaiting=" + std::to_string(s[kAwait]) +
            " dropped=" + std::to_string(s[kDropped]) + "}";
   }
 
+  ModelOptions options_;
+
  private:
-  std::shared_ptr<const StateMachineSpec> mig_;
-  std::shared_ptr<const StateMachineSpec> slice_;
+  std::array<Role, 2> roles_;
 };
 
-// ---- Stop-and-restart migration --------------------------------------------
+// ---- Migration --------------------------------------------------------------
 //
-// Same cast as MigrationModel, driving the redirect variant: instead of
-// mirroring, the park step flips every upstream channel to deliver
-// exclusively to the destination replica (the source drains), then the full
-// checkpoint ships in one hop. Aborts must replay the redirected suffix back
-// to the thawed source — abstracted into the atomic thaw action.
-class StopRestartModel final : public ModelBase {
-  enum : std::size_t {
-    kStep = 0,  // stop_restart_spec index; 6 = abort record erased
-    kSrc,
-    kDst,
-    kAwait,
-    kDropped,
-    kDropBudget,
-    kCrashBudget,
-    kSrcAlive,
-    kDstAlive,
-    kBytes,
-  };
-  static constexpr std::uint8_t kResolved = 6;
+// One migration of one slice between a source and a destination host, built
+// from a migration spec table: the table's state names place the steps, and
+// its optional states select the strategy — the same facts the engine's
+// strategy rows (engine/migration_strategy.hpp) read off the same tables.
+//   - A `park` state (stop-and-restart): instead of mirroring, the hand-off
+//     flips every upstream channel to deliver exclusively to the replica
+//     (the source drains), then the full checkpoint ships in one hop. Aborts
+//     must replay the redirected suffix back to the thawed source —
+//     abstracted into the atomic thaw action.
+//   - A `precopy` state (incremental pre-copy): the mirror stays on while
+//     bounded dirty-delta rounds ship state pages under live traffic, and the
+//     final freeze only transfers the last delta. A round byte tracks the
+//     iteration (bounded at kRoundBound, matching the
+//     engine/precopy-rounds-bounded contract); each round's ack
+//     nondeterministically reports a remaining dirty delta (another round)
+//     or a drained one (advance to the final transfer).
+class MigrationModel final : public ModelBase {
+  static constexpr std::size_t kSrc = kFirst;
+  static constexpr std::size_t kDst = kSecond;
+  static constexpr std::size_t kSrcAlive = kFirstAlive;
+  static constexpr std::size_t kDstAlive = kSecondAlive;
+  static constexpr std::size_t kRound = kPartyBytes;  // completed rounds
+  static constexpr std::uint8_t kRoundBound = 2;
+  static constexpr std::uint8_t kNoStep = 0xff;  // the table lacks the state
+
+  static std::uint8_t step_of(const StateMachineSpec& spec,
+                              std::string_view state) {
+    return static_cast<std::uint8_t>(spec.index_of(state));
+  }
 
  public:
-  explicit StopRestartModel(ModelOptions options)
-      : ModelBase(std::move(options)),
-        mig_(bind_spec(options_, stop_restart_spec())),
-        slice_(bind_spec(options_, slice_lifecycle_spec())) {}
+  MigrationModel(const StateMachineSpec& spec, ModelOptions options)
+      : ModelBase(std::move(options), {"source", "src"},
+                  {"destination", "dst"}),
+        mig_(bind_spec(options_, spec)),
+        slice_(bind_spec(options_, slice_lifecycle_spec())),
+        park_(spec.find_state("park") != StateMachineSpec::kNoState),
+        precopy_(spec.find_state("precopy") != StateMachineSpec::kNoState),
+        create_(step_of(spec, "create-replica")),
+        handoff_(step_of(spec, park_ ? "park" : "duplication")),
+        precopy_step_(precopy_ ? step_of(spec, "precopy") : kNoStep),
+        transfer_(step_of(spec, "transfer")),
+        directory_(step_of(spec, "directory-update")),
+        teardown_(step_of(spec, "teardown")),
+        aborting_(step_of(spec, "aborting")),
+        resolved_(static_cast<std::uint8_t>(spec.states().size())) {}
 
-  std::string name() const override { return "migration-stop-restart"; }
+  std::string name() const override { return std::string{mig_->name()}; }
 
   ModelState initial() const override {
-    ModelState s(kBytes, 0);
-    s[kStep] = 0;
-    s[kSrc] = kActive;
-    s[kDst] = kNone;
-    s[kDropBudget] = 1;
-    s[kCrashBudget] = 1;
-    s[kSrcAlive] = 1;
-    s[kDstAlive] = 1;
-    return s;
+    return parties(kActive, kNone, /*extra_bytes=*/1);
   }
 
   void successors(const ModelState& s, std::vector<Successor>& out) const override {
     const std::uint8_t step = s[kStep];
     const bool both = s[kSrcAlive] && s[kDstAlive];
     const PlantedFault fault = options_.fault;
+    // Where the hand-off leads: the pre-copy rounds, else the transfer.
+    const std::uint8_t after_handoff = precopy_ ? precopy_step_ : transfer_;
 
-    // Planted wedge: reaction to the destination dying mid-transfer dropped;
-    // the coordinator waits forever on an ack from a corpse.
-    if (fault == PlantedFault::kWedge && step == 2 && !s[kDstAlive]) return;
+    // Planted wedge: the coordinator's reaction to a destination crash during
+    // transfer was dropped, so the run sits awaiting an ack from a corpse —
+    // model the blocked coordinator as a deadlock.
+    if (fault == PlantedFault::kWedge && step == transfer_ && !s[kDstAlive]) {
+      return;
+    }
 
     auto step_to = [](std::uint8_t to) {
       return [to](ModelState& n) {
@@ -533,87 +388,129 @@ class StopRestartModel final : public ModelBase {
         n[kAwait] = 0;
       };
     };
+    auto replica_at = [](std::uint8_t to) {
+      return [to](ModelState& n) {
+        n[kDst] = kReplica;
+        n[kStep] = to;
+        n[kAwait] = 0;
+      };
+    };
+    auto next_round = [](std::uint8_t to) {
+      return [to](ModelState& n) {
+        ++n[kRound];
+        n[kStep] = to;
+        n[kAwait] = 0;
+      };
+    };
+    auto await = [](ModelState& n) { n[kAwait] = 1; };
 
-    if (step == 0 && both) {
+    // Protocol rounds (request -> processing -> ack): the steps up to the
+    // transfer ride the src/dst control channels, the directory update fans
+    // out to the immortal peers.
+    if (step == create_ && both) {
       if (!s[kAwait] && s[kDst] == kNone) {
-        add(out, s, "request: CreateReplica -> dst", nullptr, 0, 0,
-            [](ModelState& n) { n[kAwait] = 1; });
+        add(out, s, "request: CreateReplica -> dst", nullptr, 0, 0, await);
       }
       if (s[kAwait] && !s[kDropped]) {
-        add(out, s, "ack: CreateReplicaAck (live upstreams)", mig_.get(), 0, 1,
-            [step_to](ModelState& n) {
-              n[kDst] = kReplica;
-              step_to(1)(n);
-            });
-        add(out, s, "ack: CreateReplicaAck (no upstreams)", mig_.get(), 0, 2,
-            [step_to](ModelState& n) {
-              n[kDst] = kReplica;
-              step_to(2)(n);
-            });
+        add(out, s, "ack: CreateReplicaAck (live upstreams)", mig_.get(),
+            create_, handoff_, replica_at(handoff_));
+        add(out, s, "ack: CreateReplicaAck (no upstreams)", mig_.get(),
+            create_, after_handoff, replica_at(after_handoff));
       }
     }
-    // Park: upstream channels flip to redirect-to-destination; the source
-    // stops receiving and drains toward its freeze point.
-    if (step == 1 && both) {
+    // Hand-off: the upstream channels mirror to the replica or, parked,
+    // deliver to it alone while the source drains toward its freeze point.
+    if (step == handoff_ && both) {
       if (!s[kAwait]) {
-        add(out, s, "request: StartDuplication(redirect) -> dst", nullptr, 0, 0,
-            [](ModelState& n) { n[kAwait] = 1; });
+        add(out, s,
+            park_ ? "request: StartDuplication(redirect) -> dst"
+                  : "request: StartDuplication -> dst",
+            nullptr, 0, 0, await);
       }
       if (s[kAwait] && !s[kDropped]) {
-        add(out, s, "ack: StartDuplicationAck (channels parked)", mig_.get(),
-            1, 2, step_to(2));
+        add(out, s,
+            park_ ? "ack: StartDuplicationAck (channels parked)"
+                  : "ack: StartDuplicationAck",
+            mig_.get(), handoff_, after_handoff, step_to(after_handoff));
       }
     }
-    // The source freezes once its parked input drains; the kInvariant fault
-    // ships the full checkpoint without ever freezing.
-    if ((step == 1 || step == 2) && s[kSrcAlive] &&
-        fault != PlantedFault::kInvariant && s[kSrc] == kActive) {
+    // Pre-copy rounds: the source stays active serving while page deltas
+    // ship. The ack either leaves a dirty delta behind (another round, only
+    // while the bound allows) or reports the delta drained.
+    if (step == precopy_step_ && both) {
+      if (!s[kAwait]) {
+        add(out, s, "request: Precopy round -> src", nullptr, 0, 0, await);
+      }
+      if (s[kAwait] && !s[kDropped]) {
+        if (s[kRound] + 1 < kRoundBound) {
+          add(out, s, "ack: PrecopyAck (dirty delta remains)", mig_.get(),
+              precopy_step_, precopy_step_, next_round(precopy_step_));
+        }
+        add(out, s, "ack: PrecopyAck (delta drained / bound reached)",
+            mig_.get(), precopy_step_, transfer_, next_round(transfer_));
+      }
+    }
+    // Freeze of the source happens around the hand-off -> transfer boundary
+    // (with pre-copy, at the final stop-and-copy only); the kInvariant fault
+    // ships state without ever freezing.
+    const bool freeze_window =
+        step == transfer_ || (!precopy_ && step == handoff_);
+    if (freeze_window && s[kSrcAlive] && fault != PlantedFault::kInvariant &&
+        s[kSrc] == kActive) {
       add(out, s, "source: freeze requested", slice_.get(), kActive,
           kFreezePending,
           [](ModelState& n) { n[kSrc] = kFreezePending; });
     }
-    if ((step == 1 || step == 2) && s[kSrcAlive] && s[kSrc] == kFreezePending) {
+    if (freeze_window && s[kSrcAlive] && s[kSrc] == kFreezePending) {
       add(out, s, "source: caught up to freeze point", slice_.get(),
           kFreezePending, kFrozen, [](ModelState& n) { n[kSrc] = kFrozen; });
     }
-    if (step == 2 && both) {
+    if (step == transfer_ && both) {
       const bool frozen = s[kSrc] == kFrozen;
       const bool faulty_ship =
           fault == PlantedFault::kInvariant && s[kSrc] == kActive;
       if (!s[kAwait] && (frozen || faulty_ship)) {
-        add(out, s, "request: ship full checkpoint -> dst", nullptr, 0, 0,
-            [](ModelState& n) { n[kAwait] = 1; });
+        add(out, s,
+            precopy_ ? "request: ship final delta -> dst"
+            : park_  ? "request: ship full checkpoint -> dst"
+                     : "request: ship frozen state -> dst",
+            nullptr, 0, 0, await);
       }
       if (s[kAwait] && !s[kDropped] && s[kDst] == kReplica &&
           (frozen || faulty_ship)) {
-        add(out, s, "dst: restored checkpoint; replica activates",
+        add(out, s,
+            precopy_ ? "dst: patched final delta; replica activates"
+            : park_  ? "dst: restored checkpoint; replica activates"
+                     : "dst: restored state; replica activates",
             slice_.get(), kReplica, kActive,
             [](ModelState& n) { n[kDst] = kActive; });
       }
       if (s[kAwait] && !s[kDropped] && s[kDst] == kActive) {
-        add(out, s, "ack: ActivatedAck", mig_.get(), 2, 3, step_to(3));
+        add(out, s, "ack: ActivatedAck", mig_.get(), transfer_, directory_,
+            step_to(directory_));
       }
     }
-    if (step == 3) {
+    if (step == directory_) {
       if (!s[kAwait]) {
-        add(out, s, "request: DirectoryUpdate -> peers", nullptr, 0, 0,
-            [](ModelState& n) { n[kAwait] = 1; });
+        add(out, s, "request: DirectoryUpdate -> peers", nullptr, 0, 0, await);
       }
       if (s[kAwait] && !s[kDropped]) {
-        add(out, s, "ack: DirectoryUpdateAcks complete", mig_.get(), 3, 4,
-            step_to(4));
+        add(out, s, "ack: DirectoryUpdateAcks complete", mig_.get(),
+            directory_, teardown_, step_to(teardown_));
       }
     }
-    if (step == 4 && s[kSrcAlive] && s[kSrc] == kFrozen) {
+    if (step == teardown_ && s[kSrcAlive] && s[kSrc] == kFrozen) {
       add(out, s, "source: instance torn down", slice_.get(), kFrozen,
           kRetired, [](ModelState& n) { n[kSrc] = kRetired; });
     }
 
-    // Abort cleanup (step 5). The thaw action covers the redirected-channel
-    // repair: channels flip back and the parked suffix replays to the source.
-    if (step == 5) {
+    // Abort cleanup. Messaging during cleanup is abstracted into atomic
+    // actions; the record is erased once no replica or freeze is left.
+    if (step == aborting_) {
       if (s[kSrc] == kFreezePending && s[kSrcAlive]) {
-        add(out, s, "abort: thaw the source (redirected suffix replayed)",
+        add(out, s,
+            park_ ? "abort: thaw the source (redirected suffix replayed)"
+                  : "abort: thaw the source",
             slice_.get(), kFreezePending, kActive,
             [](ModelState& n) { n[kSrc] = kActive; });
       }
@@ -622,285 +519,15 @@ class StopRestartModel final : public ModelBase {
             kFrozen, kRetired, [](ModelState& n) { n[kSrc] = kRetired; });
       }
       if (s[kDst] == kReplica && s[kDstAlive]) {
-        add(out, s, "abort: retire the replica", slice_.get(), kReplica,
-            kRetired, [](ModelState& n) { n[kDst] = kRetired; });
-      }
-      if (s[kDst] == kActive && s[kDstAlive]) {
-        add(out, s, "abort: activation raced the abort; converge", mig_.get(),
-            5, 3, step_to(3));
-      }
-      const bool src_clean =
-          s[kSrc] == kActive || s[kSrc] == kRetired || s[kSrc] == kLost;
-      const bool dst_clean = s[kDst] == kRetired || s[kDst] == kNone ||
-                             s[kDst] == kLost;
-      if (src_clean && dst_clean) {
-        add(out, s, "abort: cleanup complete; record erased", nullptr, 0, 0,
-            [](ModelState& n) { n[kStep] = kResolved; });
-      }
-    }
-
-    const bool no_active = s[kSrc] != kActive && s[kDst] != kActive;
-    if (no_active && (step == 4 || step == kResolved) && s[kSrc] != kFrozen &&
-        s[kSrc] != kFreezePending) {
-      add(out, s, "manager: respawn lost slice from checkpoint", nullptr, 0, 0,
-          [](ModelState& n) { n[kSrc] = kActive; });
-    }
-
-    if (s[kAwait] && !s[kDropped] && s[kDropBudget] > 0) {
-      add(out, s, "net: frame dropped", nullptr, 0, 0, [](ModelState& n) {
-        n[kDropped] = 1;
-        --n[kDropBudget];
-      });
-    }
-    if (s[kDropped] && (step == 3 || both)) {
-      add(out, s, "net: rto retransmit", nullptr, 0, 0,
-          [](ModelState& n) { n[kDropped] = 0; });
-    }
-
-    if (s[kCrashBudget] > 0) {
-      if (s[kSrcAlive]) {
-        const bool abort = step <= 2;
-        add(out, s, "crash: source host dies", abort ? mig_.get() : nullptr,
-            step, 5, [abort](ModelState& n) {
-              n[kSrcAlive] = 0;
-              if (n[kSrc] != kRetired) n[kSrc] = kLost;
-              --n[kCrashBudget];
-              n[kAwait] = 0;
-              n[kDropped] = 0;
-              if (abort) n[kStep] = 5;
-            });
-      }
-      if (s[kDstAlive]) {
-        const bool react = !(fault == PlantedFault::kWedge && step == 2);
-        const bool abort = react && step <= 2;
         add(out, s,
-            react ? "crash: destination host dies"
-                  : "crash: destination host dies (reaction dropped)",
-            abort ? mig_.get() : nullptr, step, 5,
-            [abort](ModelState& n) {
-              n[kDstAlive] = 0;
-              if (n[kDst] != kRetired && n[kDst] != kNone) n[kDst] = kLost;
-              --n[kCrashBudget];
-              n[kAwait] = 0;
-              n[kDropped] = 0;
-              if (abort) n[kStep] = 5;
-            });
-      }
-    }
-  }
-
-  bool quiescent(const ModelState& s) const override {
-    if (s[kAwait] || s[kDropped]) return false;
-    if (s[kStep] == 4) {
-      const bool src_settled = s[kSrc] == kRetired || s[kSrc] == kLost;
-      return (s[kDst] == kActive && src_settled) ||
-             (s[kSrc] == kActive && s[kDst] == kLost);
-    }
-    if (s[kStep] == kResolved) {
-      return s[kSrc] == kActive;
-    }
-    return false;
-  }
-
-  std::string invariant(const ModelState& s) const override {
-    if (s[kSrc] == kActive && s[kDst] == kActive) {
-      return "exactly-once: source and destination active concurrently "
-             "while channels redirect (every parked publication delivered "
-             "twice)";
-    }
-    return "";
-  }
-
-  std::string describe(const ModelState& s) const override {
-    std::string step = s[kStep] == kResolved
-                           ? "resolved"
-                           : std::string{mig_->state_name(s[kStep])};
-    return "stop-restart{step=" + step + " src=" + slot_name(s[kSrc]) +
-           (s[kSrcAlive] ? "" : "(host down)") + " dst=" + slot_name(s[kDst]) +
-           (s[kDstAlive] ? "" : "(host down)") +
-           " awaiting=" + std::to_string(s[kAwait]) +
-           " dropped=" + std::to_string(s[kDropped]) + "}";
-  }
-
- private:
-  std::shared_ptr<const StateMachineSpec> mig_;
-  std::shared_ptr<const StateMachineSpec> slice_;
-};
-
-// ---- Incremental pre-copy migration ----------------------------------------
-//
-// The mirror stays on while bounded dirty-delta rounds ship state pages under
-// live traffic; the final freeze only transfers the last delta. A round byte
-// tracks the iteration (bounded at kRoundBound, matching the
-// engine/precopy-rounds-bounded contract); each round's ack nondeterministic-
-// ally reports a remaining dirty delta (another round) or a drained one
-// (advance to the final transfer).
-class PrecopyModel final : public ModelBase {
-  enum : std::size_t {
-    kStep = 0,  // precopy_spec index; 7 = abort record erased
-    kSrc,
-    kDst,
-    kRound,  // completed pre-copy rounds
-    kAwait,
-    kDropped,
-    kDropBudget,
-    kCrashBudget,
-    kSrcAlive,
-    kDstAlive,
-    kBytes,
-  };
-  static constexpr std::uint8_t kResolved = 7;
-  static constexpr std::uint8_t kRoundBound = 2;
-
- public:
-  explicit PrecopyModel(ModelOptions options)
-      : ModelBase(std::move(options)),
-        mig_(bind_spec(options_, precopy_spec())),
-        slice_(bind_spec(options_, slice_lifecycle_spec())) {}
-
-  std::string name() const override { return "migration-precopy"; }
-
-  ModelState initial() const override {
-    ModelState s(kBytes, 0);
-    s[kStep] = 0;
-    s[kSrc] = kActive;
-    s[kDst] = kNone;
-    s[kDropBudget] = 1;
-    s[kCrashBudget] = 1;
-    s[kSrcAlive] = 1;
-    s[kDstAlive] = 1;
-    return s;
-  }
-
-  void successors(const ModelState& s, std::vector<Successor>& out) const override {
-    const std::uint8_t step = s[kStep];
-    const bool both = s[kSrcAlive] && s[kDstAlive];
-    const PlantedFault fault = options_.fault;
-
-    // Planted wedge: reaction to the destination dying during the final
-    // transfer dropped; the coordinator waits on an ack from a corpse.
-    if (fault == PlantedFault::kWedge && step == 3 && !s[kDstAlive]) return;
-
-    auto step_to = [](std::uint8_t to) {
-      return [to](ModelState& n) {
-        n[kStep] = to;
-        n[kAwait] = 0;
-      };
-    };
-
-    if (step == 0 && both) {
-      if (!s[kAwait] && s[kDst] == kNone) {
-        add(out, s, "request: CreateReplica -> dst", nullptr, 0, 0,
-            [](ModelState& n) { n[kAwait] = 1; });
-      }
-      if (s[kAwait] && !s[kDropped]) {
-        add(out, s, "ack: CreateReplicaAck (live upstreams)", mig_.get(), 0, 1,
-            [step_to](ModelState& n) {
-              n[kDst] = kReplica;
-              step_to(1)(n);
-            });
-        add(out, s, "ack: CreateReplicaAck (no upstreams)", mig_.get(), 0, 2,
-            [step_to](ModelState& n) {
-              n[kDst] = kReplica;
-              step_to(2)(n);
-            });
-      }
-    }
-    if (step == 1 && both) {
-      if (!s[kAwait]) {
-        add(out, s, "request: StartDuplication -> dst", nullptr, 0, 0,
-            [](ModelState& n) { n[kAwait] = 1; });
-      }
-      if (s[kAwait] && !s[kDropped]) {
-        add(out, s, "ack: StartDuplicationAck", mig_.get(), 1, 2, step_to(2));
-      }
-    }
-    // Pre-copy rounds: the source stays active serving while page deltas
-    // ship. The ack either leaves a dirty delta behind (another round, only
-    // while the bound allows) or reports the delta drained.
-    if (step == 2 && both) {
-      if (!s[kAwait]) {
-        add(out, s, "request: Precopy round -> src", nullptr, 0, 0,
-            [](ModelState& n) { n[kAwait] = 1; });
-      }
-      if (s[kAwait] && !s[kDropped]) {
-        if (s[kRound] + 1 < kRoundBound) {
-          add(out, s, "ack: PrecopyAck (dirty delta remains)", mig_.get(), 2,
-              2, [step_to](ModelState& n) {
-                ++n[kRound];
-                step_to(2)(n);
-              });
-        }
-        add(out, s, "ack: PrecopyAck (delta drained / bound reached)",
-            mig_.get(), 2, 3, [step_to](ModelState& n) {
-              ++n[kRound];
-              step_to(3)(n);
-            });
-      }
-    }
-    // Final stop-and-copy: freeze, ship only the last dirty delta. The
-    // kInvariant fault ships it without freezing the source first.
-    if (step == 3 && s[kSrcAlive] && fault != PlantedFault::kInvariant &&
-        s[kSrc] == kActive) {
-      add(out, s, "source: freeze requested", slice_.get(), kActive,
-          kFreezePending,
-          [](ModelState& n) { n[kSrc] = kFreezePending; });
-    }
-    if (step == 3 && s[kSrcAlive] && s[kSrc] == kFreezePending) {
-      add(out, s, "source: caught up to freeze point", slice_.get(),
-          kFreezePending, kFrozen, [](ModelState& n) { n[kSrc] = kFrozen; });
-    }
-    if (step == 3 && both) {
-      const bool frozen = s[kSrc] == kFrozen;
-      const bool faulty_ship =
-          fault == PlantedFault::kInvariant && s[kSrc] == kActive;
-      if (!s[kAwait] && (frozen || faulty_ship)) {
-        add(out, s, "request: ship final delta -> dst", nullptr, 0, 0,
-            [](ModelState& n) { n[kAwait] = 1; });
-      }
-      if (s[kAwait] && !s[kDropped] && s[kDst] == kReplica &&
-          (frozen || faulty_ship)) {
-        add(out, s, "dst: patched final delta; replica activates",
-            slice_.get(), kReplica, kActive,
-            [](ModelState& n) { n[kDst] = kActive; });
-      }
-      if (s[kAwait] && !s[kDropped] && s[kDst] == kActive) {
-        add(out, s, "ack: ActivatedAck", mig_.get(), 3, 4, step_to(4));
-      }
-    }
-    if (step == 4) {
-      if (!s[kAwait]) {
-        add(out, s, "request: DirectoryUpdate -> peers", nullptr, 0, 0,
-            [](ModelState& n) { n[kAwait] = 1; });
-      }
-      if (s[kAwait] && !s[kDropped]) {
-        add(out, s, "ack: DirectoryUpdateAcks complete", mig_.get(), 4, 5,
-            step_to(5));
-      }
-    }
-    if (step == 5 && s[kSrcAlive] && s[kSrc] == kFrozen) {
-      add(out, s, "source: instance torn down", slice_.get(), kFrozen,
-          kRetired, [](ModelState& n) { n[kSrc] = kRetired; });
-    }
-
-    // Abort cleanup (step 6).
-    if (step == 6) {
-      if (s[kSrc] == kFreezePending && s[kSrcAlive]) {
-        add(out, s, "abort: thaw the source", slice_.get(), kFreezePending,
-            kActive, [](ModelState& n) { n[kSrc] = kActive; });
-      }
-      if (s[kSrc] == kFrozen && s[kSrcAlive]) {
-        add(out, s, "abort: retire the frozen source (re-homed)", slice_.get(),
-            kFrozen, kRetired, [](ModelState& n) { n[kSrc] = kRetired; });
-      }
-      if (s[kDst] == kReplica && s[kDstAlive]) {
-        add(out, s, "abort: retire the replica (pre-copied pages discarded)",
+            precopy_ ? "abort: retire the replica (pre-copied pages discarded)"
+                     : "abort: retire the replica",
             slice_.get(), kReplica, kRetired,
             [](ModelState& n) { n[kDst] = kRetired; });
       }
       if (s[kDst] == kActive && s[kDstAlive]) {
         add(out, s, "abort: activation raced the abort; converge", mig_.get(),
-            6, 4, step_to(4));
+            aborting_, directory_, step_to(directory_));
       }
       const bool src_clean =
           s[kSrc] == kActive || s[kSrc] == kRetired || s[kSrc] == kLost;
@@ -908,77 +535,55 @@ class PrecopyModel final : public ModelBase {
                              s[kDst] == kLost;
       if (src_clean && dst_clean) {
         add(out, s, "abort: cleanup complete; record erased", nullptr, 0, 0,
-            [](ModelState& n) { n[kStep] = kResolved; });
+            [this](ModelState& n) { n[kStep] = resolved_; });
       }
     }
 
+    // Manager re-covers a slice whose every incarnation is gone, once the
+    // protocol record is resolved (recovery itself is out of scope here).
     const bool no_active = s[kSrc] != kActive && s[kDst] != kActive;
-    if (no_active && (step == 5 || step == kResolved) && s[kSrc] != kFrozen &&
-        s[kSrc] != kFreezePending) {
+    if (no_active && (step == teardown_ || step == resolved_) &&
+        s[kSrc] != kFrozen && s[kSrc] != kFreezePending) {
       add(out, s, "manager: respawn lost slice from checkpoint", nullptr, 0, 0,
           [](ModelState& n) { n[kSrc] = kActive; });
     }
 
-    if (s[kAwait] && !s[kDropped] && s[kDropBudget] > 0) {
-      add(out, s, "net: frame dropped", nullptr, 0, 0, [](ModelState& n) {
-        n[kDropped] = 1;
-        --n[kDropBudget];
-      });
-    }
-    if (s[kDropped] && (step == 4 || both)) {
-      add(out, s, "net: rto retransmit", nullptr, 0, 0,
-          [](ModelState& n) { n[kDropped] = 0; });
-    }
+    add_frame_faults(out, s, step == directory_ || both);
 
-    if (s[kCrashBudget] > 0) {
-      if (s[kSrcAlive]) {
-        const bool abort = step <= 3;
-        add(out, s, "crash: source host dies", abort ? mig_.get() : nullptr,
-            step, 6, [abort](ModelState& n) {
-              n[kSrcAlive] = 0;
-              if (n[kSrc] != kRetired) n[kSrc] = kLost;
-              --n[kCrashBudget];
-              n[kAwait] = 0;
-              n[kDropped] = 0;
-              if (abort) n[kStep] = 6;
-            });
-      }
-      if (s[kDstAlive]) {
-        const bool react = !(fault == PlantedFault::kWedge && step == 3);
-        const bool abort = react && step <= 3;
-        add(out, s,
-            react ? "crash: destination host dies"
-                  : "crash: destination host dies (reaction dropped)",
-            abort ? mig_.get() : nullptr, step, 6,
-            [abort](ModelState& n) {
-              n[kDstAlive] = 0;
-              if (n[kDst] != kRetired && n[kDst] != kNone) n[kDst] = kLost;
-              --n[kCrashBudget];
-              n[kAwait] = 0;
-              n[kDropped] = 0;
-              if (abort) n[kStep] = 6;
-            });
-      }
-    }
+    // A crash before the directory update aborts the migration. The planted
+    // wedge drops the reaction to a destination crash during the transfer.
+    const StateMachineSpec* aborts = step <= transfer_ ? mig_.get() : nullptr;
+    const bool react = !(fault == PlantedFault::kWedge && step == transfer_);
+    add_crash(out, s, 0, aborts, aborting_);
+    add_crash(out, s, 1, react ? aborts : nullptr, aborting_,
+              react ? "" : " (reaction dropped)");
   }
 
   bool quiescent(const ModelState& s) const override {
     if (s[kAwait] || s[kDropped]) return false;
-    if (s[kStep] == 5) {
+    if (s[kStep] == teardown_) {
+      // Exactly one active incarnation covers the slice: the destination
+      // after a completed move, or the manager's respawn if the newly
+      // active destination died right after the directory update.
       const bool src_settled = s[kSrc] == kRetired || s[kSrc] == kLost;
       return (s[kDst] == kActive && src_settled) ||
              (s[kSrc] == kActive && s[kDst] == kLost);
     }
-    if (s[kStep] == kResolved) {
-      return s[kSrc] == kActive;
+    if (s[kStep] == resolved_) {
+      return s[kSrc] == kActive;  // abort cleaned; the source (or its
+                                  // respawned incarnation) serves the slice
     }
     return false;
   }
 
   std::string invariant(const ModelState& s) const override {
     if (s[kSrc] == kActive && s[kDst] == kActive) {
-      return "exactly-once: source and destination active concurrently "
-             "(duplicate delivery of every publication on the slice)";
+      return park_ ? "exactly-once: source and destination active "
+                     "concurrently while channels redirect (every parked "
+                     "publication delivered twice)"
+                   : "exactly-once: source and destination active "
+                     "concurrently (duplicate delivery of every publication "
+                     "on the slice)";
     }
     if (s[kRound] > kRoundBound) {
       return "precopy-rounds-bounded: round counter exceeded the bound";
@@ -987,20 +592,25 @@ class PrecopyModel final : public ModelBase {
   }
 
   std::string describe(const ModelState& s) const override {
-    std::string step = s[kStep] == kResolved
-                           ? "resolved"
-                           : std::string{mig_->state_name(s[kStep])};
-    return "precopy{step=" + step + " round=" + std::to_string(s[kRound]) +
-           " src=" + slot_name(s[kSrc]) +
-           (s[kSrcAlive] ? "" : "(host down)") + " dst=" + slot_name(s[kDst]) +
-           (s[kDstAlive] ? "" : "(host down)") +
-           " awaiting=" + std::to_string(s[kAwait]) +
-           " dropped=" + std::to_string(s[kDropped]) + "}";
+    const std::string step = s[kStep] == resolved_
+                                 ? "resolved"
+                                 : std::string{mig_->state_name(s[kStep])};
+    const std::string round =
+        precopy_ ? " round=" + std::to_string(s[kRound]) : "";
+    return std::string{park_ ? "stop-restart" : precopy_ ? "precopy"
+                                                         : "migration"} +
+           "{step=" + step + round + describe_parties(s);
   }
 
  private:
   std::shared_ptr<const StateMachineSpec> mig_;
   std::shared_ptr<const StateMachineSpec> slice_;
+  bool park_;
+  bool precopy_;
+  // Step indices in the spec table; resolved_ (one past the last state)
+  // marks an abort whose record was erased.
+  std::uint8_t create_, handoff_, precopy_step_, transfer_, directory_,
+      teardown_, aborting_, resolved_;
 };
 
 // ---- Split ------------------------------------------------------------------
@@ -1009,37 +619,21 @@ class PrecopyModel final : public ModelBase {
 // host. Post-flip the split only rolls forward: a dead participant's role is
 // re-homed onto a replacement and the pending leg re-driven.
 class SplitModel final : public ModelBase {
-  enum : std::size_t {
-    kStep = 0,  // split_spec index
-    kParent,
-    kChild,
-    kAwait,
-    kDropped,
-    kDropBudget,
-    kCrashBudget,
-    kParentAlive,
-    kChildAlive,
-    kBytes,
-  };
+  static constexpr std::size_t kParent = kFirst;
+  static constexpr std::size_t kChild = kSecond;
+  static constexpr std::size_t kParentAlive = kFirstAlive;
+  static constexpr std::size_t kChildAlive = kSecondAlive;
 
  public:
   explicit SplitModel(ModelOptions options)
-      : ModelBase(std::move(options)),
+      : ModelBase(std::move(options), {"parent", "parent"},
+                  {"child", "child"}),
         split_(bind_spec(options_, split_spec())),
         slice_(bind_spec(options_, slice_lifecycle_spec())) {}
 
   std::string name() const override { return "split"; }
 
-  ModelState initial() const override {
-    ModelState s(kBytes, 0);
-    s[kParent] = kActive;
-    s[kChild] = kNone;
-    s[kDropBudget] = 1;
-    s[kCrashBudget] = 1;
-    s[kParentAlive] = 1;
-    s[kChildAlive] = 1;
-    return s;
-  }
+  ModelState initial() const override { return parties(kActive, kNone); }
 
   void successors(const ModelState& s, std::vector<Successor>& out) const override {
     const std::uint8_t step = s[kStep];
@@ -1098,45 +692,11 @@ class SplitModel final : public ModelBase {
           });
     }
 
-    if (s[kAwait] && !s[kDropped] && s[kDropBudget] > 0) {
-      add(out, s, "net: frame dropped", nullptr, 0, 0, [](ModelState& n) {
-        n[kDropped] = 1;
-        --n[kDropBudget];
-      });
-    }
-    if (s[kDropped] && both) {
-      add(out, s, "net: rto retransmit", nullptr, 0, 0,
-          [](ModelState& n) { n[kDropped] = 0; });
-    }
-
-    if (s[kCrashBudget] > 0) {
-      if (s[kParentAlive]) {
-        add(out, s, "crash: parent host dies", nullptr, 0, 0,
-            [](ModelState& n) {
-              n[kParentAlive] = 0;
-              if (n[kParent] != kRetired) n[kParent] = kLost;
-              --n[kCrashBudget];
-              n[kAwait] = 0;
-              n[kDropped] = 0;
-            });
-      }
-      if (s[kChildAlive]) {
-        // Pre-cut-over a child death aborts (nothing routed yet); afterwards
-        // the split rolls forward via re-homing.
-        const bool abort = step == 0;
-        add(out, s, "crash: child host dies", abort ? split_.get() : nullptr,
-            0, 4, [abort](ModelState& n) {
-              n[kChildAlive] = 0;
-              if (n[kChild] != kRetired && n[kChild] != kNone) {
-                n[kChild] = kLost;
-              }
-              --n[kCrashBudget];
-              n[kAwait] = 0;
-              n[kDropped] = 0;
-              if (abort) n[kStep] = 4;
-            });
-      }
-    }
+    add_frame_faults(out, s, both);
+    add_crash(out, s, 0);
+    // Pre-cut-over a child death aborts (nothing routed yet); afterwards the
+    // split rolls forward via re-homing.
+    add_crash(out, s, 1, step == 0 ? split_.get() : nullptr, 4);
   }
 
   bool quiescent(const ModelState& s) const override {
@@ -1161,12 +721,7 @@ class SplitModel final : public ModelBase {
 
   std::string describe(const ModelState& s) const override {
     return "split{step=" + std::string{split_->state_name(s[kStep])} +
-           " parent=" + slot_name(s[kParent]) +
-           (s[kParentAlive] ? "" : "(host down)") +
-           " child=" + slot_name(s[kChild]) +
-           (s[kChildAlive] ? "" : "(host down)") +
-           " awaiting=" + std::to_string(s[kAwait]) +
-           " dropped=" + std::to_string(s[kDropped]) + "}";
+           describe_parties(s);
   }
 
  private:
@@ -1181,37 +736,21 @@ class SplitModel final : public ModelBase {
 // (a lost retiree's stash is recovered from its checkpoint, abstracted here
 // as a skip).
 class MergeModel final : public ModelBase {
-  enum : std::size_t {
-    kStep = 0,  // merge_spec index
-    kSurvivor,
-    kRetiree,
-    kAwait,
-    kDropped,
-    kDropBudget,
-    kCrashBudget,
-    kSurvivorAlive,
-    kRetireeAlive,
-    kBytes,
-  };
+  static constexpr std::size_t kSurvivor = kFirst;
+  static constexpr std::size_t kRetiree = kSecond;
+  static constexpr std::size_t kSurvivorAlive = kFirstAlive;
+  static constexpr std::size_t kRetireeAlive = kSecondAlive;
 
  public:
   explicit MergeModel(ModelOptions options)
-      : ModelBase(std::move(options)),
+      : ModelBase(std::move(options), {"survivor", "survivor"},
+                  {"retiree", "retiree"}),
         merge_(bind_spec(options_, merge_spec())),
         slice_(bind_spec(options_, slice_lifecycle_spec())) {}
 
   std::string name() const override { return "merge"; }
 
-  ModelState initial() const override {
-    ModelState s(kBytes, 0);
-    s[kSurvivor] = kActive;
-    s[kRetiree] = kActive;
-    s[kDropBudget] = 1;
-    s[kCrashBudget] = 1;
-    s[kSurvivorAlive] = 1;
-    s[kRetireeAlive] = 1;
-    return s;
-  }
+  ModelState initial() const override { return parties(kActive, kActive); }
 
   void successors(const ModelState& s, std::vector<Successor>& out) const override {
     const std::uint8_t step = s[kStep];
@@ -1278,39 +817,9 @@ class MergeModel final : public ModelBase {
           });
     }
 
-    if (s[kAwait] && !s[kDropped] && s[kDropBudget] > 0) {
-      add(out, s, "net: frame dropped", nullptr, 0, 0, [](ModelState& n) {
-        n[kDropped] = 1;
-        --n[kDropBudget];
-      });
-    }
-    if (s[kDropped] && both) {
-      add(out, s, "net: rto retransmit", nullptr, 0, 0,
-          [](ModelState& n) { n[kDropped] = 0; });
-    }
-
-    if (s[kCrashBudget] > 0) {
-      if (s[kSurvivorAlive]) {
-        add(out, s, "crash: survivor host dies", nullptr, 0, 0,
-            [](ModelState& n) {
-              n[kSurvivorAlive] = 0;
-              if (n[kSurvivor] != kRetired) n[kSurvivor] = kLost;
-              --n[kCrashBudget];
-              n[kAwait] = 0;
-              n[kDropped] = 0;
-            });
-      }
-      if (s[kRetireeAlive]) {
-        add(out, s, "crash: retiree host dies", nullptr, 0, 0,
-            [](ModelState& n) {
-              n[kRetireeAlive] = 0;
-              if (n[kRetiree] != kRetired) n[kRetiree] = kLost;
-              --n[kCrashBudget];
-              n[kAwait] = 0;
-              n[kDropped] = 0;
-            });
-      }
-    }
+    add_frame_faults(out, s, both);
+    add_crash(out, s, 0);
+    add_crash(out, s, 1);
   }
 
   bool quiescent(const ModelState& s) const override {
@@ -1331,12 +840,7 @@ class MergeModel final : public ModelBase {
 
   std::string describe(const ModelState& s) const override {
     return "merge{step=" + std::string{merge_->state_name(s[kStep])} +
-           " survivor=" + slot_name(s[kSurvivor]) +
-           (s[kSurvivorAlive] ? "" : "(host down)") +
-           " retiree=" + slot_name(s[kRetiree]) +
-           (s[kRetireeAlive] ? "" : "(host down)") +
-           " awaiting=" + std::to_string(s[kAwait]) +
-           " dropped=" + std::to_string(s[kDropped]) + "}";
+           describe_parties(s);
   }
 
  private:
@@ -1350,7 +854,7 @@ class MergeModel final : public ModelBase {
 // nondeterminism: drop, duplicate, reorder (frames are independent tokens),
 // retransmission with a retry budget of one, give-up escalation, and the
 // receiver's reorder buffer with in-order delivery.
-class ReliableModel final : public ModelBase {
+class ReliableModel final : public Model {
   enum : std::size_t {
     kTx1 = 0,  // reliable_tx_spec index per message
     kTx2,
@@ -1378,10 +882,9 @@ class ReliableModel final : public ModelBase {
   static constexpr std::uint8_t kForgotten = 3;
 
  public:
-  explicit ReliableModel(ModelOptions options)
-      : ModelBase(std::move(options)),
-        tx_(bind_spec(options_, reliable_tx_spec())),
-        rx_(bind_spec(options_, reliable_rx_spec())) {}
+  explicit ReliableModel(const ModelOptions& options)
+      : tx_(bind_spec(options, reliable_tx_spec())),
+        rx_(bind_spec(options, reliable_rx_spec())) {}
 
   std::string name() const override { return "reliable"; }
 
@@ -1515,14 +1018,9 @@ class ReliableModel final : public ModelBase {
 
 }  // namespace
 
-std::unique_ptr<Model> make_migration_model(ModelOptions options) {
-  return std::make_unique<MigrationModel>(std::move(options));
-}
-std::unique_ptr<Model> make_stop_restart_model(ModelOptions options) {
-  return std::make_unique<StopRestartModel>(std::move(options));
-}
-std::unique_ptr<Model> make_precopy_model(ModelOptions options) {
-  return std::make_unique<PrecopyModel>(std::move(options));
+std::unique_ptr<Model> make_migration_model(ModelOptions options,
+                                            const StateMachineSpec& spec) {
+  return std::make_unique<MigrationModel>(spec, std::move(options));
 }
 std::unique_ptr<Model> make_split_model(ModelOptions options) {
   return std::make_unique<SplitModel>(std::move(options));
@@ -1543,11 +1041,12 @@ const std::vector<std::string>& model_names() {
 
 std::unique_ptr<Model> make_model(std::string_view name,
                                   ModelOptions options) {
-  if (name == "migration") return make_migration_model(std::move(options));
-  if (name == "migration-stop-restart") {
-    return make_stop_restart_model(std::move(options));
+  for (const StateMachineSpec* spec :
+       {&migration_spec(), &stop_restart_spec(), &precopy_spec()}) {
+    if (name == spec->name()) {
+      return make_migration_model(std::move(options), *spec);
+    }
   }
-  if (name == "migration-precopy") return make_precopy_model(std::move(options));
   if (name == "split") return make_split_model(std::move(options));
   if (name == "merge") return make_merge_model(std::move(options));
   if (name == "reliable") return make_reliable_model(std::move(options));

@@ -125,12 +125,16 @@ struct ModelOptions {
   std::shared_ptr<const StateMachineSpec> spec_override;
 };
 
-[[nodiscard]] std::unique_ptr<Model> make_migration_model(ModelOptions = {});
-// The two alternative migration strategies (engine/migration_strategy.hpp):
-// redirect-park stop-and-restart and bounded dirty-delta pre-copy. Both
-// support the same planted faults as the buffered-replay migration model.
-[[nodiscard]] std::unique_ptr<Model> make_stop_restart_model(ModelOptions = {});
-[[nodiscard]] std::unique_ptr<Model> make_precopy_model(ModelOptions = {});
+// One migration under the strategy whose coordinator table `spec` is
+// (engine/migration_strategy.hpp): migration_spec() for the paper's
+// buffered replay, stop_restart_spec() for redirect-park stop-and-restart,
+// precopy_spec() for bounded dirty-delta pre-copy. The model is named after
+// the table and finds its steps in it by state name (throws
+// std::invalid_argument for a table without the migration steps); every
+// variant supports both planted faults. `spec` must outlive the model, as
+// the stock tables do.
+[[nodiscard]] std::unique_ptr<Model> make_migration_model(
+    ModelOptions = {}, const StateMachineSpec& spec = migration_spec());
 [[nodiscard]] std::unique_ptr<Model> make_split_model(ModelOptions = {});
 [[nodiscard]] std::unique_ptr<Model> make_merge_model(ModelOptions = {});
 [[nodiscard]] std::unique_ptr<Model> make_reliable_model(ModelOptions = {});

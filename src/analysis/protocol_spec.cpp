@@ -40,10 +40,15 @@ const SpecEdge* StateMachineSpec::edge(std::size_t from, std::size_t to) const {
   return nullptr;
 }
 
-std::size_t StateMachineSpec::index_of(std::string_view state) const {
+std::size_t StateMachineSpec::find_state(std::string_view state) const {
   for (std::size_t i = 0; i < states_.size(); ++i) {
     if (states_[i].name == state) return i;
   }
+  return kNoState;
+}
+
+std::size_t StateMachineSpec::index_of(std::string_view state) const {
+  if (const std::size_t i = find_state(state); i != kNoState) return i;
   throw std::invalid_argument{"StateMachineSpec: unknown state " +
                               std::string{state} + " in machine " +
                               std::string{name_}};

@@ -55,6 +55,10 @@ class StateMachineSpec {
   // The edge record for (from, to), or nullptr when illegal.
   [[nodiscard]] const SpecEdge* edge(std::size_t from, std::size_t to) const;
   [[nodiscard]] std::size_t index_of(std::string_view state) const;  // throws
+  // Index of the named state, or kNoState when the machine has none — how
+  // optional protocol steps (a strategy's park or pre-copy) are looked up.
+  static constexpr std::size_t kNoState = ~std::size_t{0};
+  [[nodiscard]] std::size_t find_state(std::string_view state) const;
   [[nodiscard]] std::string_view state_name(std::size_t index) const;
 
   // A copy of this spec with one legal edge removed — the mutation hook used

@@ -1309,7 +1309,7 @@ void Engine::send_freeze() {
   req->reply_to = control_endpoint_;
   // After pre-copy rounds the replica holds a patched baseline image; the
   // final stop-and-copy ships only the dirty pages against it.
-  req->delta = op.strategy->delta_transfer() && op.round > 0;
+  req->delta = op.round > 0;
   send_control(op.report.src, std::move(req));
 }
 

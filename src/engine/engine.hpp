@@ -182,8 +182,8 @@ struct ElasticReport {
   SliceId other;  // split child / merge retiree
   HostId src;     // migration source
   HostId dst;     // migration destination / split child's host
-  // Name of the protocol that ran a migration (a registry singleton's
-  // name(), so the view outlives every report); empty for splits/merges.
+  // Name of the protocol that ran a migration (a strategy row's name(), so
+  // the view outlives every report); empty for splits/merges.
   std::string_view strategy;
   MigrationOutcome outcome = MigrationOutcome::kCompleted;
   SimTime requested{};

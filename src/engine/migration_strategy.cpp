@@ -1,5 +1,7 @@
 #include "engine/migration_strategy.hpp"
 
+#include <array>
+
 #include "analysis/protocol_spec.hpp"
 #include "engine/engine.hpp"
 
@@ -7,183 +9,78 @@ namespace esh::engine {
 
 namespace {
 
-// Sentinel spec index for steps a strategy never takes; StateMachineSpec
-// treats any out-of-range index as illegal.
-constexpr std::size_t kUnmapped = ~std::size_t{0};
+constexpr std::size_t kSteps =
+    static_cast<std::size_t>(MigrationStep::kPrecopy) + 1;
 
-// The source paper's protocol (§IV-A Fig. 3): upstream hosts mirror the
-// slice's channels to the replica while the source keeps serving, the
-// source freezes once caught up to the duplication point, and the full
-// checkpoint ships during a short stop window.
-class BufferedReplayStrategy final : public MigrationStrategy {
- public:
-  [[nodiscard]] std::string_view name() const override {
-    return "buffered-replay";
-  }
-  [[nodiscard]] MigrationStrategyKind kind() const override {
-    return MigrationStrategyKind::kBufferedReplay;
-  }
-  [[nodiscard]] const analysis::StateMachineSpec& spec() const override {
-    return analysis::migration_spec();
-  }
-  [[nodiscard]] bool redirect_channels() const override { return false; }
-  [[nodiscard]] std::size_t precopy_rounds(
-      const EngineConfig& /*config*/) const override {
-    return 0;
-  }
-  [[nodiscard]] bool delta_transfer() const override { return false; }
-  [[nodiscard]] std::size_t spec_index(MigrationStep step) const override {
-    // migration_spec states are declared in MigrationStep order, so the
-    // paper-protocol steps map by value; kPark/kPrecopy never occur.
-    switch (step) {
-      case MigrationStep::kCreateReplica:
-      case MigrationStep::kDuplication:
-      case MigrationStep::kTransfer:
-      case MigrationStep::kDirectoryUpdate:
-      case MigrationStep::kTeardown:
-      case MigrationStep::kAborting:
-        return static_cast<std::size_t>(step);
-      case MigrationStep::kPark:
-      case MigrationStep::kPrecopy:
-        return kUnmapped;
-    }
-    return kUnmapped;
-  }
-};
-
-// Stop-and-restart: the duplication round runs in park mode — upstream
-// hosts redirect the channels to the replica instead of mirroring, so the
-// source drains to the park point, freezes, and one full checkpoint ships.
-// Fewest bytes on the wire (no duplicate traffic, one state copy), longest
-// event-delay spike (nothing serves between park and activation).
-class StopAndRestartStrategy final : public MigrationStrategy {
- public:
-  [[nodiscard]] std::string_view name() const override {
-    return "stop-and-restart";
-  }
-  [[nodiscard]] MigrationStrategyKind kind() const override {
-    return MigrationStrategyKind::kStopAndRestart;
-  }
-  [[nodiscard]] const analysis::StateMachineSpec& spec() const override {
-    return analysis::stop_restart_spec();
-  }
-  [[nodiscard]] bool redirect_channels() const override { return true; }
-  [[nodiscard]] std::size_t precopy_rounds(
-      const EngineConfig& /*config*/) const override {
-    return 0;
-  }
-  [[nodiscard]] bool delta_transfer() const override { return false; }
-  [[nodiscard]] std::size_t spec_index(MigrationStep step) const override {
-    switch (step) {
-      case MigrationStep::kCreateReplica:
-        return 0;
-      case MigrationStep::kPark:
-        return 1;
-      case MigrationStep::kTransfer:
-        return 2;
-      case MigrationStep::kDirectoryUpdate:
-        return 3;
-      case MigrationStep::kTeardown:
-        return 4;
-      case MigrationStep::kAborting:
-        return 5;
-      case MigrationStep::kDuplication:
-      case MigrationStep::kPrecopy:
-        return kUnmapped;
-    }
-    return kUnmapped;
-  }
-};
-
-// Incremental pre-copy: after the mirrored duplication round, the source
-// ships its serialized image in rounds — round 1 the full baseline, later
-// rounds only the pages dirtied since the previous round — while still
-// serving. The final freeze ships just the last delta, so the stop window
-// shrinks to the residual dirty set at the cost of extra transfer.
-class IncrementalPrecopyStrategy final : public MigrationStrategy {
- public:
-  [[nodiscard]] std::string_view name() const override {
-    return "incremental-precopy";
-  }
-  [[nodiscard]] MigrationStrategyKind kind() const override {
-    return MigrationStrategyKind::kIncrementalPrecopy;
-  }
-  [[nodiscard]] const analysis::StateMachineSpec& spec() const override {
-    return analysis::precopy_spec();
-  }
-  [[nodiscard]] bool redirect_channels() const override { return false; }
-  [[nodiscard]] std::size_t precopy_rounds(
-      const EngineConfig& config) const override {
-    return config.precopy_rounds;
-  }
-  [[nodiscard]] bool delta_transfer() const override { return true; }
-  [[nodiscard]] std::size_t spec_index(MigrationStep step) const override {
-    switch (step) {
-      case MigrationStep::kCreateReplica:
-        return 0;
-      case MigrationStep::kDuplication:
-        return 1;
-      case MigrationStep::kPrecopy:
-        return 2;
-      case MigrationStep::kTransfer:
-        return 3;
-      case MigrationStep::kDirectoryUpdate:
-        return 4;
-      case MigrationStep::kTeardown:
-        return 5;
-      case MigrationStep::kAborting:
-        return 6;
-      case MigrationStep::kPark:
-        return kUnmapped;
-    }
-    return kUnmapped;
-  }
-};
+const std::array<MigrationStrategy, 3>& strategy_table() {
+  static const std::array<MigrationStrategy, 3> rows{{
+      // The source paper's protocol (§IV-A Fig. 3): upstream hosts mirror
+      // the slice's channels to the replica while the source keeps serving,
+      // the source freezes once caught up to the duplication point, and the
+      // full checkpoint ships during a short stop window.
+      {MigrationStrategyKind::kBufferedReplay, "buffered-replay",
+       analysis::migration_spec()},
+      // Stop-and-restart: the duplication round runs in park mode — upstream
+      // hosts redirect the channels to the replica instead of mirroring, so
+      // the source drains to the park point, freezes, and one full
+      // checkpoint ships. Fewest bytes on the wire (no duplicate traffic,
+      // one state copy), longest event-delay spike (nothing serves between
+      // park and activation).
+      {MigrationStrategyKind::kStopAndRestart, "stop-and-restart",
+       analysis::stop_restart_spec()},
+      // Incremental pre-copy: after the mirrored duplication round, the
+      // source ships its serialized image in rounds — round 1 the full
+      // baseline, later rounds only the pages dirtied since the previous
+      // round — while still serving. The final freeze ships just the last
+      // delta, so the stop window shrinks to the residual dirty set at the
+      // cost of extra transfer.
+      {MigrationStrategyKind::kIncrementalPrecopy, "incremental-precopy",
+       analysis::precopy_spec()},
+  }};
+  return rows;
+}
 
 }  // namespace
 
-const char* to_string(MigrationStrategyKind kind) {
-  switch (kind) {
-    case MigrationStrategyKind::kBufferedReplay:
-      return "buffered-replay";
-    case MigrationStrategyKind::kStopAndRestart:
-      return "stop-and-restart";
-    case MigrationStrategyKind::kIncrementalPrecopy:
-      return "incremental-precopy";
+MigrationStrategy::MigrationStrategy(MigrationStrategyKind kind,
+                                     const char* name,
+                                     const analysis::StateMachineSpec& spec)
+    : kind_(kind), name_(name), spec_(&spec) {
+  // A step maps onto the spec state of the same name; a step the table
+  // lacks maps to kNoState, out of range of legal().
+  for (std::size_t v = 0; v < kSteps; ++v) {
+    spec_index_.push_back(
+        spec.find_state(to_string(static_cast<MigrationStep>(v))));
   }
-  return "unknown";
+  redirect_channels_ = spec_index(MigrationStep::kPark) !=
+                       analysis::StateMachineSpec::kNoState;
+  precopy_ = spec_index(MigrationStep::kPrecopy) !=
+             analysis::StateMachineSpec::kNoState;
+}
+
+std::size_t MigrationStrategy::precopy_rounds(
+    const EngineConfig& config) const {
+  return precopy_ ? config.precopy_rounds : 0;
+}
+
+std::size_t MigrationStrategy::spec_index(MigrationStep step) const {
+  return spec_index_[static_cast<std::size_t>(step)];
+}
+
+const char* to_string(MigrationStrategyKind kind) {
+  return strategy_for(kind).name().data();  // names are string literals
 }
 
 const MigrationStrategy& strategy_for(MigrationStrategyKind kind) {
-  static const BufferedReplayStrategy buffered;
-  static const StopAndRestartStrategy stop_restart;
-  static const IncrementalPrecopyStrategy precopy;
-  switch (kind) {
-    case MigrationStrategyKind::kStopAndRestart:
-      return stop_restart;
-    case MigrationStrategyKind::kIncrementalPrecopy:
-      return precopy;
-    case MigrationStrategyKind::kBufferedReplay:
-      break;
-  }
-  return buffered;
-}
-
-const MigrationStrategy* find_strategy(std::string_view name) {
-  for (const MigrationStrategy* strategy : migration_strategies()) {
-    if (strategy->name() == name) {
-      return strategy;
-    }
-  }
-  return nullptr;
+  return strategy_table()[static_cast<std::size_t>(kind)];
 }
 
 const std::vector<const MigrationStrategy*>& migration_strategies() {
-  static const std::vector<const MigrationStrategy*> all = {
-      &strategy_for(MigrationStrategyKind::kBufferedReplay),
-      &strategy_for(MigrationStrategyKind::kStopAndRestart),
-      &strategy_for(MigrationStrategyKind::kIncrementalPrecopy),
-  };
+  static const std::vector<const MigrationStrategy*> all = [] {
+    std::vector<const MigrationStrategy*> rows;
+    for (const MigrationStrategy& row : strategy_table()) rows.push_back(&row);
+    return rows;
+  }();
   return all;
 }
 

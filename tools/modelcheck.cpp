@@ -9,10 +9,13 @@
 //
 // Exit codes: 0 all checked properties hold; 1 a counterexample was found;
 // 2 usage error; 3 state budget exhausted (exploration not exhaustive).
+#include <charconv>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "analysis/modelcheck.hpp"
@@ -35,6 +38,16 @@ int usage(const char* argv0) {
       "  --list             print the stock model names and exit\n",
       argv0);
   return 2;
+}
+
+// The whole of `text` as a plain non-negative decimal integer: no sign, no
+// blanks, no trailing characters, no overflow.
+std::optional<std::size_t> parse_count(std::string_view text) {
+  std::size_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc{} || stop != end) return std::nullopt;
+  return value;
 }
 
 int run_one(const std::string& name, const esh::analysis::ModelOptions& mopts,
@@ -84,7 +97,15 @@ int main(int argc, char** argv) {
     } else if (arg == "--max-states") {
       const char* v = value();
       if (!v) return usage(argv[0]);
-      copts.max_states = std::stoull(v);
+      const std::optional<std::size_t> budget = parse_count(v);
+      if (!budget) {
+        std::fprintf(stderr,
+                     "modelcheck: --max-states wants a non-negative integer, "
+                     "got '%s'\n",
+                     v);
+        return usage(argv[0]);
+      }
+      copts.max_states = *budget;
     } else if (arg == "--plant-wedge") {
       mopts.fault = esh::analysis::PlantedFault::kWedge;
     } else if (arg == "--plant-invariant") {
