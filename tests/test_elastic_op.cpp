@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "golden_digest.hpp"
 #include "harness/chaos.hpp"
 #include "workload/schedule.hpp"
 
@@ -199,28 +200,8 @@ TEST(ElasticOpSchedulingTest, DeferredSplitLetsMigrationsPass) {
 
 // ---- golden elastic-op log --------------------------------------------------
 
-constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
-
-std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xffU;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-std::uint64_t fnv1a(std::uint64_t h, std::string_view s) {
-  h = fnv1a(h, s.size());
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-std::uint64_t fnv1a(std::uint64_t h, SimTime t) {
-  return fnv1a(h, static_cast<std::uint64_t>(t.count()));
-}
+using golden::fnv1a;
+using golden::kFnvBasis;
 
 // Folds every field a report of its kind carries: a migration's protocol,
 // hosts, phase stamps and byte ledger; a split's or merge's slices,

@@ -2,9 +2,8 @@
 // protocol (buffered-replay, stop-and-restart, incremental-precopy) must
 // yield the same post-migration content — delivery audit, serialized
 // operator state, per-slice work counts — for the same workload, with and
-// without a crash in the schedule, and each strategy's run must be
-// byte-identical at 1/2/4/8 worker threads (the pool affects wall-clock
-// only). Plus unit pins for the pre-copy page diff/patch primitives and the
+// without a crash in the schedule, and each strategy's run must match its
+// pinned digest, raw delivery order and timestamps included. Plus unit pins for the pre-copy page diff/patch primitives and the
 // strategy registry.
 #include <gtest/gtest.h>
 
@@ -22,6 +21,7 @@
 #include "engine/engine.hpp"
 #include "engine/host_runtime.hpp"
 #include "engine/migration_strategy.hpp"
+#include "golden_digest.hpp"
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
 
@@ -110,7 +110,7 @@ class GenHandler final : public Handler {
 };
 
 // Everything content-bearing a run produces. `audit` keeps raw delivery
-// order and timestamps (byte-identity across thread counts); cross-strategy
+// order and timestamps (the per-strategy golden digest); cross-strategy
 // comparisons sort it and drop the times, since protocol timing legitimately
 // differs between strategies.
 struct Fingerprint {
@@ -137,13 +137,12 @@ struct Rig {
   std::shared_ptr<std::vector<Record>> collected =
       std::make_shared<std::vector<Record>>();
 
-  explicit Rig(std::size_t threads = 1) {
+  Rig() {
     EngineConfig config;
     config.flush_interval = millis(10);
     config.control_tick = millis(5);
     config.checkpoints.enabled = true;
     config.checkpoints.interval = seconds(1);
-    config.worker_threads = threads;
     engine = std::make_unique<Engine>(sim, net, HostId{999}, config, 7);
     for (std::size_t i = 0; i < 5; ++i) {
       hosts.push_back(std::make_unique<cluster::Host>(sim, HostId{i + 1},
@@ -205,9 +204,9 @@ constexpr std::uint64_t kValues = 1500;
 // One full differential scenario: warm up under traffic, migrate work:0 to
 // the empty host with `kind`, optionally crash the destination mid-protocol,
 // recover if the slice was lost, drain, and fingerprint the world.
-Fingerprint run_scenario(MigrationStrategyKind kind, std::size_t threads,
+Fingerprint run_scenario(MigrationStrategyKind kind,
                          std::optional<SimDuration> crash_dst_after = {}) {
-  Rig rig(threads);
+  Rig rig;
   rig.inject_values(kValues, millis(2));  // 3 s of traffic
   rig.sim.run_until(rig.sim.now() + millis(1500));  // checkpoints exist
 
@@ -317,31 +316,38 @@ class StrategyDifferential
     : public ::testing::TestWithParam<MigrationStrategyKind> {};
 
 TEST_P(StrategyDifferential, CompletesWithExactlyOnceDelivery) {
-  const Fingerprint fp = run_scenario(GetParam(), 1);
+  const Fingerprint fp = run_scenario(GetParam());
   EXPECT_EQ(fp.report.outcome, MigrationOutcome::kCompleted);
   EXPECT_EQ(fp.report.strategy, strategy_for(GetParam()).name());
   EXPECT_GT(fp.report.bytes_shipped(), 0u);
   EXPECT_GE(fp.report.activated, fp.report.frozen);
 }
 
+// Raw delivery order and timestamps, serialized work state, per-collector
+// counts and the migration's outcome and byte ledger, pinned per strategy.
 TEST_P(StrategyDifferential, ByteIdenticalAcrossThreadCounts) {
-  const Fingerprint base = run_scenario(GetParam(), 1);
-  for (const std::size_t threads : {2u, 4u, 8u}) {
-    const Fingerprint fp = run_scenario(GetParam(), threads);
-    // Raw order AND timestamps must match: the worker pool may only change
-    // wall-clock, never simulated results.
-    EXPECT_EQ(fp.audit, base.audit) << "threads=" << threads;
-    EXPECT_EQ(fp.work_state, base.work_state) << "threads=" << threads;
-    EXPECT_EQ(fp.collect_processed, base.collect_processed)
-        << "threads=" << threads;
-    EXPECT_EQ(fp.report.outcome, base.report.outcome) << "threads=" << threads;
-    EXPECT_EQ(fp.report.bytes_shipped(), base.report.bytes_shipped())
-        << "threads=" << threads;
+  using golden::fnv1a;
+  const Fingerprint fp = run_scenario(GetParam());
+  std::uint64_t h = golden::kFnvBasis;
+  for (const Record& r : fp.audit) {
+    h = fnv1a(fnv1a(fnv1a(h, r.slice_index), r.value), r.at);
   }
+  for (const std::vector<std::byte>& state : fp.work_state) {
+    h = fnv1a(h, std::span<const std::byte>{state});
+  }
+  for (const std::uint64_t n : fp.collect_processed) h = fnv1a(h, n);
+  h = fnv1a(h, static_cast<std::uint64_t>(fp.report.outcome));
+  h = fnv1a(h, fp.report.bytes_shipped());
+  constexpr std::uint64_t kGolden[] = {
+      7635681956622945653ULL,  // buffered-replay
+      10272598222798373750ULL,  // stop-and-restart
+      1579720133549536733ULL,  // incremental-precopy
+  };
+  EXPECT_EQ(h, kGolden[static_cast<std::size_t>(GetParam())]);
 }
 
 TEST_P(StrategyDifferential, ExactlyOnceSurvivesDestinationCrash) {
-  const Fingerprint fp = run_scenario(GetParam(), 1, millis(25));
+  const Fingerprint fp = run_scenario(GetParam(), millis(25));
   // run_scenario already audited exactly-once; the migration must have
   // resolved one way or the other without wedging.
   EXPECT_TRUE(fp.report.outcome == MigrationOutcome::kCompleted ||
@@ -364,11 +370,11 @@ INSTANTIATE_TEST_SUITE_P(
 // operator state, same per-collector work counts.
 TEST(StrategyDifferential, AllStrategiesYieldIdenticalContentFingerprints) {
   const Fingerprint base =
-      run_scenario(MigrationStrategyKind::kBufferedReplay, 1);
+      run_scenario(MigrationStrategyKind::kBufferedReplay);
   for (const MigrationStrategyKind kind :
        {MigrationStrategyKind::kStopAndRestart,
         MigrationStrategyKind::kIncrementalPrecopy}) {
-    const Fingerprint fp = run_scenario(kind, 1);
+    const Fingerprint fp = run_scenario(kind);
     EXPECT_EQ(fp.sorted_audit(), base.sorted_audit()) << to_string(kind);
     EXPECT_EQ(fp.work_state, base.work_state) << to_string(kind);
     EXPECT_EQ(fp.collect_processed, base.collect_processed) << to_string(kind);
@@ -380,11 +386,11 @@ TEST(StrategyDifferential, AllStrategiesYieldIdenticalContentFingerprints) {
 TEST(StrategyDifferential, FaultScheduleYieldsIdenticalContentFingerprints) {
   const SimDuration kCrashAt = millis(25);
   const Fingerprint base =
-      run_scenario(MigrationStrategyKind::kBufferedReplay, 1, kCrashAt);
+      run_scenario(MigrationStrategyKind::kBufferedReplay, kCrashAt);
   for (const MigrationStrategyKind kind :
        {MigrationStrategyKind::kStopAndRestart,
         MigrationStrategyKind::kIncrementalPrecopy}) {
-    const Fingerprint fp = run_scenario(kind, 1, kCrashAt);
+    const Fingerprint fp = run_scenario(kind, kCrashAt);
     EXPECT_EQ(fp.sorted_audit(), base.sorted_audit()) << to_string(kind);
     EXPECT_EQ(fp.work_state, base.work_state) << to_string(kind);
   }
@@ -395,11 +401,11 @@ TEST(StrategyDifferential, FaultScheduleYieldsIdenticalContentFingerprints) {
 // incremental pre-copy stops the slice for the shortest window.
 TEST(StrategyDifferential, TradeoffOrderingHolds) {
   const Fingerprint br =
-      run_scenario(MigrationStrategyKind::kBufferedReplay, 1);
+      run_scenario(MigrationStrategyKind::kBufferedReplay);
   const Fingerprint sr =
-      run_scenario(MigrationStrategyKind::kStopAndRestart, 1);
+      run_scenario(MigrationStrategyKind::kStopAndRestart);
   const Fingerprint pc =
-      run_scenario(MigrationStrategyKind::kIncrementalPrecopy, 1);
+      run_scenario(MigrationStrategyKind::kIncrementalPrecopy);
   ASSERT_EQ(br.report.outcome, MigrationOutcome::kCompleted);
   ASSERT_EQ(sr.report.outcome, MigrationOutcome::kCompleted);
   ASSERT_EQ(pc.report.outcome, MigrationOutcome::kCompleted);

@@ -8,6 +8,7 @@
 #include "cluster/host.hpp"
 #include "engine/engine.hpp"
 #include "filter/interval_index.hpp"
+#include "golden_digest.hpp"
 #include "filter/matcher.hpp"
 #include "net/network.hpp"
 #include "pubsub/streamhub.hpp"
@@ -408,82 +409,61 @@ TEST(MultiScheme, IntervalIndexSchemeRunsEndToEnd) {
   EXPECT_GT(expected, 0u);
 }
 
-// Full-pipeline determinism under the matching worker pool: the identical
-// seeded deployment and event stream must produce the same notifications,
-// the same delay distribution and the same final simulated timestamp at
-// every worker_threads setting -- the pool changes wall-clock only.
+// Full-pipeline golden pin of ASPE matching: the seeded deployment and
+// event stream must produce the pinned notifications, delay distribution
+// and final simulated timestamp.
 TEST(StreamHubParallelMatching, SimulatedResultsIndependentOfThreads) {
-  struct Result {
-    std::uint64_t notifications;
-    std::uint64_t completed;
-    double p50_ms;
-    double p99_ms;
-    SimTime last;
-  };
-  auto run_pipeline = [](std::size_t worker_threads) {
-    sim::Simulator sim;
-    net::Network net{sim};
-    engine::EngineConfig config;
-    config.flush_interval = millis(10);
-    config.control_tick = millis(5);
-    config.worker_threads = worker_threads;
-    engine::Engine engine{sim, net, HostId{99}, config, 3};
-    std::vector<std::unique_ptr<cluster::Host>> hosts;
-    for (std::size_t i = 0; i < 3; ++i) {
-      hosts.push_back(std::make_unique<cluster::Host>(sim, HostId{i + 1},
-                                                      cluster::HostSpec{}));
-      engine.add_host(*hosts.back());
-    }
-    StreamHubParams params;
-    params.source_slices = 1;
-    params.ap_slices = 2;
-    params.m_slices = 2;
-    params.ep_slices = 2;
-    params.sink_slices = 1;
-    params.matcher_factory = [](std::size_t) {
-      return std::make_unique<filter::AspeMatcher>();
-    };
-    StreamHub hub{engine, params};
-    std::vector<HostId> ids;
-    for (const auto& h : hosts) ids.push_back(h->id());
-    HostAssignment assignment;
-    for (const char* op : {"source", "AP", "M", "EP", "sink"}) {
-      assignment[op] = ids;
-    }
-    hub.deploy(assignment);
-
-    // 3000 subscriptions so each M slice holds >1024 slots and the brute
-    // tiling (and ASPE row ranges) genuinely split across workers.
-    workload::EncryptedWorkload workload{{4, 0.05, 2024}};
-    for (std::uint64_t i = 0; i < 3000; ++i) {
-      hub.subscribe(filter::AnySubscription{workload.subscription(i)});
-    }
-    sim.run_until(sim.now() + seconds(5));
-    for (int p = 0; p < 20; ++p) {
-      hub.publish(filter::AnyPublication{workload.next_publication()});
-      sim.run_until(sim.now() + millis(50));
-    }
-    sim.run_until(sim.now() + seconds(3));
-    const auto& collector = *hub.collector();
-    return Result{collector.notifications(),
-                  collector.publications_completed(),
-                  collector.delays_ms().percentile(50),
-                  collector.delays_ms().percentile(99),
-                  collector.last_completion()};
-  };
-
-  const Result scalar = run_pipeline(1);
-  EXPECT_EQ(scalar.completed, 20u);
-  EXPECT_GT(scalar.notifications, 0u);
-  for (const std::size_t threads : {2u, 4u}) {
-    const Result pooled = run_pipeline(threads);
-    EXPECT_EQ(pooled.notifications, scalar.notifications)
-        << threads << " threads";
-    EXPECT_EQ(pooled.completed, scalar.completed) << threads << " threads";
-    EXPECT_EQ(pooled.p50_ms, scalar.p50_ms) << threads << " threads";
-    EXPECT_EQ(pooled.p99_ms, scalar.p99_ms) << threads << " threads";
-    EXPECT_EQ(pooled.last, scalar.last) << threads << " threads";
+  sim::Simulator sim;
+  net::Network net{sim};
+  engine::EngineConfig config;
+  config.flush_interval = millis(10);
+  config.control_tick = millis(5);
+  engine::Engine engine{sim, net, HostId{99}, config, 3};
+  std::vector<std::unique_ptr<cluster::Host>> hosts;
+  for (std::size_t i = 0; i < 3; ++i) {
+    hosts.push_back(std::make_unique<cluster::Host>(sim, HostId{i + 1},
+                                                    cluster::HostSpec{}));
+    engine.add_host(*hosts.back());
   }
+  StreamHubParams params;
+  params.source_slices = 1;
+  params.ap_slices = 2;
+  params.m_slices = 2;
+  params.ep_slices = 2;
+  params.sink_slices = 1;
+  params.matcher_factory = [](std::size_t) {
+    return std::make_unique<filter::AspeMatcher>();
+  };
+  StreamHub hub{engine, params};
+  std::vector<HostId> ids;
+  for (const auto& h : hosts) ids.push_back(h->id());
+  HostAssignment assignment;
+  for (const char* op : {"source", "AP", "M", "EP", "sink"}) {
+    assignment[op] = ids;
+  }
+  hub.deploy(assignment);
+
+  // 3000 subscriptions: each M slice holds more than 1024 ASPE rows.
+  workload::EncryptedWorkload workload{{4, 0.05, 2024}};
+  for (std::uint64_t i = 0; i < 3000; ++i) {
+    hub.subscribe(filter::AnySubscription{workload.subscription(i)});
+  }
+  sim.run_until(sim.now() + seconds(5));
+  for (int p = 0; p < 20; ++p) {
+    hub.publish(filter::AnyPublication{workload.next_publication()});
+    sim.run_until(sim.now() + millis(50));
+  }
+  sim.run_until(sim.now() + seconds(3));
+  const auto& collector = *hub.collector();
+  EXPECT_EQ(collector.publications_completed(), 20u);
+  EXPECT_GT(collector.notifications(), 0u);
+  std::uint64_t h = golden::kFnvBasis;
+  h = golden::fnv1a(h, collector.notifications());
+  h = golden::fnv1a(h, collector.publications_completed());
+  h = golden::fnv1a_bits(h, collector.delays_ms().percentile(50));
+  h = golden::fnv1a_bits(h, collector.delays_ms().percentile(99));
+  h = golden::fnv1a(h, collector.last_completion());
+  EXPECT_EQ(h, 17978186196209639984ULL);
 }
 
 TEST(StreamHubValidation, RequiresMatcherFactory) {
