@@ -108,8 +108,7 @@ void flush_interval_sweep() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  esh::bench::parse_args(argc, argv);
+int main() {
   state_size_sweep();
   flush_interval_sweep();
   return 0;

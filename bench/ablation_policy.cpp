@@ -84,8 +84,7 @@ void print(const char* label, const PolicyOutcome& o) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  esh::bench::parse_args(argc, argv);
+int main() {
   using namespace esh;
   bench::print_header(
       "Policy ablation: e-STREAMHUB enforcer vs threshold auto-scaler");

@@ -3,33 +3,12 @@
 #pragma once
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "harness/testbed.hpp"
 
 namespace esh::bench {
-
-// Worker threads for M's batched matching (--threads). Affects wall-clock
-// only: every experiment's simulated results are identical for any value.
-inline std::size_t& threads_flag() {
-  static std::size_t threads = 1;
-  return threads;
-}
-
-// Parses the common benchmark flags (--threads=N / --threads N). Unknown
-// arguments are left for the caller.
-inline void parse_args(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      threads_flag() = static_cast<std::size_t>(std::atoll(argv[i] + 10));
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads_flag() = static_cast<std::size_t>(std::atoll(argv[++i]));
-    }
-  }
-}
 
 // The paper's worker layout (§VI-C): twice as many hosts for the M
 // operator as for each of AP and EP; with 2 hosts, AP and EP share one.
@@ -75,7 +54,6 @@ inline harness::TestbedConfig paper_config(std::size_t worker_hosts,
   config.source_slices = 4;
   config.sink_slices = 4;
   config.engine.probe_interval = seconds(5);
-  config.engine.worker_threads = threads_flag();
   config.placement = paper_layout;
   config.seed = 2014;
   return config;

@@ -11,8 +11,7 @@
 #include "bench_common.hpp"
 #include "workload/schedule.hpp"
 
-int main(int argc, char** argv) {
-  esh::bench::parse_args(argc, argv);
+int main() {
   using namespace esh;
   bench::print_header("Figure 1: Frankfurt Stock Exchange tick volume");
   std::printf("%8s %12s  %s\n", "hour", "ticks/s", "");

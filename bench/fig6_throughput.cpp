@@ -45,8 +45,7 @@ double measure_max_throughput(std::size_t hosts) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  esh::bench::parse_args(argc, argv);
+int main() {
   using namespace esh;
   bench::print_header(
       "Figure 6 (top): max throughput vs engine hosts, 100 K subscriptions");

@@ -9,8 +9,7 @@
 #include "bench_common.hpp"
 #include "workload/schedule.hpp"
 
-int main(int argc, char** argv) {
-  esh::bench::parse_args(argc, argv);
+int main() {
   using namespace esh;
   auto config = bench::paper_config(8, 100'000);
   config.ap_slices = 4;

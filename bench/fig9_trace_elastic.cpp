@@ -10,8 +10,7 @@
 #include "elastic_experiment.hpp"
 #include "workload/schedule.hpp"
 
-int main(int argc, char** argv) {
-  esh::bench::parse_args(argc, argv);
+int main() {
   using namespace esh;
   auto config = bench::paper_config(1);
   config.placement = nullptr;  // all slices start on one host

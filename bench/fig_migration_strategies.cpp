@@ -78,7 +78,6 @@ esh::harness::TestbedConfig strategies_config() {
   config.engine.control_tick = esh::millis(5);
   config.engine.checkpoints.enabled = true;
   config.engine.checkpoints.interval = esh::millis(500);
-  config.engine.worker_threads = esh::bench::threads_flag();
   config.iaas.max_hosts = 7;
   // AP and EP share the first two workers, the M pair-per-host fills the
   // next two, and the last worker stays empty: the migration headroom every
@@ -253,7 +252,6 @@ void print_json(const std::vector<RunResult>& results) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  esh::bench::parse_args(argc, argv);
   bool json = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0) json = true;

@@ -76,9 +76,6 @@ esh::harness::TestbedConfig recovery_config(const Scenario& scenario) {
   // hold under the injected faults by construction (retransmit counts land
   // in the network stats).
   config.engine.reliable_control = true;
-  // This main builds its config from scratch (no paper_config), so --threads
-  // has to be applied explicitly for the M matching pool.
-  config.engine.worker_threads = esh::bench::threads_flag();
   config.iaas.max_hosts = 8;
   config.iaas.boot_delay = esh::millis(500);
   config.with_manager = true;
@@ -341,7 +338,6 @@ void print_json(const std::vector<RunResult>& results) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  esh::bench::parse_args(argc, argv);
   bool json = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0) json = true;

@@ -72,7 +72,6 @@ esh::harness::TestbedConfig split_config() {
   config.ep_slices = 4;
   config.sink_slices = 2;
   config.engine.probe_interval = esh::millis(500);
-  config.engine.worker_threads = esh::bench::threads_flag();
   config.iaas.max_hosts = 8;
   config.with_manager = true;
   config.manager.policy.target = 0.5;
@@ -213,7 +212,6 @@ void print_json(const std::vector<RunResult>& results) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  esh::bench::parse_args(argc, argv);
   bool json = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0) json = true;

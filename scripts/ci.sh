@@ -42,9 +42,8 @@ stage_checked() {
   cmake -B "$dir" -S . -DESH_WERROR=ON -DESH_CHECK_INVARIANTS=ON
   cmake --build "$dir" -j "$(nproc)"
   ctest --test-dir "$dir" --output-on-failure -j "$(nproc)"
-  # Explicit gate: the pipeline-wide determinism suite (full-run
-  # byte-identity across M worker-pool thread counts) must hold with every
-  # contract live.
+  # Explicit gate: the pipeline-wide determinism suite (golden full-run
+  # pins) must hold with every contract live.
   ctest --test-dir "$dir" --output-on-failure -R 'ParallelPipeline'
 }
 

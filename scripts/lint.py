@@ -3,8 +3,8 @@
 
 The simulator's contract is that a run is a pure function of its inputs and
 seeds: the same configuration must produce byte-identical results on every
-machine, in every build mode, at any --threads setting.  This linter rejects
-the constructs that historically break that contract:
+machine and in every build mode.  This linter rejects the constructs that
+historically break that contract:
 
   random-device        std::random_device (non-seeded entropy)
   libc-rand            rand()/srand() (global hidden state, impl-defined)

@@ -1,11 +1,9 @@
-// Fixed-size worker pool for the real (wall-clock) compute of the matching
-// hot path. The discrete-event simulator stays single-threaded: the only
-// work that ever leaves the simulator thread is the pure, side-effect-free
-// matching computation a handler precomputes for a coalesced batch
-// (Handler::on_batch_start), and the simulator thread always joins the pool
-// before committing any result. Simulated time, cost accounting and event
-// ordering are therefore completely unaware of the pool; only wall-clock
-// changes.
+// Fixed-size worker pool for a matcher's batched kernels
+// (Matcher::set_thread_pool): match_batch fans its pure, side-effect-free
+// compute across the pool and joins before returning. The pool is
+// matcher-level only. The engine owns none and the discrete-event simulator
+// is single-threaded; the pool's users are bench/micro_filter's thread sweep
+// and the parallel-match tests.
 //
 // The fork-join primitive is parallel_for(chunks, fn): the calling thread
 // participates as worker 0, the pool's background threads claim remaining

@@ -6,7 +6,6 @@
 #include "analysis/protocol_spec.hpp"
 #include "common/det.hpp"
 #include "common/log.hpp"
-#include "common/thread_pool.hpp"
 
 namespace esh::engine {
 
@@ -158,11 +157,13 @@ Engine::Engine(sim::Simulator& simulator, net::Network& network,
     : simulator_(simulator),
       network_(network),
       config_(config),
-      worker_pool_(config.worker_threads > 1
-                       ? std::make_unique<ThreadPool>(config.worker_threads)
-                       : nullptr),
       rng_(seed),
       manager_host_(manager_host) {
+  // precopy_spec has no duplication -> transfer edge: a pre-copy migration
+  // runs at least one round.
+  if (config_.precopy_rounds == 0) {
+    throw std::invalid_argument{"Engine: precopy_rounds must be at least 1"};
+  }
   seed_ = seed;
   control_endpoint_ = network_.new_endpoint();
   if (config_.reliable_control) {
@@ -766,7 +767,7 @@ void Engine::begin_migration() {
 
 void Engine::advance_after_duplication() {
   ElasticOp& op = *current_;
-  if (op.strategy->precopy_rounds(config_) > 0) {
+  if (op.strategy->precopy()) {
     op.set_step(MigrationStep::kPrecopy);
     start_precopy_round();
   } else {

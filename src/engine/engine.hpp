@@ -31,10 +31,6 @@
 #include "net/reliable.hpp"
 #include "sim/simulator.hpp"
 
-namespace esh {
-class ThreadPool;
-}
-
 namespace esh::engine {
 
 // Passive replication (STREAMMINE3G-style, paper §III): slices checkpoint
@@ -60,10 +56,10 @@ struct EngineConfig {
   // Pacing of the coordinator's migration steps: each control action waits
   // up to this long, modeling the manager's orchestration loop granularity.
   SimDuration control_tick = millis(50);
-  // Real worker threads for M's batched matching (Engine::worker_pool):
-  // each batch's match_batch call fans out over the pool. The count includes
-  // the simulator thread; 0 or 1 keeps matching inline. Simulated results
-  // are bit-identical for every value -- only wall-clock changes.
+  // Unused: the engine owns no worker pool, and nothing in src/, bench/,
+  // tests/ or examples/ reads or writes this field. It stays only because
+  // the end-to-end benchmark (perfbench/e2e.cpp) assigns it, and goes with
+  // the benchmark change of ROADMAP item 2.
   std::size_t worker_threads = 1;
   // Run every control-plane exchange (migration protocol, checkpoint
   // shipping, recovery orchestration) over net::ReliableChannel:
@@ -76,7 +72,8 @@ struct EngineConfig {
   net::ReliableChannelConfig reliable{};
   // Incremental-precopy strategy: at most this many dirty-delta rounds ship
   // before the final stop-and-copy (the engine/precopy-rounds-bounded
-  // invariant), and deltas are diffed at this page granularity.
+  // invariant), and deltas are diffed at this page granularity. At least
+  // one round always runs, so the Engine constructor rejects 0.
   std::size_t precopy_rounds = 3;
   std::size_t precopy_page_bytes = 64;
   cluster::CostModel cost;
@@ -358,11 +355,6 @@ class Engine {
   [[nodiscard]] sim::Simulator& simulator() { return simulator_; }
   [[nodiscard]] net::Network& network() { return network_; }
   [[nodiscard]] const EngineConfig& config() const { return config_; }
-  // Worker pool for M's batched matching; nullptr when
-  // config.worker_threads <= 1. MHandler::on_batch_start fans its
-  // match_batch across it and joins before any result is committed on the
-  // simulator thread.
-  [[nodiscard]] ThreadPool* worker_pool() { return worker_pool_.get(); }
 
  private:
   // One queued or in-flight elastic operation: its report and callback,
@@ -532,7 +524,6 @@ class Engine {
   sim::Simulator& simulator_;
   net::Network& network_;
   EngineConfig config_;
-  std::unique_ptr<ThreadPool> worker_pool_;
   Rng rng_;
   HostId manager_host_;
   net::Endpoint control_endpoint_;
@@ -547,9 +538,8 @@ class Engine {
 
   std::shared_ptr<const StaticConfig> static_;
   // Same object as static_, mutated only inside an atomic cut-over callback
-  // (the simulator is single-threaded; worker pools only run inside
-  // on_batch_start, which joins before returning, so no reader can observe
-  // a half-applied fan change).
+  // (the engine runs on the simulator thread alone, so no reader can
+  // observe a half-applied fan change).
   std::shared_ptr<StaticConfig> mutable_static_;
   std::unordered_map<HostId, std::unique_ptr<HostRuntime>> host_runtimes_;
   // Authoritative directory at the coordinator.

@@ -1,8 +1,10 @@
 // Operator handler interface: the application logic of an operator slice.
 // All slices of an operator run the same handler code; each slice owns a
 // private handler instance whose state is never shared with sibling slices
-// (paper §III). Handlers declare the lock mode and simulated CPU cost of
-// each event so the host model charges work faithfully.
+// (paper §III). Every event is its own CPU job, as in STREAMMINE3G: the
+// engine hands in-order events to on_event one at a time, and the handler
+// declares each event's lock mode and simulated CPU cost so the host model
+// charges work faithfully.
 #pragma once
 
 #include <cstdint>
@@ -65,35 +67,6 @@ class Handler {
   virtual ~Handler() = default;
 
   virtual void on_event(Context& ctx, const PayloadPtr& payload) = 0;
-
-  // ---- batched processing ----
-  // True when `payload` may be coalesced with adjacent batchable events of
-  // the same in-order delivery run into one precomputed batch. All of a
-  // batch's jobs are submitted consecutively within one simulator callback
-  // and jobs of one slice dispatch in submission order, so no foreign job of
-  // this slice (checkpoint, freeze, another channel's run) interleaves
-  // between a batch's events. The per-event emissions must be byte-identical
-  // to processing the same events serially, which read-only events
-  // (publication matching, MHandler) satisfy trivially. Their kRead jobs run
-  // concurrently in simulated time and may *complete* out of submission
-  // order, so a precomputed result must be checked against the event that
-  // consumes it.
-  [[nodiscard]] virtual bool can_batch(const PayloadPtr& payload) const {
-    (void)payload;
-    return false;
-  }
-  // Called once per coalesced batch, immediately before the first of its
-  // events is processed (i.e. after every earlier job of the slice, so the
-  // handler state it observes is exactly the serial-processing state); lets
-  // the handler run one batched computation whose per-event results the
-  // subsequent on_event calls consume. The simulated cost of the batch is
-  // still charged per event through cost_units(), so batching never changes
-  // simulated work or scheduling.
-  virtual void on_batch_start(Context& ctx,
-                              const std::vector<PayloadPtr>& batch) {
-    (void)ctx;
-    (void)batch;
-  }
 
   // Simulated single-core cost of processing `payload` now (cost-model
   // units); evaluated when the event is handed to the host scheduler.

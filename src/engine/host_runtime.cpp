@@ -190,67 +190,14 @@ void SliceRuntime::deliver_in_order([[maybe_unused]] SliceId from,
                     .actual(channel.expected)
                     .note("input channel from slice " +
                           std::to_string(from.value())));
-  std::vector<PayloadPtr> run;
   while (!channel.pending.empty() &&
          channel.pending.begin()->first == channel.expected &&
          (channel.hold == 0 || channel.expected < channel.hold)) {
     auto node = channel.pending.extract(channel.pending.begin());
-    run.push_back(std::move(node.mapped()));
     channel.last_dispatched = channel.expected;
     ++channel.expected;
-  }
-  if (!run.empty()) {
-    channel.rewound = false;  // cursors re-locked by the deliveries above
-    dispatch_run(std::move(run));
-  }
-}
-
-void SliceRuntime::dispatch_run(std::vector<PayloadPtr> run) {
-  // Most events one batch coalesces. Wall-clock only: every batched event
-  // keeps its own simulated CPU job, cost and lock.
-  constexpr std::size_t kMaxBatch = 64;
-  std::size_t i = 0;
-  while (i < run.size()) {
-    if (!handler_->can_batch(run[i])) {
-      dispatch(std::move(run[i]));
-      ++i;
-      continue;
-    }
-    std::size_t j = i + 1;
-    while (j < run.size() && j - i < kMaxBatch &&
-           handler_->can_batch(run[j])) {
-      ++j;
-    }
-    if (j == i + 1) {
-      dispatch(std::move(run[i]));
-      ++i;
-      continue;
-    }
-    // Coalesced group: the first of its CPU jobs to run precomputes the
-    // whole batch (the state all of them observe is identical -- any later
-    // write job of this slice waits for these read jobs). Each event keeps
-    // its own job, cost and lock, so simulated scheduling and per-event
-    // completion times are exactly as in the unbatched dispatch.
-    struct BatchRun {
-      std::vector<PayloadPtr> payloads;
-      bool started = false;
-    };
-    auto batch = std::make_shared<BatchRun>();
-    batch->payloads.assign(run.begin() + static_cast<std::ptrdiff_t>(i),
-                           run.begin() + static_cast<std::ptrdiff_t>(j));
-    for (const PayloadPtr& payload : batch->payloads) {
-      const double cost = handler_->cost_units(payload);
-      const cluster::LockMode mode = handler_->lock_mode(payload);
-      host_.cpu().submit(id_, mode, cost, [this, batch, payload]() mutable {
-        if (state_ == State::kRetired) return;
-        if (!batch->started) {
-          batch->started = true;
-          handler_->on_batch_start(*this, batch->payloads);
-        }
-        process(std::move(payload));
-      });
-    }
-    i = j;
+    channel.rewound = false;  // cursors re-locked by this delivery
+    dispatch(std::move(node.mapped()));
   }
 }
 

@@ -255,11 +255,7 @@ class SliceRuntime final : public Context {
   void set_state(State next);
 
   void deliver_in_order(SliceId from, ChannelIn& channel);
-  // Dispatches one in-order run of deliverable events, coalescing up to 64
-  // consecutive batchable events (Handler::can_batch) so the handler can
-  // precompute them together. Every event still gets its own
-  // CPU job with its own cost and lock mode.
-  void dispatch_run(std::vector<PayloadPtr> run);
+  // Submits one event as its own CPU job, with its own cost and lock mode.
   void dispatch(PayloadPtr payload);
   void process(PayloadPtr payload);
   void check_freeze();

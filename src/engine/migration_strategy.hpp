@@ -63,9 +63,12 @@ class MigrationStrategy {
   // slice's channels to the replica instead of mirroring them — the source
   // sees no event past the park point (stop-and-restart).
   [[nodiscard]] bool redirect_channels() const { return redirect_channels_; }
-  // Dirty-delta rounds shipped before the final freeze (0 = none). After
-  // them the final transfer ships only the pages changed since the last
-  // round, against the baseline the replica already holds.
+  // Pre-copy: dirty-delta rounds run between duplication and the final
+  // freeze (the table has a `precopy` state). After them the final transfer
+  // ships only the pages changed since the last round, against the baseline
+  // the replica already holds.
+  [[nodiscard]] bool precopy() const { return precopy_; }
+  // Dirty-delta rounds shipped before the final freeze (0 = none).
   [[nodiscard]] std::size_t precopy_rounds(const EngineConfig& config) const;
   // Index of `step` in spec() — states are strategy-local, so the shared
   // MigrationStep enum maps through here. Steps a strategy never takes map

@@ -237,7 +237,7 @@ MatchOutcome BruteForceMatcher::match(const AnyPublication& pub) {
   return out;
 }
 
-void BruteForceMatcher::scan_batch_tile(
+void BruteForceMatcher::batch_scan_tile(
     const std::vector<const Publication*>& plains,
     const std::vector<std::size_t>& grouped,
     const std::vector<std::size_t>& singles, std::size_t t0, std::size_t t1,
@@ -291,14 +291,14 @@ std::vector<MatchOutcome> BruteForceMatcher::match_batch(
     pool_->parallel_for(tiles, [&](std::size_t t, std::size_t w) {
       partial[t].resize(plains.size());
       const std::size_t t0 = t * kBruteTileSlots;
-      scan_batch_tile(plains, grouped, singles, t0,
+      batch_scan_tile(plains, grouped, singles, t0,
                       std::min(n, t0 + kBruteTileSlots), partial[t].data(),
                       worker_scratch_[w]);
     });
     merge_partials(partial, out);
   } else {
     for (std::size_t t0 = 0; t0 < n; t0 += kBruteTileSlots) {
-      scan_batch_tile(plains, grouped, singles, t0,
+      batch_scan_tile(plains, grouped, singles, t0,
                       std::min(n, t0 + kBruteTileSlots), out.data(), scratch_);
     }
   }

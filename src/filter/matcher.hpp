@@ -191,7 +191,7 @@ class BruteForceMatcher final : public Matcher {
                       std::vector<std::uint32_t>& survivors, MatchOutcome& out);
   // One tile of the batch kernel: every publication of the batch scans
   // slots [t0, t1), appending matches to outs[p] (indexed like `plains`).
-  void scan_batch_tile(const std::vector<const Publication*>& plains,
+  void batch_scan_tile(const std::vector<const Publication*>& plains,
                        const std::vector<std::size_t>& grouped,
                        const std::vector<std::size_t>& singles, std::size_t t0,
                        std::size_t t1, MatchOutcome* outs,

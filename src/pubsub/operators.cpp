@@ -101,30 +101,6 @@ double ApHandler::cost_units(const engine::PayloadPtr& p) const {
 
 // ---- MHandler ------------------------------------------------------------------
 
-bool MHandler::can_batch(const engine::PayloadPtr& p) const {
-  return dynamic_cast<const PublicationPayload*>(p.get()) != nullptr;
-}
-
-void MHandler::on_batch_start(engine::Context& ctx,
-                              const std::vector<engine::PayloadPtr>& batch) {
-  (void)ctx;
-  std::vector<filter::AnyPublication> pubs;
-  pubs.reserve(batch.size());
-  for (const engine::PayloadPtr& p : batch) {
-    const auto* pub = dynamic_cast<const PublicationPayload*>(p.get());
-    if (pub == nullptr) {
-      throw std::logic_error{"MHandler: non-publication in batch"};
-    }
-    pubs.push_back(pub->publication);
-  }
-  std::vector<filter::MatchOutcome> outcomes = matcher_->match_batch(pubs);
-  precomputed_.clear();
-  for (std::size_t i = 0; i < pubs.size(); ++i) {
-    precomputed_.emplace_back(filter::publication_id(pubs[i]),
-                              std::move(outcomes[i]));
-  }
-}
-
 void MHandler::on_event(engine::Context& ctx, const engine::PayloadPtr& p) {
   if (const auto* sub = dynamic_cast<const SubscriptionPayload*>(p.get())) {
     matcher_->add(sub->subscription);
@@ -135,17 +111,7 @@ void MHandler::on_event(engine::Context& ctx, const engine::PayloadPtr& p) {
     return;
   }
   if (const auto* pub = dynamic_cast<const PublicationPayload*>(p.get())) {
-    filter::MatchOutcome outcome;
-    const PublicationId pub_id = filter::publication_id(pub->publication);
-    if (!precomputed_.empty() && precomputed_.front().first == pub_id) {
-      outcome = std::move(precomputed_.front().second);
-      precomputed_.pop_front();
-    } else {
-      // Standalone (unbatched) publication, or a batch consumed out of
-      // order: the store is unchanged since on_batch_start, so the scalar
-      // result is identical either way.
-      outcome = matcher_->match(pub->publication);
-    }
+    filter::MatchOutcome outcome = matcher_->match(pub->publication);
     auto list = std::make_shared<MatchListPayload>();
     list->publication = filter::publication_id(pub->publication);
     list->m_slice_index = slice_index_;

@@ -16,7 +16,6 @@
 //                          notifications and delay measurements out.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <set>
@@ -93,34 +92,18 @@ class ApHandler final : public engine::Handler {
 
 class MHandler final : public engine::Handler {
  public:
-  // `worker_pool` (optional) is installed on the matcher: on_batch_start's
-  // match_batch call then fans its compute across the pool and joins before
-  // returning, so every result is committed on the simulator thread and
-  // simulated behavior is independent of the pool.
   MHandler(OperatorNames names, std::string own_op, std::uint32_t slice_index,
-           std::unique_ptr<filter::Matcher> matcher, cluster::CostModel cost,
-           ThreadPool* worker_pool = nullptr)
+           std::unique_ptr<filter::Matcher> matcher, cluster::CostModel cost)
       : names_(std::move(names)),
         own_op_(std::move(own_op)),
         slice_index_(slice_index),
         matcher_(std::move(matcher)),
-        cost_(cost) {
-    matcher_->set_thread_pool(worker_pool);
-  }
+        cost_(cost) {}
 
   void on_event(engine::Context& ctx, const engine::PayloadPtr& p) override;
   [[nodiscard]] double cost_units(const engine::PayloadPtr& p) const override;
   [[nodiscard]] cluster::LockMode lock_mode(
       const engine::PayloadPtr& p) const override;
-
-  // Publications are read-only with respect to the subscription store, so a
-  // run of them drains from the input channel as one batch: on_batch_start
-  // issues a single matcher_->match_batch() whose per-publication outcomes
-  // the subsequent on_event calls emit. Results, simulated costs and lock
-  // modes are identical to scalar processing.
-  [[nodiscard]] bool can_batch(const engine::PayloadPtr& p) const override;
-  void on_batch_start(engine::Context& ctx,
-                      const std::vector<engine::PayloadPtr>& batch) override;
 
   void serialize_state(BinaryWriter& w) const override {
     matcher_->serialize_state(w);
@@ -148,9 +131,6 @@ class MHandler final : public engine::Handler {
   std::uint32_t slice_index_;
   std::unique_ptr<filter::Matcher> matcher_;
   cluster::CostModel cost_;
-  // Outcomes precomputed by on_batch_start, consumed in order by the
-  // per-publication on_event calls of the same batch.
-  std::deque<std::pair<PublicationId, filter::MatchOutcome>> precomputed_;
 };
 
 class EpHandler final : public engine::Handler {

@@ -77,10 +77,10 @@ void StreamHub::deploy(const HostAssignment& assignment) {
     topology.operators.push_back(engine::OperatorSpec{
         spec.op_name, spec.slices,
         [names = names, op = spec.op_name, factory = spec.factory,
-         cost = params_.cost, pool = engine_.worker_pool()](std::size_t index) {
+         cost = params_.cost](std::size_t index) {
           return std::make_unique<MHandler>(
               names, op, static_cast<std::uint32_t>(index), factory(index),
-              cost, pool);
+              cost);
         }});
   }
   topology.operators.push_back(engine::OperatorSpec{

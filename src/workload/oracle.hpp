@@ -126,10 +126,11 @@ class MatchOracle {
   // Memo of partitioned_matches: a ring of partitions keyed by
   // pub % size and tagged with the publication id, refilled in place so a
   // steady state allocates nothing. It is a memo of a pure function, so
-  // any eviction gives the same results. It is also unsynchronized: the
-  // oracle is shared by every OracleMatcher of a deployment, so it must
-  // stay off the matching worker pool. OracleMatcher therefore keeps
-  // Matcher's serial match_batch, and only the simulation thread calls it.
+  // any eviction gives the same results. It is also unsynchronized, and the
+  // oracle is shared by every OracleMatcher of a deployment. No worker
+  // thread can reach it: the engine matches with the scalar match on the
+  // simulation thread and never calls match_batch, and OracleMatcher keeps
+  // Matcher's serial match_batch.
   mutable std::vector<Partition> memo_;
   mutable std::vector<std::uint64_t> memo_seen_;    // sample() bitmap
   mutable std::vector<std::uint64_t> memo_sample_;  // sample() output

@@ -3,8 +3,8 @@
 // yield the same post-migration content — delivery audit, serialized
 // operator state, per-slice work counts — for the same workload, with and
 // without a crash in the schedule, and each strategy's run must match its
-// pinned digest, raw delivery order and timestamps included. Plus unit pins for the pre-copy page diff/patch primitives and the
-// strategy registry.
+// pinned digest, raw delivery order and timestamps included. Plus unit pins
+// for the pre-copy page diff/patch primitives and the strategy registry.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +13,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <tuple>
 #include <vector>
 
@@ -268,6 +269,19 @@ TEST(MigrationStrategyRegistry, ExposesAllThreeProtocolsInKindOrder) {
   EXPECT_EQ(all[2]->precopy_rounds(config), 4u);
 }
 
+// A pre-copy migration runs at least one dirty-delta round: precopy_spec has
+// no duplication -> transfer edge, so a zero-round budget is a config error
+// caught at construction, not a step-legality violation mid-migration.
+TEST(StrategyConfig, EngineRejectsZeroPrecopyRounds) {
+  sim::Simulator sim;
+  net::Network net{sim};
+  EngineConfig config;
+  config.precopy_rounds = 0;
+  EXPECT_THROW((Engine{sim, net, HostId{1}, config, 1}), std::invalid_argument);
+  config.precopy_rounds = 1;
+  EXPECT_NO_THROW((Engine{sim, net, HostId{1}, config, 1}));
+}
+
 // ---- Pre-copy page primitives ----------------------------------------------
 
 TEST(PrecopyPages, IdenticalImagesProduceAnEmptyDiff) {
@@ -339,9 +353,9 @@ TEST_P(StrategyDifferential, ByteIdenticalAcrossThreadCounts) {
   h = fnv1a(h, static_cast<std::uint64_t>(fp.report.outcome));
   h = fnv1a(h, fp.report.bytes_shipped());
   constexpr std::uint64_t kGolden[] = {
-      7635681956622945653ULL,  // buffered-replay
+      7635681956622945653ULL,   // buffered-replay
       10272598222798373750ULL,  // stop-and-restart
-      1579720133549536733ULL,  // incremental-precopy
+      1579720133549536733ULL,   // incremental-precopy
   };
   EXPECT_EQ(h, kGolden[static_cast<std::size_t>(GetParam())]);
 }
