@@ -2,9 +2,11 @@
 // slices lost to host failures with exactly-once semantics.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <vector>
 
 #include "cluster/host.hpp"
@@ -264,6 +266,177 @@ TEST_F(ReplicationTest, CheckpointingIsExactlyOnceUnderSteadyFlow) {
   std::map<std::uint64_t, int> seen;
   for (const Record& r : *collected) ++seen[r.value];
   for (std::uint64_t v = 1; v <= kValues; ++v) EXPECT_EQ(seen[v], 1);
+}
+
+void write_values(BinaryWriter& w, const std::multiset<std::uint64_t>& values) {
+  w.write_u64(values.size());
+  for (const std::uint64_t v : values) w.write_u64(v);
+}
+
+std::multiset<std::uint64_t> read_values(BinaryReader& r) {
+  std::multiset<std::uint64_t> values;
+  for (std::uint64_t n = r.read_u64(); n > 0; --n) values.insert(r.read_u64());
+  return values;
+}
+
+// Splittable forwarder: its state is the values it saw, keyed by value (the
+// routing key), so a split moves exactly the child's keys.
+class KeyedForwardHandler final : public Handler {
+ public:
+  void on_event(Context& ctx, const PayloadPtr& p) override {
+    const auto& num = dynamic_cast<const NumPayload&>(*p);
+    seen_.insert(num.value);
+    ctx.emit("sink", Routing::hash(num.value), p);
+  }
+  double cost_units(const PayloadPtr&) const override { return 20.0; }
+  cluster::LockMode lock_mode(const PayloadPtr&) const override {
+    return cluster::LockMode::kWrite;
+  }
+  void serialize_state(BinaryWriter& w) const override { write_values(w, seen_); }
+  void restore_state(BinaryReader& r) override { seen_ = read_values(r); }
+  std::size_t state_bytes() const override { return 8 * (seen_.size() + 1); }
+  double replica_init_units() const override { return 1000.0; }
+  bool supports_split() const override { return true; }
+  std::size_t split_state(const KeyCoverage& cov, BinaryWriter& w) override {
+    std::multiset<std::uint64_t> moved;
+    for (auto it = seen_.begin(); it != seen_.end();) {
+      if (cov.covers(*it)) {
+        moved.insert(*it);
+        it = seen_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    write_values(w, moved);
+    return moved.size();
+  }
+  void absorb_state(BinaryReader& r) override {
+    seen_.merge(read_values(r));
+  }
+
+ private:
+  std::multiset<std::uint64_t> seen_;
+};
+
+// Checkpointed sink: what it delivered is its state, so a recovered sink
+// holds exactly what its checkpoint plus the replay gave it.
+class SinkHandler final : public Handler {
+ public:
+  void on_event(Context&, const PayloadPtr& p) override {
+    values_.insert(dynamic_cast<const NumPayload&>(*p).value);
+  }
+  double cost_units(const PayloadPtr&) const override { return 5.0; }
+  cluster::LockMode lock_mode(const PayloadPtr&) const override {
+    return cluster::LockMode::kWrite;
+  }
+  void serialize_state(BinaryWriter& w) const override {
+    write_values(w, values_);
+  }
+  void restore_state(BinaryReader& r) override { values_ = read_values(r); }
+  std::size_t state_bytes() const override { return 8 * (values_.size() + 1); }
+  double replica_init_units() const override { return 1000.0; }
+
+  std::multiset<std::uint64_t> values_;
+};
+
+TEST_F(ReplicationTest, MergedRetireeLogTruncatesAndReplaysFromSurvivor) {
+  // Periodic checkpoints stay out of the way; the test forces each one.
+  make_engine(true, seconds(1000000));
+  Topology t;
+  t.operators.push_back(OperatorSpec{"gen", 1, [](std::size_t) {
+    return std::make_unique<GenHandler>("work");
+  }});
+  t.operators.push_back(OperatorSpec{"work", 1, [](std::size_t) {
+    return std::make_unique<KeyedForwardHandler>();
+  }});
+  t.operators.push_back(OperatorSpec{"sink", 2, [](std::size_t) {
+    return std::make_unique<SinkHandler>();
+  }});
+  t.edges = {{"gen", "work"}, {"work", "sink"}};
+  engine->deploy(t, {
+      {"gen", {hosts[0]->id()}},
+      {"work", {hosts[1]->id()}},
+      {"sink", {hosts[3]->id(), hosts[3]->id()}},
+  });
+  const auto run_until = [this](const std::function<bool()>& done) {
+    const SimTime limit = sim.now() + seconds(30);
+    while (!done() && sim.now() < limit) sim.run_until(sim.now() + millis(10));
+    return done();
+  };
+  const SliceId survivor = engine->slice_id("work", 0);
+  const SliceId sink0 = engine->slice_id("sink", 0);
+  const SliceId sink1 = engine->slice_id("sink", 1);
+  const auto checkpoint = [this](SliceId slice) {
+    engine->slice_runtime(slice)->checkpoint(
+        engine->checkpoint_store_endpoint());
+  };
+  constexpr std::uint64_t kValues = 300;
+  inject_values(kValues, millis(10));  // 3 s of traffic
+
+  // Split work:0 under load; its child forwards half the keys to the sinks.
+  sim.run_until(sim.now() + millis(500));
+  std::optional<ElasticReport> split;
+  engine->split_slice(survivor, hosts[2]->id(),
+                      [&](const ElasticReport& r) { split = r; });
+  ASSERT_TRUE(run_until([&] { return split.has_value(); }));
+  ASSERT_EQ(split->outcome, MigrationOutcome::kCompleted);
+  const SliceId retiree = split->other;
+
+  // Mid-stream sink checkpoints: both sinks have seen part of the child's
+  // output, so the child's log keeps only the suffix above them.
+  sim.run_until(SimTime{} + millis(2000));
+  checkpoint(sink0);
+  checkpoint(sink1);
+  sim.run_until(sim.now() + seconds(3));  // traffic over, cluster quiescent
+
+  // Merge the child back: the survivor adopts the retiree's log.
+  const std::size_t own = engine->slice_runtime(survivor)->logged_events();
+  const std::size_t adopted = engine->slice_runtime(retiree)->logged_events();
+  ASSERT_GT(adopted, 0u);
+  std::optional<ElasticReport> merge;
+  engine->merge_slices(survivor, retiree,
+                       [&](const ElasticReport& r) { merge = r; });
+  ASSERT_TRUE(run_until([&] { return merge.has_value(); }));
+  ASSERT_EQ(merge->outcome, MigrationOutcome::kCompleted);
+  EXPECT_EQ(engine->slice_runtime(survivor)->logged_events(), own + adopted);
+
+  // A post-merge sink:0 checkpoint truncates the survivor's logs for it,
+  // adopted channel included.
+  checkpoint(sink0);
+  sim.run_until(sim.now() + seconds(1));
+  const std::size_t after_truncate =
+      engine->slice_runtime(survivor)->logged_events();
+  EXPECT_LT(after_truncate, own + adopted);
+  EXPECT_GT(after_truncate, 0u);
+
+  // The sinks' host dies. sink:1 restores its mid-stream checkpoint and
+  // needs the retiree's suffix, which only the survivor's adopted log holds.
+  const auto lost = engine->fail_host(hosts[3]->id());
+  ASSERT_EQ(lost, (std::vector<SliceId>{sink0, sink1}));
+  int recovered = 0;
+  for (const SliceId slice : lost) {
+    engine->recover_slice(slice, hosts[0]->id(), [&] { ++recovered; });
+  }
+  ASSERT_TRUE(run_until([&] { return recovered == 2; }));
+  sim.run_until(sim.now() + seconds(3));
+
+  // Exactly-once audit over the recovered sinks' state.
+  std::map<std::uint64_t, int> seen;
+  for (const SliceId slice : lost) {
+    const auto& sink =
+        dynamic_cast<const SinkHandler&>(engine->slice_runtime(slice)->handler());
+    for (const std::uint64_t v : sink.values_) ++seen[v];
+  }
+  ASSERT_EQ(seen.size(), kValues);
+  for (std::uint64_t v = 1; v <= kValues; ++v) {
+    ASSERT_EQ(seen[v], 1) << "value " << v;
+  }
+
+  // Once both recovered sinks checkpoint, nothing is left to retain.
+  checkpoint(sink0);
+  checkpoint(sink1);
+  sim.run_until(sim.now() + seconds(1));
+  EXPECT_EQ(engine->slice_runtime(survivor)->logged_events(), 0u);
 }
 
 }  // namespace
