@@ -406,12 +406,8 @@ void Engine::recover_slice(SliceId slice, HostId dst,
   msg->reply_to = control_endpoint_;
   std::size_t bytes = 96;
   if (auto cp = checkpoints_.find(slice); cp != checkpoints_.end()) {
-    msg->state = cp->second.state;
-    msg->processed = cp->second.processed;
-    msg->out_seqs = cp->second.out_seqs;
-    msg->log = cp->second.log;
-    msg->coverage_epoch = cp->second.coverage_epoch;
-    bytes = msg->state->size() + 64 * msg->log.size();
+    msg->snapshot = cp->second;
+    bytes = msg->snapshot.bytes();
   }
   // Mid-split/merge recovery: install the cut-over holds before the replica
   // drains, so replayed post-cut events stay queued until the re-driven
@@ -423,7 +419,8 @@ void Engine::recover_slice(SliceId slice, HostId dst,
   // still counting the old stream rewind to the regenerated base, so the
   // replayed suffix is accepted instead of deduplicated (see
   // recovery_rebases_).
-  msg->processed = clamp_to_rebases(slice, std::move(msg->processed));
+  msg->snapshot.processed =
+      clamp_to_rebases(slice, std::move(msg->snapshot.processed));
   // No checkpoint: bootstrap restore with null state and zero watermarks.
   // The retained logs are complete precisely because no checkpoint ever
   // truncated them, so the full replay rebuilds the state from scratch.
@@ -966,8 +963,7 @@ bool Engine::handle_capture_control(const net::Message* msg) {
       // activates through the ordinary recovery path, channels starting
       // fresh at sequence 1 (empty watermarks ask for a full replay of the
       // post-cut-over traffic the logs / replica buffer hold).
-      checkpoints_[op.report.other] =
-          StoredCheckpoint{cap->state, {}, {}, {}, 0};
+      checkpoints_[op.report.other] = SliceSnapshot{.state = cap->state};
       op.set_step(SplitStep::kActivate);
       activate_split_child();
       fire_step();
@@ -982,7 +978,7 @@ bool Engine::handle_capture_control(const net::Message* msg) {
       auto existing = checkpoints_.find(cap->child);
       if (existing == checkpoints_.end() ||
           existing->second.processed.empty()) {
-        checkpoints_[cap->child] = StoredCheckpoint{cap->state, {}, {}, {}, 0};
+        checkpoints_[cap->child] = SliceSnapshot{.state = cap->state};
       }
     }
     return true;
@@ -1004,9 +1000,7 @@ bool Engine::handle_capture_control(const net::Message* msg) {
     pending_replays_.erase(retiree);
     if (auto roll = rollforward_.find(survivor);
         roll != rollforward_.end() && roll->second.transition == op.report.id) {
-      roll->second.state = cap->state;
-      roll->second.log = cap->log;
-      roll->second.state_ready = true;
+      roll->second.absorb = cap->snapshot;
     }
     op.set_step(MergeStep::kAbsorb);
     // Ship to the survivor's current primary. If the survivor is lost or
@@ -1019,11 +1013,9 @@ bool Engine::handle_capture_control(const net::Message* msg) {
       req->transition = op.report.id;
       req->survivor = survivor;
       req->retiree = retiree;
-      req->state = cap->state;
-      req->log = cap->log;
+      req->snapshot = cap->snapshot;
       req->reply_to = control_endpoint_;
-      const std::size_t bytes =
-          (cap->state ? cap->state->size() : 0) + 64 * cap->log.size() + 96;
+      const std::size_t bytes = cap->snapshot.bytes() + 96;
       send_control(loc->second.primary, std::move(req), bytes);
     }
     fire_step();
@@ -1082,7 +1074,7 @@ void Engine::drive_leg(SliceRuntime& rt, const RollForward& roll) {
       spec.cutover = roll.cutover;
       spec.reply_to = control_endpoint_;
       rt.begin_absorb(std::move(spec));
-      if (roll.state_ready) rt.deliver_absorb_state(roll.state, roll.log);
+      if (roll.absorb) rt.deliver_absorb_state(*roll.absorb);
       return;
     }
     case RollForward::Role::kMergeRetiree: {
@@ -1314,13 +1306,8 @@ void Engine::send_freeze() {
   send_control(op.report.src, std::move(req));
 }
 
-void Engine::repair_redirected_channels(
+void Engine::broadcast_replay(
     SliceId slice, const std::vector<std::pair<SliceId, SeqNo>>& processed) {
-  // Same replay machinery recovery uses: every host re-sends its logged
-  // suffix above the source's per-channel watermarks (channel sequence
-  // numbers deduplicate anything the source did see). Ordered after the
-  // broadcast_location in the caller, so per-destination FIFO applies the
-  // location fix before any replayed event arrives.
   auto replay = std::make_shared<ReplayRequest>();
   replay->slice = slice;
   replay->processed = processed;
@@ -1328,21 +1315,18 @@ void Engine::repair_redirected_channels(
   for (const HostId id : sorted_keys(host_runtimes_)) {
     send_control(id, replay);
   }
-  // External injections: re-deliver the logged suffix directly.
-  SeqNo external_watermark = 0;
-  for (const auto& [upstream, watermark] : processed) {
-    if (upstream == kExternalChannel) external_watermark = watermark;
-  }
+}
+
+void Engine::redeliver_injections(
+    SliceId slice, const std::vector<std::pair<SliceId, SeqNo>>& processed) {
   const auto log = inject_log_.find(slice);
-  if (log == inject_log_.end()) return;
   const auto loc = directory_.find(slice);
-  if (loc == directory_.end()) return;
+  if (log == inject_log_.end() || loc == directory_.end()) return;
   const auto host_it = host_runtimes_.find(loc->second.primary);
   if (host_it == host_runtimes_.end()) return;
+  const SeqNo above = seq_of(processed, kExternalChannel);
   for (const WireEvent& event : log->second) {
-    if (event.seq > external_watermark) {
-      host_it->second->deliver_external(event);
-    }
+    if (event.seq > above) host_it->second->deliver_external(event);
   }
 }
 
@@ -1429,14 +1413,17 @@ std::vector<SliceId> Engine::downstream_slices(SliceId slice) const {
   return out;
 }
 
+bool Engine::multi_input(SliceId slice) const {
+  return upstream_slices(slice).size() +
+             (next_inject_seq_.contains(slice) ? 1 : 0) >
+         1;
+}
+
 void Engine::register_recovery_rebases(SliceId slice) {
   // Single-input slices replay their one channel in the original order, so
   // the regenerated output keeps the original numbering and downstream
   // dedup stays valid; only multi-input interleavings renumber.
-  const std::size_t input_channels =
-      upstream_slices(slice).size() +
-      (next_inject_seq_.contains(slice) ? 1 : 0);
-  if (input_channels <= 1) return;
+  if (!multi_input(slice)) return;
   std::vector<std::pair<SliceId, SeqNo>> out_bases;
   if (auto cp = checkpoints_.find(slice); cp != checkpoints_.end()) {
     out_bases = cp->second.out_seqs;
@@ -1446,11 +1433,7 @@ void Engine::register_recovery_rebases(SliceId slice) {
   auto& rebases = recovery_rebases_[slice];
   rebases.clear();
   for (const SliceId down : downstream_slices(slice)) {
-    SeqNo base = 1;
-    for (const auto& [target, next] : out_bases) {
-      if (target == down) base = next;
-    }
-    rebases[down] = base;
+    rebases[down] = seq_of(out_bases, down, 1);
   }
 }
 
@@ -1476,16 +1459,14 @@ void Engine::on_control(const net::Delivery& delivery) {
 
   // ---- passive-replication traffic (independent of migrations) ----
   if (const auto* checkpoint = dynamic_cast<const CheckpointMessage*>(msg)) {
-    checkpoints_[checkpoint->slice] =
-        StoredCheckpoint{checkpoint->state, checkpoint->processed,
-                         checkpoint->out_seqs, checkpoint->log,
-                         checkpoint->coverage_epoch};
+    const SliceSnapshot& cut = checkpoint->snapshot;
+    checkpoints_[checkpoint->slice] = cut;
     // A checkpoint at or past a pending split/merge capture's coverage
     // epoch proves that capture durable: the roll-forward record is spent,
     // and a transition deferred behind it may start.
     if (auto roll = rollforward_.find(checkpoint->slice);
         roll != rollforward_.end() &&
-        checkpoint->coverage_epoch >= roll->second.epoch) {
+        cut.coverage_epoch >= roll->second.epoch) {
       rollforward_.erase(roll);
       start_next(Family::kTransitions);
     }
@@ -1495,7 +1476,7 @@ void Engine::on_control(const net::Delivery& delivery) {
     // still in flight from a now-dead consumer can spend the entry with an
     // old-numbering watermark — it is also the restore point recovery will
     // resume from, so the window is a single checkpoint interval.)
-    for (const auto& [upstream, watermark] : checkpoint->processed) {
+    for (const auto& [upstream, watermark] : cut.processed) {
       const auto rebase = recovery_rebases_.find(upstream);
       if (rebase == recovery_rebases_.end()) continue;
       const auto entry = rebase->second.find(checkpoint->slice);
@@ -1507,17 +1488,12 @@ void Engine::on_control(const net::Delivery& delivery) {
     // Let upstream logs (and the external injection log) truncate.
     auto notice = std::make_shared<CheckpointNoticeMessage>();
     notice->slice = checkpoint->slice;
-    notice->processed = checkpoint->processed;
-    for (const auto& [upstream, watermark] : checkpoint->processed) {
-      if (upstream == kExternalChannel) {
-        auto log = inject_log_.find(checkpoint->slice);
-        if (log != inject_log_.end()) {
-          auto& events = log->second;
-          while (!events.empty() && events.front().seq <= watermark) {
-            events.pop_front();
-          }
-        }
-      }
+    notice->processed = cut.processed;
+    if (auto log = inject_log_.find(checkpoint->slice);
+        log != inject_log_.end()) {
+      const SeqNo upto = seq_of(cut.processed, kExternalChannel);
+      auto& events = log->second;
+      while (!events.empty() && events.front().seq <= upto) events.pop_front();
     }
     // Sorted: broadcast order serializes on the manager NIC.
     for (const HostId id : sorted_keys(host_runtimes_)) {
@@ -1553,37 +1529,27 @@ void Engine::on_control(const net::Delivery& delivery) {
     // upstream stream rewind to its new base (matches what the restore
     // message carried, so the activated channels accept the replay).
     processed = clamp_to_rebases(ack->slice, std::move(processed));
-    // With a single input channel the replay re-creates the original event
-    // order exactly, so the regenerated output matches the original
-    // sequence numbering and downstream dedup stays valid. Only multi-input
-    // slices can interleave replayed channels differently and need their
-    // downstream channels rewound to the restored bases.
-    const std::size_t input_channels =
-        upstream_slices(ack->slice).size() +
-        (next_inject_seq_.contains(ack->slice) ? 1 : 0);
     // This recovery renumbers a multi-input slice's output (fresh
     // interleaving from the checkpoint cut). Refresh the per-consumer
     // regenerated bases (first recorded at fail_host time) so consumers
     // that recover later rewind their restored watermarks to them.
     register_recovery_rebases(ack->slice);
     // Sorted: broadcast order serializes on the manager NIC and decides
-    // when each survivor rewinds / starts replaying.
+    // when each survivor rewinds / starts replaying. Only a multi-input
+    // slice's downstream channels rewind to the restored bases (see
+    // multi_input); a single input replays in the original order.
+    const bool reset_channels = multi_input(ack->slice);
     for (const HostId id : sorted_keys(host_runtimes_)) {
       auto update = std::make_shared<DirectoryUpdateMessage>();
       update->migration = MigrationId{};
       update->slice = ack->slice;
       update->host = dst;
       update->reply_to = net::Endpoint{};  // no ack needed
-      update->reset_channels = input_channels > 1;
+      update->reset_channels = reset_channels;
       update->out_bases = out_bases;
       send_control(id, update);
     }
-    auto replay = std::make_shared<ReplayRequest>();
-    replay->slice = ack->slice;
-    replay->processed = processed;
-    for (const HostId id : sorted_keys(host_runtimes_)) {
-      send_control(id, replay);
-    }
+    broadcast_replay(ack->slice, processed);
     // Co-recovery rendezvous: slices recovered before this one broadcast
     // their replay requests while this slice was not live anywhere, so the
     // events only its (restored) log holds were never re-sent. Re-deliver
@@ -1598,21 +1564,7 @@ void Engine::on_control(const net::Delivery& delivery) {
       send_control(dst, again);
     }
     pending_replays_[ack->slice] = processed;
-    // External injections: re-deliver the logged suffix directly.
-    SeqNo external_watermark = 0;
-    for (const auto& [upstream, watermark] : processed) {
-      if (upstream == kExternalChannel) external_watermark = watermark;
-    }
-    auto log = inject_log_.find(ack->slice);
-    if (log != inject_log_.end()) {
-      auto dst_runtime = host_runtimes_.find(dst);
-      for (const WireEvent& event : log->second) {
-        if (event.seq > external_watermark &&
-            dst_runtime != host_runtimes_.end()) {
-          dst_runtime->second->deliver_external(event);
-        }
-      }
-    }
+    redeliver_injections(ack->slice, processed);
     // A pending split/merge capture on this slice replays now, from the
     // freshly restored state — deterministically identical to the original.
     redrive_rollforward(ack->slice);
@@ -1822,8 +1774,13 @@ void Engine::handle_op_control(const net::Message* msg) {
       // the now-dead replica, so the resumed source needs the suffix replayed
       // whether or not it reached its freeze. A thawed pre-copy source needs
       // the same replay for the events dropped during its final freeze.
-      // Either way the upstream logs re-send above the source's watermarks.
-      repair_redirected_channels(op.report.slice, ack->processed);
+      // Either way the upstream logs re-send above the source's watermarks
+      // (channel sequence numbers deduplicate anything the source did
+      // see), and so does the external injection log. Ordered after the
+      // broadcast_location above, so per-destination FIFO applies the
+      // location fix before any replayed event arrives.
+      broadcast_replay(op.report.slice, ack->processed);
+      redeliver_injections(op.report.slice, ack->processed);
     }
     if (!ack->resumed) {
       ESH_WARN << "Engine: migration abort lost slice "

@@ -427,10 +427,8 @@ class Engine {
     SliceId other{};          // split: child; merge: the opposite slice
     KeyCoverage cov{};        // split: child coverage (for re-capture)
     std::vector<std::pair<SliceId, SeqNo>> cutover{};
-    // Merge survivor: the retiree's captured state, once shipped.
-    std::shared_ptr<const std::vector<std::byte>> state{};
-    std::vector<WireEvent> log{};
-    bool state_ready = false;
+    // Merge survivor: the retiree's cut, once shipped.
+    std::optional<SliceSnapshot> absorb{};
   };
 
   // Starts queued operations while none is in flight: migrations first,
@@ -496,12 +494,14 @@ class Engine {
   // Issue the next pre-copy round (task.round already bumped by caller via
   // set_step); enforces the precopy-rounds-bounded invariant.
   void start_precopy_round();
-  // Stop-and-restart abort repair: the source resumed but the events
-  // redirected since the park went only to the now-dead replica. Re-send
-  // them from the upstream-backup logs and the external injection log.
-  void repair_redirected_channels(SliceId slice,
-                                  const std::vector<std::pair<SliceId, SeqNo>>&
-                                      processed);
+  // Asks every host's upstream-backup logs to re-send their events for
+  // `slice` above the per-channel watermarks `processed`.
+  void broadcast_replay(SliceId slice,
+                        const std::vector<std::pair<SliceId, SeqNo>>& processed);
+  // Re-delivers the external injection log's suffix above `processed`'s
+  // external-channel watermark to `slice`'s primary.
+  void redeliver_injections(
+      SliceId slice, const std::vector<std::pair<SliceId, SeqNo>>& processed);
   void step_after_tick(std::function<void()> fn);
   // Runs `fn` after one control tick, unless the in-flight operation was
   // aborted or replaced meanwhile.
@@ -512,6 +512,10 @@ class Engine {
   void notify_control_give_up(net::Endpoint peer);
   [[nodiscard]] std::vector<SliceId> upstream_slices(SliceId slice) const;
   [[nodiscard]] std::vector<SliceId> downstream_slices(SliceId slice) const;
+  // Two or more input channels (upstream slices plus the injection
+  // channel): a recovery replay may interleave them differently than the
+  // original run, so the slice's regenerated output renumbers.
+  [[nodiscard]] bool multi_input(SliceId slice) const;
   // Record the regenerated-stream base per consumer for a multi-input slice
   // about to recover (no-op for single-input slices, whose replay preserves
   // the original numbering).
@@ -565,17 +569,7 @@ class Engine {
   // Passive replication: standby checkpoint store + external-channel log
   // + in-flight recoveries. Quarantined runtimes of failed hosts stay
   // alive so their pending CPU-job callbacks die harmlessly.
-  struct StoredCheckpoint {
-    std::shared_ptr<const std::vector<std::byte>> state;
-    std::vector<std::pair<SliceId, SeqNo>> processed;
-    std::vector<std::pair<SliceId, SeqNo>> out_seqs;
-    std::vector<WireEvent> log;  // output backlog at the cut
-    // Coverage epoch of the state (bumped by every completed split capture
-    // or merge absorb); restored so a recovered slice's epoch stays
-    // comparable against RollForward::epoch.
-    std::uint64_t coverage_epoch = 0;
-  };
-  std::unordered_map<SliceId, StoredCheckpoint> checkpoints_;
+  std::unordered_map<SliceId, SliceSnapshot> checkpoints_;
   std::unordered_map<SliceId, std::deque<WireEvent>> inject_log_;
   std::unordered_map<SliceId, std::function<void()>> recoveries_;
   // Watermarks of each slice's most recent recovery replay request. When

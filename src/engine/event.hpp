@@ -47,6 +47,45 @@ struct EventBatchMessage final : net::Message {
   std::vector<WireEvent> events;
 };
 
+// `slice`'s entry in a per-channel sequence vector, or `fallback` when it
+// has none.
+[[nodiscard]] inline SeqNo seq_of(
+    const std::vector<std::pair<SliceId, SeqNo>>& seqs, SliceId slice,
+    SeqNo fallback = 0) {
+  for (const auto& [id, seq] : seqs) {
+    if (id == slice) return seq;
+  }
+  return fallback;
+}
+
+// One consistent cut of a slice, taken by a write job after every in-flight
+// job of the slice: what a migration ships, a checkpoint stores and a
+// recovery restores (paper §III and §IV-A). Sorted vectors, so the cut never
+// depends on hash-table layout.
+struct SliceSnapshot {
+  // Serialized handler state; null for a bootstrap restore (no checkpoint
+  // yet: the handler starts fresh and a full log replay rebuilds it).
+  std::shared_ptr<const std::vector<std::byte>> state{};
+  // Input watermarks: per channel, the last sequence number dispatched.
+  std::vector<std::pair<SliceId, SeqNo>> processed{};
+  // Output counters: per downstream slice, the next sequence number.
+  std::vector<std::pair<SliceId, SeqNo>> out_seqs{};
+  // Upstream-backup log, flattened: emitted events no downstream checkpoint
+  // covers yet, each keeping its channel (from, to) — adopted channels of
+  // merged-away slices included. Needed when this slice and a downstream
+  // fail together: the restored instance must replay events it emitted
+  // before the cut, which it cannot regenerate.
+  std::vector<WireEvent> log{};
+  // Bumped by every completed split capture or merge absorb; a checkpoint at
+  // or past a pending capture's epoch proves that capture durable.
+  std::uint64_t coverage_epoch = 0;
+
+  // Modeled wire size: the state plus 64 bytes per logged event.
+  [[nodiscard]] std::size_t bytes() const {
+    return (state ? state->size() : 0) + 64 * log.size();
+  }
+};
+
 // ---- control plane ----------------------------------------------------------
 
 // Control messages exchanged between the migration coordinator (manager
@@ -142,29 +181,17 @@ struct PrecopyAck final : net::Message {
 struct StateTransferMessage final : net::Message {
   MigrationId migration;
   SliceId slice;
-  // Full serialized image, or null when `delta` is set.
-  std::shared_ptr<const std::vector<std::byte>> state;
-  // Incremental pre-copy final transfer: only the pages dirtied since the
-  // last pre-copy round travel; the replica rebuilds the full image of
-  // `full_bytes` bytes from its stored baseline plus `pages`.
+  // The frozen slice's cut. Its state is null when `delta` is set: then
+  // only the pages dirtied since the last pre-copy round travel, and the
+  // replica rebuilds the full image of `full_bytes` bytes from its stored
+  // baseline plus `pages`. The upstream-backup log travels with the state,
+  // so the new instance can serve replay requests for events only the old
+  // (gone) instance had logged.
+  SliceSnapshot snapshot;
   bool delta = false;
   std::size_t full_bytes = 0;
   std::vector<StatePage> pages;
-  // Timestamp vector: per channel, last sequence number dispatched by the
-  // original slice. The replica skips queued events at or below it.
-  std::vector<std::pair<SliceId, SeqNo>> processed;
-  // Output counters: per downstream slice, next sequence number to assign.
-  std::vector<std::pair<SliceId, SeqNo>> out_seqs;
-  // Retained output backlog (the upstream-backup log, flattened): events
-  // downstream slices have not checkpointed past. It moves with the state
-  // so the new instance can serve replay requests for them — without it, a
-  // later downstream failure could ask for events only the old (gone)
-  // instance had logged.
-  std::vector<WireEvent> log;
   SimTime frozen_at{};
-  // Coverage epoch of the frozen slice (preserved across the move so the
-  // destination's checkpoints keep proving split/merge captures durable).
-  std::uint64_t coverage_epoch = 0;
   net::Endpoint reply_to;
 };
 
@@ -289,13 +316,12 @@ struct SplitStateMessage final : net::Message {
   std::uint64_t coverage_epoch = 0;
 };
 
-// Retiree host -> coordinator: the drained retiree serialized its full
-// state and upstream-backup log (flattened, adopted origins included).
+// Retiree host -> coordinator: the drained retiree's cut (the survivor
+// absorbs its state and adopts its upstream-backup log).
 struct MergeStateMessage final : net::Message {
   MigrationId transition;
   SliceId retiree;
-  std::shared_ptr<const std::vector<std::byte>> state;
-  std::vector<WireEvent> log;
+  SliceSnapshot snapshot;
 };
 
 // Coordinator -> survivor host: absorb the retiree's captured state. The
@@ -305,8 +331,7 @@ struct MergeAbsorbRequest final : net::Message {
   MigrationId transition;
   SliceId survivor;
   SliceId retiree;
-  std::shared_ptr<const std::vector<std::byte>> state;
-  std::vector<WireEvent> log;
+  SliceSnapshot snapshot;
   net::Endpoint reply_to;
 };
 
@@ -326,18 +351,7 @@ struct ProbeMessage final : net::Message {
 // Periodic checkpoint shipped to the standby store on the manager host.
 struct CheckpointMessage final : net::Message {
   SliceId slice;
-  std::shared_ptr<const std::vector<std::byte>> state;
-  std::vector<std::pair<SliceId, SeqNo>> processed;  // input watermarks
-  std::vector<std::pair<SliceId, SeqNo>> out_seqs;   // output counters
-  // Coverage epoch of the slice at the cut: a checkpoint at or past a
-  // pending split/merge capture's epoch proves the captured state is
-  // durable, so a later recovery must not re-run the capture.
-  std::uint64_t coverage_epoch = 0;
-  // Retained output backlog at the cut (see StateTransferMessage::log):
-  // needed when this slice and a downstream fail together — the restored
-  // instance must be able to replay events it emitted before the cut,
-  // which it cannot regenerate (they precede its own watermarks).
-  std::vector<WireEvent> log;
+  SliceSnapshot snapshot;
 };
 
 // Broadcast after a checkpoint is stored: upstreams may drop logged events
@@ -350,20 +364,12 @@ struct CheckpointNoticeMessage final : net::Message {
 // Restores a lost slice on a new host from its last checkpoint.
 struct RestoreFromCheckpointMessage final : net::Message {
   SliceId slice;
-  std::shared_ptr<const std::vector<std::byte>> state;
-  std::vector<std::pair<SliceId, SeqNo>> processed;
-  std::vector<std::pair<SliceId, SeqNo>> out_seqs;
-  std::vector<WireEvent> log;  // checkpointed output backlog
-  std::uint64_t coverage_epoch = 0;
+  SliceSnapshot snapshot;
   // Cut-over holds of a pending split/merge the restored slice is mid-way
   // through: installed before the replica buffer drains, so replayed events
   // at or past a hold stay queued until the re-driven capture releases them.
   std::vector<std::pair<SliceId, SeqNo>> holds;
   net::Endpoint reply_to;
-};
-
-struct RestoredAck final : net::Message {
-  SliceId slice;
 };
 
 // Asks every upstream slice on the receiving host to re-send its logged

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "analysis/protocol_spec.hpp"
 #include "common/det.hpp"
@@ -38,6 +39,16 @@ void assert_slice_transition([[maybe_unused]] SliceId slice,
 }
 
 // ---- pre-copy page diffing ---------------------------------------------------
+
+namespace {
+
+std::size_t total_bytes(const std::vector<StatePage>& pages) {
+  std::size_t bytes = 0;
+  for (const StatePage& page : pages) bytes += page.bytes.size();
+  return bytes;
+}
+
+}  // namespace
 
 std::vector<StatePage> diff_pages(const std::vector<std::byte>& base,
                                   const std::vector<std::byte>& next,
@@ -231,7 +242,7 @@ void SliceRuntime::emit(std::string_view op, Routing routing,
     ++out_buffer_events_;
     if (logging_) {
       // Upstream backup: retained until the downstream checkpoints.
-      out_log_[target].push_back(WireEvent{id_, target, seq, payload});
+      log_[{id_, target}].push_back(WireEvent{id_, target, seq, payload});
     }
   };
   switch (routing.kind()) {
@@ -295,7 +306,7 @@ void SliceRuntime::flush_outputs() {
   auto buffers = std::move(out_buffer_);
   out_buffer_.clear();
   out_buffer_events_ = 0;
-  host_.send_events(id_, std::move(buffers), &net_bytes_sent_);
+  host_.send_events(std::move(buffers), &net_bytes_sent_);
 }
 
 SeqNo SliceRuntime::next_seq_for(SliceId target) const {
@@ -318,22 +329,24 @@ void SliceRuntime::start_checkpoint_timer() {
       [this] { checkpoint(host_.engine().checkpoint_store_endpoint()); });
 }
 
-void SliceRuntime::truncate_log(SliceId downstream, SeqNo upto) {
-  auto it = out_log_.find(downstream);
-  if (it == out_log_.end()) return;
+void SliceRuntime::truncate_log(SliceId origin, SliceId downstream,
+                                SeqNo upto) {
+  auto it = log_.find({origin, downstream});
+  if (it == log_.end()) return;
   auto& log = it->second;
   while (!log.empty() && log.front().seq <= upto) log.pop_front();
 }
 
-void SliceRuntime::replay_log(SliceId downstream, SeqNo above) {
-  auto it = out_log_.find(downstream);
-  if (it == out_log_.end()) return;
+void SliceRuntime::replay_log(SliceId origin, SliceId downstream,
+                              SeqNo above) {
+  auto it = log_.find({origin, downstream});
+  if (it == log_.end()) return;
   std::unordered_map<SliceId, std::vector<WireEvent>> resend;
   for (const WireEvent& event : it->second) {
     if (event.seq > above) resend[downstream].push_back(event);
   }
   if (!resend.empty()) {
-    host_.send_events(id_, std::move(resend), &net_bytes_sent_);
+    host_.send_events(std::move(resend), &net_bytes_sent_);
   }
 }
 
@@ -363,72 +376,65 @@ void SliceRuntime::checkpoint(net::Endpoint store) {
     if (state_ != State::kActive) return;
     auto msg = std::make_shared<CheckpointMessage>();
     msg->slice = id_;
-    msg->coverage_epoch = coverage_epoch_;
-    BinaryWriter writer;
-    handler_->serialize_state(writer);
-    msg->state = std::make_shared<const std::vector<std::byte>>(
-        std::move(writer).take());
-    // Sorted: checkpoint contents must not depend on hash-table layout
-    // (they are re-delivered verbatim on recovery).
-    for (const SliceId from : sorted_keys(in_)) {
-      msg->processed.emplace_back(from, in_.at(from).last_dispatched);
-    }
-    for (const SliceId target : sorted_keys(next_out_seq_)) {
-      msg->out_seqs.emplace_back(target, next_out_seq_.at(target));
-    }
-    append_flattened_logs(msg->log);
-    const std::size_t bytes = msg->state->size() + 64 * msg->log.size();
+    msg->snapshot = capture();
+    const std::size_t bytes = msg->snapshot.bytes();
     host_.send_control(store, std::move(msg), bytes);
   });
 }
 
-void SliceRuntime::append_flattened_logs(std::vector<WireEvent>& out) const {
-  // Own log first, then adopted origins; sorted at every level so the wire
-  // format never depends on hash-table layout. The reader reconstructs the
-  // partition by WireEvent::from (== id_ for own entries).
-  for (const SliceId target : sorted_keys(out_log_)) {
-    const auto& log = out_log_.at(target);
-    out.insert(out.end(), log.begin(), log.end());
+std::vector<std::pair<SliceId, SeqNo>> SliceRuntime::watermarks() const {
+  std::vector<std::pair<SliceId, SeqNo>> out;
+  for (const SliceId from : sorted_keys(in_)) {
+    out.emplace_back(from, in_.at(from).last_dispatched);
   }
-  for (const auto& [origin, per_target] : adopted_log_) {
-    for (const auto& [target, log] : per_target) {
-      out.insert(out.end(), log.begin(), log.end());
-    }
-  }
+  return out;
 }
 
-void SliceRuntime::truncate_adopted(SliceId origin, SliceId downstream,
-                                    SeqNo upto) {
-  auto origin_it = adopted_log_.find(origin);
-  if (origin_it == adopted_log_.end()) return;
-  auto it = origin_it->second.find(downstream);
-  if (it == origin_it->second.end()) return;
-  auto& log = it->second;
-  while (!log.empty() && log.front().seq <= upto) log.pop_front();
+SliceSnapshot SliceRuntime::capture() const {
+  SliceSnapshot snapshot;
+  BinaryWriter writer;
+  handler_->serialize_state(writer);
+  snapshot.state =
+      std::make_shared<const std::vector<std::byte>>(std::move(writer).take());
+  snapshot.processed = watermarks();
+  for (const SliceId target : sorted_keys(next_out_seq_)) {
+    snapshot.out_seqs.emplace_back(target, next_out_seq_.at(target));
+  }
+  for (const auto& [channel, log] : log_) {
+    snapshot.log.insert(snapshot.log.end(), log.begin(), log.end());
+  }
+  snapshot.coverage_epoch = coverage_epoch_;
+  return snapshot;
 }
 
-void SliceRuntime::replay_adopted(SliceId origin, SliceId downstream,
-                                  SeqNo above) {
-  auto origin_it = adopted_log_.find(origin);
-  if (origin_it == adopted_log_.end()) return;
-  auto it = origin_it->second.find(downstream);
-  if (it == origin_it->second.end()) return;
-  std::unordered_map<SliceId, std::vector<WireEvent>> resend;
-  for (const WireEvent& event : it->second) {
-    if (event.seq > above) resend[downstream].push_back(event);
+void SliceRuntime::restore(const SliceSnapshot& snapshot) {
+  if (snapshot.state) {
+    BinaryReader reader{*snapshot.state};
+    handler_->restore_state(reader);
   }
-  if (!resend.empty()) {
-    host_.send_events(id_, std::move(resend), &net_bytes_sent_);
+  coverage_epoch_ = snapshot.coverage_epoch;
+  for (const auto& [from, last] : snapshot.processed) {
+    auto& channel = in_[from];
+    channel.expected = last + 1;
+    channel.last_dispatched = last;
+  }
+  for (const auto& [target, next] : snapshot.out_seqs) {
+    next_out_seq_[target] = next;
+  }
+  // Replay requests for pre-cut events are served from here now.
+  log_.clear();
+  adopt_log(snapshot.log);
+}
+
+void SliceRuntime::adopt_log(const std::vector<WireEvent>& log) {
+  for (const WireEvent& event : log) {
+    log_[{event.from, event.to}].push_back(event);
   }
 }
 
 std::size_t SliceRuntime::logged_events() const {
   std::size_t total = 0;
-  // lint:allow(unordered-iteration): order-free sum
-  for (const auto& [target, log] : out_log_) total += log.size();
-  for (const auto& [origin, per_target] : adopted_log_) {
-    for (const auto& [target, log] : per_target) total += log.size();
-  }
+  for (const auto& [channel, log] : log_) total += log.size();
   return total;
 }
 
@@ -497,59 +503,35 @@ void SliceRuntime::do_freeze() {
     // Ship whatever the final processing jobs emitted before the state is
     // captured; the output sequence counters must cover these events.
     flush_outputs();
+    SliceSnapshot snapshot = capture();
     if (freeze_spec_->merge_capture) {
-      // Merge retiree: the full state and backup log go to the coordinator
-      // (which forwards them to the survivor); the slice stays frozen here
-      // until the coordinator tears it down.
+      // Merge retiree: the cut goes to the coordinator (which forwards it
+      // to the survivor); the slice stays frozen here until the coordinator
+      // tears it down.
       auto msg = std::make_shared<MergeStateMessage>();
       msg->transition = freeze_spec_->migration;
       msg->retiree = id_;
-      BinaryWriter writer;
-      handler_->serialize_state(writer);
-      msg->state = std::make_shared<const std::vector<std::byte>>(
-          std::move(writer).take());
-      append_flattened_logs(msg->log);
-      const std::size_t bytes = msg->state->size() + 64 * msg->log.size();
+      msg->snapshot = std::move(snapshot);
+      const std::size_t bytes = msg->snapshot.bytes();
       host_.send_control(freeze_spec_->reply_to, std::move(msg), bytes);
       return;
     }
     auto msg = std::make_shared<StateTransferMessage>();
     msg->migration = freeze_spec_->migration;
     msg->slice = id_;
-    msg->coverage_epoch = coverage_epoch_;
-    BinaryWriter writer;
-    handler_->serialize_state(writer);
-    std::vector<std::byte> image = std::move(writer).take();
-    std::size_t ship_bytes = image.size();
     if (freeze_spec_->delta) {
       // Incremental pre-copy final transfer: only the pages dirtied since
       // the last round travel; the replica patches its stored baseline.
       msg->delta = true;
-      msg->full_bytes = image.size();
-      msg->pages =
-          diff_pages(precopy_image_, image,
-                     host_.engine().config().precopy_page_bytes);
-      ship_bytes = 0;
-      for (const StatePage& page : msg->pages) ship_bytes += page.bytes.size();
-    } else {
-      msg->state = std::make_shared<const std::vector<std::byte>>(
-          std::move(image));
+      msg->full_bytes = snapshot.state->size();
+      msg->pages = diff_pages(precopy_image_, *snapshot.state,
+                              host_.engine().config().precopy_page_bytes);
+      snapshot.state.reset();
     }
-    // Sorted: the transfer message is replayed by the destination, so its
-    // contents must not depend on hash-table layout.
-    for (const SliceId from : sorted_keys(in_)) {
-      msg->processed.emplace_back(from, in_.at(from).last_dispatched);
-    }
-    for (const SliceId target : sorted_keys(next_out_seq_)) {
-      msg->out_seqs.emplace_back(target, next_out_seq_.at(target));
-    }
-    // The upstream-backup log travels with the state: after teardown the
-    // source is gone, and replay requests for these events reach the
-    // destination host instead.
-    append_flattened_logs(msg->log);
+    msg->snapshot = std::move(snapshot);
     msg->frozen_at = host_.engine().simulator().now();
     msg->reply_to = freeze_spec_->reply_to;
-    const std::size_t bytes = ship_bytes + 64 * msg->log.size();
+    const std::size_t bytes = total_bytes(msg->pages) + msg->snapshot.bytes();
     host_.send_to_host(freeze_spec_->dst_host, std::move(msg), bytes);
   });
 }
@@ -578,8 +560,7 @@ void SliceRuntime::run_precopy(MigrationId migration, std::size_t round,
         msg->pages = diff_pages(precopy_image_, image,
                                 host_.engine().config().precopy_page_bytes);
         msg->reply_to = reply_to;
-        std::size_t bytes = 64;
-        for (const StatePage& page : msg->pages) bytes += page.bytes.size();
+        const std::size_t bytes = 64 + total_bytes(msg->pages);
         // The shipped image becomes the diff baseline of the next round —
         // and of the final delta transfer in do_freeze.
         precopy_image_ = std::move(image);
@@ -588,94 +569,37 @@ void SliceRuntime::run_precopy(MigrationId migration, std::size_t round,
 }
 
 void SliceRuntime::store_precopy(const PrecopyStateMessage& msg) {
-  // Patch the accumulated baseline in place; the final delta transfer in
-  // activate() patches the same buffer once more and restores from it.
+  // Patch the accumulated baseline in place; the final delta transfer
+  // (HostRuntime::handle_state_transfer) patches the same buffer once more
+  // and restores from it.
   precopy_image_ =
       apply_pages(std::move(precopy_image_), msg.full_bytes, msg.pages);
-  std::size_t bytes = 0;
-  for (const StatePage& page : msg.pages) bytes += page.bytes.size();
   auto ack = std::make_shared<PrecopyAck>();
   ack->migration = msg.migration;
   ack->slice = id_;
   ack->round = msg.round;
-  ack->bytes = bytes;
+  ack->bytes = total_bytes(msg.pages);
   host_.send_control(msg.reply_to, std::move(ack), 64);
 }
 
-void SliceRuntime::activate(const StateTransferMessage& msg) {
+void SliceRuntime::activate(SliceSnapshot snapshot, MigrationId migration,
+                            SimTime frozen_at, net::Endpoint reply_to,
+                            std::size_t transfer_bytes) {
   if (state_ != State::kInactiveReplica) {
     throw std::logic_error{"activate: slice is not an inactive replica"};
   }
-  std::size_t transfer_bytes = msg.state ? msg.state->size() : 0;
-  std::size_t state_bytes = transfer_bytes;
-  if (msg.delta) {
-    // Delta transfer: the wire carried only the dirty pages, but the job
-    // deserializes the full patched image.
-    state_bytes = msg.full_bytes;
-    transfer_bytes = 0;
-    for (const StatePage& page : msg.pages) transfer_bytes += page.bytes.size();
-  }
+  const std::size_t state_bytes =
+      snapshot.state ? snapshot.state->size() : 0;
   const auto& cost_model = host_.engine().config().cost;
   const double cost =
       1000.0 + cost_model.state_deserialize_units_per_byte *
                    static_cast<double>(state_bytes);
-  // Copy what we need from the message; the delivery object dies with this
-  // call, the job runs later.
-  auto state = msg.state;
-  auto processed = msg.processed;
-  auto out_seqs = msg.out_seqs;
-  auto log = msg.log;
-  const auto frozen_at = msg.frozen_at;
-  const auto reply_to = msg.reply_to;
-  const auto migration = msg.migration;
-  const auto coverage_epoch = msg.coverage_epoch;
-  const bool delta = msg.delta;
-  const std::size_t full_bytes = msg.full_bytes;
-  auto pages = msg.pages;
   host_.cpu().submit(
       id_, cluster::LockMode::kWrite, cost,
-      [this, state, state_bytes, transfer_bytes,
-       processed = std::move(processed), out_seqs = std::move(out_seqs),
-       log = std::move(log), frozen_at, reply_to, migration, coverage_epoch,
-       delta, full_bytes, pages = std::move(pages)] {
+      [this, snapshot = std::move(snapshot), migration, frozen_at, reply_to,
+       state_bytes, transfer_bytes] {
         if (state_ != State::kInactiveReplica) return;  // aborted meanwhile
-        if (delta) {
-          // Rebuild the full image from the pre-copy baseline plus the
-          // final dirty pages, then restore exactly as a full transfer
-          // would (byte-identical by diff_pages/apply_pages construction).
-          const std::vector<std::byte> image =
-              apply_pages(std::move(precopy_image_), full_bytes, pages);
-          precopy_image_.clear();
-          BinaryReader reader{image};
-          handler_->restore_state(reader);
-        } else if (state) {
-          // Bootstrap recovery ships no state: the handler starts fresh
-          // and the full log replay reconstructs it.
-          BinaryReader reader{*state};
-          handler_->restore_state(reader);
-        }
-        coverage_epoch_ = coverage_epoch;
-        for (const auto& [from, last] : processed) {
-          auto& channel = in_[from];
-          channel.expected = last + 1;
-          channel.last_dispatched = last;
-        }
-        for (const auto& [target, next] : out_seqs) {
-          next_out_seq_[target] = next;
-        }
-        // Adopt the transferred upstream-backup log so replay requests for
-        // pre-cut events can be served from here. Entries this slice did
-        // not emit itself belong to adopted channels of merged-away
-        // origins and keep their origin's channel identity.
-        out_log_.clear();
-        adopted_log_.clear();
-        for (const WireEvent& event : log) {
-          if (event.from == id_) {
-            out_log_[event.to].push_back(event);
-          } else {
-            adopted_log_[event.from][event.to].push_back(event);
-          }
-        }
+        restore(snapshot);
         set_state(State::kActive);
         start_flush_timer();
         start_checkpoint_timer();
@@ -719,13 +643,10 @@ void SliceRuntime::retire() {
   precopy_image_.clear();
   out_buffer_.clear();
   out_buffer_events_ = 0;
-  out_log_.clear();
-  adopted_log_.clear();
+  log_.clear();
   split_spec_.reset();
   absorb_spec_.reset();
-  absorb_state_.reset();
-  absorb_log_.clear();
-  absorb_state_ready_ = false;
+  absorb_.reset();
   capture_submitted_ = false;
 }
 
@@ -755,12 +676,8 @@ void SliceRuntime::begin_absorb(AbsorbSpec spec) {
   check_transition_drain();
 }
 
-void SliceRuntime::deliver_absorb_state(
-    std::shared_ptr<const std::vector<std::byte>> state,
-    std::vector<WireEvent> log) {
-  absorb_state_ = std::move(state);
-  absorb_log_ = std::move(log);
-  absorb_state_ready_ = true;
+void SliceRuntime::deliver_absorb_state(SliceSnapshot retiree) {
+  absorb_ = std::move(retiree);
   check_transition_drain();
 }
 
@@ -783,7 +700,7 @@ void SliceRuntime::check_transition_drain() {
     const SeqNo expected = it == in_.end() ? SeqNo{1} : it->second.expected;
     if (expected < cut) return;
   }
-  if (absorb_spec_ && !absorb_state_ready_) return;
+  if (absorb_spec_ && !absorb_) return;
   capture_submitted_ = true;
   if (split_spec_) {
     run_split_capture();
@@ -827,20 +744,18 @@ void SliceRuntime::run_absorb() {
   const auto& cost_model = host_.engine().config().cost;
   const double cost =
       1000.0 + cost_model.state_deserialize_units_per_byte *
-                   static_cast<double>(absorb_state_ ? absorb_state_->size()
-                                                     : 0);
+                   static_cast<double>(absorb_->state ? absorb_->state->size()
+                                                      : 0);
   host_.cpu().submit(id_, cluster::LockMode::kWrite, cost, [this] {
     if (state_ != State::kActive || !absorb_spec_) return;
     flush_outputs();
-    if (absorb_state_ && !absorb_state_->empty()) {
-      BinaryReader reader{*absorb_state_};
+    if (absorb_->state && !absorb_->state->empty()) {
+      BinaryReader reader{*absorb_->state};
       handler_->absorb_state(reader);
     }
     // Adopt the retiree's backup log (and any logs it had itself adopted):
     // replay requests for its pre-merge output are served from here now.
-    for (const WireEvent& event : absorb_log_) {
-      adopted_log_[event.from][event.to].push_back(event);
-    }
+    adopt_log(absorb_->log);
     ++coverage_epoch_;
     auto ack = std::make_shared<MergeAbsorbAck>();
     ack->transition = absorb_spec_->transition;
@@ -848,9 +763,7 @@ void SliceRuntime::run_absorb() {
     ack->coverage_epoch = coverage_epoch_;
     host_.send_control(absorb_spec_->reply_to, std::move(ack), 64);
     absorb_spec_.reset();
-    absorb_state_.reset();
-    absorb_log_.clear();
-    absorb_state_ready_ = false;
+    absorb_.reset();
     capture_submitted_ = false;
     release_holds();
   });
@@ -939,10 +852,8 @@ void HostRuntime::deliver_external(const WireEvent& event) {
 }
 
 void HostRuntime::send_events(
-    SliceId from_slice,
     std::unordered_map<SliceId, std::vector<WireEvent>> by_dest,
     std::size_t* bytes_accum) {
-  (void)from_slice;
   const auto& cost = engine_.config().cost;
   // Group per destination host, duplicating to shadows. Sorted at both
   // levels: concatenation order fixes intra-batch delivery order, and send
@@ -1073,23 +984,17 @@ void HostRuntime::handle_control(const net::Delivery& delivery) {
       // the absorb after its recovery completes.
       ESH_WARN << "HostRuntime: dropping absorb state without a survivor";
     } else {
-      survivor->deliver_absorb_state(absorb->state, absorb->log);
+      survivor->deliver_absorb_state(absorb->snapshot);
     }
   } else if (const auto* notice =
                  dynamic_cast<const CheckpointNoticeMessage*>(msg)) {
-    // Upstream backup truncation: each local upstream slice drops logged
-    // events the checkpoint already covers — both its own channel's and
-    // any adopted channel's of a merged-away origin.
-    for (const auto& [upstream, watermark] : notice->processed) {
-      auto it = slices_.find(upstream);
-      if (it != slices_.end()) {
-        it->second->truncate_log(notice->slice, watermark);
-      }
-    }
+    // Upstream backup truncation: every local slice drops logged events
+    // the checkpoint already covers, on its own channel and on any adopted
+    // channel of a merged-away origin.
     // lint:allow(unordered-iteration): truncation is order-free
     for (auto& [slice_id, runtime] : slices_) {
       for (const auto& [upstream, watermark] : notice->processed) {
-        runtime->truncate_adopted(upstream, notice->slice, watermark);
+        runtime->truncate_log(upstream, notice->slice, watermark);
       }
     }
   } else if (const auto* restore =
@@ -1097,17 +1002,17 @@ void HostRuntime::handle_control(const net::Delivery& delivery) {
     handle_restore(*restore);
   } else if (const auto* replay = dynamic_cast<const ReplayRequest*>(msg)) {
     // Sorted: replay send order serializes on this host's NIC.
+    // Each slice serves its own channel first (from 0 when the request
+    // omits it), then every adopted channel the request names, under the
+    // merged-away origin's identity.
     for (const SliceId slice_id : sorted_keys(slices_)) {
-      SeqNo watermark = 0;
+      SliceRuntime& runtime = *slices_.at(slice_id);
+      runtime.replay_log(slice_id, replay->slice,
+                         seq_of(replay->processed, slice_id));
       for (const auto& [upstream, seq] : replay->processed) {
-        if (upstream == slice_id) watermark = seq;
-      }
-      slices_.at(slice_id)->replay_log(replay->slice, watermark);
-      // Adopted channels: any local slice may hold a merged-away
-      // upstream's log and serves its replay under the origin's identity.
-      for (const auto& [upstream, seq] : replay->processed) {
-        if (upstream == slice_id) continue;
-        slices_.at(slice_id)->replay_adopted(upstream, replay->slice, seq);
+        if (upstream != slice_id) {
+          runtime.replay_log(upstream, replay->slice, seq);
+        }
       }
     }
   } else {
@@ -1126,24 +1031,14 @@ void HostRuntime::handle_restore(const RestoreFromCheckpointMessage& msg) {
     ESH_WARN << "HostRuntime: ignoring restore for non-replica slice";
     return;
   }
-  // Reuse the migration activation path: instantiate, deserialize, set the
-  // channel watermarks, go live; replayed events arriving meanwhile buffer
-  // in the replica and dedup against the checkpoint's vector.
-  auto transfer = std::make_shared<StateTransferMessage>();
-  transfer->migration = MigrationId{};  // not a migration
-  transfer->slice = msg.slice;
-  transfer->state = msg.state;
-  transfer->processed = msg.processed;
-  transfer->out_seqs = msg.out_seqs;
-  transfer->log = msg.log;
-  transfer->coverage_epoch = msg.coverage_epoch;
-  transfer->frozen_at = engine_.simulator().now();
-  transfer->reply_to = msg.reply_to;
-  // Pending split/merge cut-over holds go in before the replica buffer
-  // drains, so replayed post-cut events stay queued until the re-driven
-  // capture or absorb releases them.
+  // Recovery is a migration activation without a source: replayed events
+  // arriving meanwhile buffer in the replica and dedup against the
+  // checkpoint's watermarks. Pending split/merge cut-over holds go in before
+  // the replica buffer drains, so replayed post-cut events stay queued until
+  // the re-driven capture or absorb releases them.
   replica->preinstall_holds(msg.holds);
-  replica->activate(*transfer);
+  replica->activate(msg.snapshot, MigrationId{}, engine_.simulator().now(),
+                    msg.reply_to, 0);
 }
 
 void HostRuntime::handle_create_replica(const CreateReplicaRequest& req) {
@@ -1248,7 +1143,19 @@ void HostRuntime::handle_state_transfer(const StateTransferMessage& msg) {
     ESH_WARN << "HostRuntime: dropping state transfer without a replica";
     return;
   }
-  replica->activate(msg);
+  SliceSnapshot snapshot = msg.snapshot;
+  std::size_t transfer_bytes = snapshot.state ? snapshot.state->size() : 0;
+  if (msg.delta) {
+    // Rebuild the full image from the pre-copy baseline plus the final
+    // dirty pages; the restore then runs exactly as a full transfer's would
+    // (byte-identical by diff_pages/apply_pages construction).
+    snapshot.state = std::make_shared<const std::vector<std::byte>>(
+        apply_pages(std::exchange(replica->precopy_image_, {}),
+                    msg.full_bytes, msg.pages));
+    transfer_bytes = total_bytes(msg.pages);
+  }
+  replica->activate(std::move(snapshot), msg.migration, msg.frozen_at,
+                    msg.reply_to, transfer_bytes);
 }
 
 void HostRuntime::handle_directory_update(const DirectoryUpdateMessage& msg) {
@@ -1260,11 +1167,8 @@ void HostRuntime::handle_directory_update(const DirectoryUpdateMessage& msg) {
     // regenerated stream is accepted.
     // lint:allow(unordered-iteration): local channel rewinds, order-free
     for (auto& [slice_id, runtime] : slices_) {
-      SeqNo base = 1;  // bootstrap recovery regenerates from scratch
-      for (const auto& [downstream, next] : msg.out_bases) {
-        if (downstream == slice_id) base = next;
-      }
-      runtime->reset_channel(msg.slice, base);
+      // Absent from out_bases: bootstrap recovery regenerates from scratch.
+      runtime->reset_channel(msg.slice, seq_of(msg.out_bases, slice_id, 1));
     }
   }
   if (msg.reply_to.valid()) {
@@ -1339,9 +1243,7 @@ void HostRuntime::handle_abort_migration(const AbortMigrationRequest& req) {
     // replays the redirected suffix (lost with the dead replica) from the
     // upstream-backup logs above exactly these marks. Sorted: the ack's
     // contents must not depend on hash-table layout.
-    for (const SliceId from : sorted_keys(target->in_)) {
-      ack->processed.emplace_back(from, target->in_.at(from).last_dispatched);
-    }
+    ack->processed = target->watermarks();
   }
   send_control(req.reply_to, std::move(ack), 64);
 }

@@ -108,9 +108,9 @@ class SliceRuntime final : public Context {
     HostId dst_host;
     net::Endpoint reply_to;
     // Merge retiree capture: instead of shipping a StateTransferMessage to
-    // dst_host, the freeze job sends a MergeStateMessage (full state +
-    // flattened backup log) to reply_to and the slice stays frozen until
-    // the coordinator tears it down.
+    // dst_host, the freeze job sends its cut in a MergeStateMessage to
+    // reply_to and the slice stays frozen until the coordinator tears it
+    // down.
     bool merge_capture = false;
     // Incremental pre-copy final transfer: ship only the pages changed
     // since the last pre-copy round (the replica holds the baseline).
@@ -145,10 +145,12 @@ class SliceRuntime final : public Context {
   [[nodiscard]] SeqNo next_seq_for(SliceId target) const;
 
   // Passive replication (upstream backup) ---------------------------------
-  // Drops logged events for `downstream` at or below `upto`.
-  void truncate_log(SliceId downstream, SeqNo upto);
-  // Re-sends logged events for `downstream` above `above` (post-recovery).
-  void replay_log(SliceId downstream, SeqNo above);
+  // The log is keyed by channel (origin, downstream): the origin is this
+  // slice for its own output, or a merged-away slice whose log it adopted.
+  // Drops the channel's logged events at or below `upto`.
+  void truncate_log(SliceId origin, SliceId downstream, SeqNo upto);
+  // Re-sends the channel's logged events above `above` (post-recovery).
+  void replay_log(SliceId origin, SliceId downstream, SeqNo above);
   // A recovered upstream regenerates its output from `base` on, but the
   // regenerated sequence numbers may map content differently than the
   // original run. Rewind the channel to `base` and drop buffered originals
@@ -159,8 +161,13 @@ class SliceRuntime final : public Context {
   void checkpoint(net::Endpoint store);
   [[nodiscard]] std::size_t logged_events() const;
 
-  // Migration (destination-host side) -------------------------------------
-  void activate(const StateTransferMessage& msg);
+  // Migration (destination-host side) and recovery ------------------------
+  // Restores `snapshot` in one write job, goes live, drains the replica
+  // buffer against the restored watermarks and acks `reply_to`. Recovery
+  // passes an invalid `migration` and no transfer bytes.
+  void activate(SliceSnapshot snapshot, MigrationId migration,
+                SimTime frozen_at, net::Endpoint reply_to,
+                std::size_t transfer_bytes);
 
   void retire();
 
@@ -186,9 +193,7 @@ class SliceRuntime final : public Context {
   // Survivor side of a merge: hold channels at the cut; absorb the
   // retiree's captured state once both the drain and the state are in.
   void begin_absorb(AbsorbSpec spec);
-  void deliver_absorb_state(
-      std::shared_ptr<const std::vector<std::byte>> state,
-      std::vector<WireEvent> log);
+  void deliver_absorb_state(SliceSnapshot retiree);
   // Installs cut-over holds before activation (recovery of a slice that
   // died mid-transition): replayed events at or past a hold stay queued
   // until the re-driven capture or absorb releases them.
@@ -196,10 +201,6 @@ class SliceRuntime final : public Context {
   // Bumped at every completed split capture / merge absorb; a checkpoint
   // at or past a pending transition's epoch proves its capture durable.
   [[nodiscard]] std::uint64_t coverage_epoch() const { return coverage_epoch_; }
-  // Adopted-log maintenance (upstream backup inherited from merged-away
-  // slices; channel identity is the retired origin, not this slice).
-  void truncate_adopted(SliceId origin, SliceId downstream, SeqNo upto);
-  void replay_adopted(SliceId origin, SliceId downstream, SeqNo above);
 
   // Introspection ---------------------------------------------------------
   [[nodiscard]] std::uint64_t events_processed() const {
@@ -260,6 +261,13 @@ class SliceRuntime final : public Context {
   void process(PayloadPtr payload);
   void check_freeze();
   void do_freeze();
+  // Per input channel, the last sequence number dispatched (sorted).
+  [[nodiscard]] std::vector<std::pair<SliceId, SeqNo>> watermarks() const;
+  // This slice's consistent cut; called from inside a write job.
+  [[nodiscard]] SliceSnapshot capture() const;
+  void restore(const SliceSnapshot& snapshot);
+  // Appends logged events to their channels' logs.
+  void adopt_log(const std::vector<WireEvent>& log);
   // Split/merge drain gate: submits the capture (split) or absorb (merge)
   // write job once every cut-over channel has dispatched its full pre-cut
   // prefix (and, for a merge, the retiree's state has arrived).
@@ -267,9 +275,6 @@ class SliceRuntime final : public Context {
   void run_split_capture();
   void run_absorb();
   void release_holds();
-  // Flattens out_log_ then adopted_log_ in deterministic order (checkpoint
-  // and state-transfer wire format).
-  void append_flattened_logs(std::vector<WireEvent>& out) const;
   void start_flush_timer();
   void start_checkpoint_timer();
 
@@ -285,10 +290,13 @@ class SliceRuntime final : public Context {
   std::unordered_map<SliceId, SeqNo> next_out_seq_;
   std::unordered_map<SliceId, std::vector<WireEvent>> out_buffer_;
   std::size_t out_buffer_events_ = 0;
-  // Upstream backup: emitted events retained until the downstream slice
-  // checkpoints past them (only populated when checkpoints are enabled).
+  // Upstream backup: emitted events retained per channel (origin,
+  // downstream) until the downstream slice checkpoints past them (only
+  // populated when checkpoints are enabled). Adopted channels of
+  // merged-away origins keep their origin's identity, so per-channel
+  // truncation and replay stay exact.
   bool logging_ = false;
-  std::unordered_map<SliceId, std::deque<WireEvent>> out_log_;
+  std::map<std::pair<SliceId, SliceId>, std::deque<WireEvent>> log_;
   std::unique_ptr<sim::PeriodicTimer> checkpoint_timer_;
 
   std::optional<FreezeSpec> freeze_spec_;
@@ -303,16 +311,10 @@ class SliceRuntime final : public Context {
   // coordinator serializes elastic operations engine-wide).
   std::optional<SplitSpec> split_spec_;
   std::optional<AbsorbSpec> absorb_spec_;
-  std::shared_ptr<const std::vector<std::byte>> absorb_state_;
-  std::vector<WireEvent> absorb_log_;
-  bool absorb_state_ready_ = false;
+  // Merge survivor: the retiree's cut, once it arrived.
+  std::optional<SliceSnapshot> absorb_;
   bool capture_submitted_ = false;
   std::uint64_t coverage_epoch_ = 0;
-  // Upstream-backup logs adopted from merged-away slices, keyed by the
-  // retired origin slice, then the downstream target. Kept apart from
-  // out_log_ so per-channel truncation and replay stay exact (the events
-  // carry the origin's channel identity, not this slice's).
-  std::map<SliceId, std::map<SliceId, std::deque<WireEvent>>> adopted_log_;
 
   std::uint64_t events_processed_ = 0;
   std::uint64_t duplicates_dropped_ = 0;
@@ -378,8 +380,7 @@ class HostRuntime {
 
   // Sends a batch of events toward the (logical) destination slice of each
   // event, honoring primary + shadow duplication. Called by slices.
-  void send_events(SliceId from_slice,
-                   std::unordered_map<SliceId, std::vector<WireEvent>> by_dest,
+  void send_events(std::unordered_map<SliceId, std::vector<WireEvent>> by_dest,
                    std::size_t* bytes_accum);
 
   // Point-to-point sends used by the migration protocol.
