@@ -17,8 +17,11 @@
 #                    models must verify exhaustively, planted faults and
 #                    spec mutations must produce counterexamples, and
 #                    docs/SPEC_CATALOG.md must match the generated tables
+#   ci.sh release    Release (-O3) build with -Werror, build only: the
+#                    optimizer reports warnings (-Wrestrict and friends)
+#                    the default build never sees
 #   ci.sh all        every stage above (lint, tier1, checked, chaos, tidy,
-#                    analysis), in that order
+#                    analysis, release), in that order
 #
 # Each stage is also usable locally; stages never reuse another stage's
 # build directory, so incremental local builds stay intact.
@@ -27,6 +30,7 @@
 # prints a one-line `STAGE <name> FAILED` trailer, so a wrapper (or a log
 # scrape) can tell which gate broke without parsing the whole transcript:
 #   lint=10  tier1=11  checked=12  chaos=13  tidy=14  analysis=15
+#   release=16
 set -euEo pipefail
 cd "$(dirname "$0")/.."
 
@@ -139,6 +143,12 @@ stage_analysis() {
   fi
 }
 
+stage_release() {
+  local dir=${BUILD_DIR:-build-ci-release}
+  cmake -B "$dir" -S . -DCMAKE_BUILD_TYPE=Release -DESH_WERROR=ON
+  cmake --build "$dir" -j "$(nproc)"
+}
+
 stage_exit_code() {
   case "$1" in
     lint)     echo 10 ;;
@@ -147,6 +157,7 @@ stage_exit_code() {
     chaos)    echo 13 ;;
     tidy)     echo 14 ;;
     analysis) echo 15 ;;
+    release)  echo 16 ;;
   esac
 }
 
@@ -155,14 +166,14 @@ case "$stage" in
   all)
     # Each stage runs as a child invocation so its ERR trap and distinct
     # exit code apply unchanged; the first failure stops the pipeline.
-    for s in lint tier1 checked chaos tidy analysis; do
+    for s in lint tier1 checked chaos tidy analysis release; do
       bash "$0" "$s" || exit $?
     done
     exit 0
     ;;
-  lint|tier1|checked|chaos|tidy|analysis) ;;
+  lint|tier1|checked|chaos|tidy|analysis|release) ;;
   *)
-    echo "usage: $0 [tier1|checked|lint|tidy|chaos|analysis|all]" >&2
+    echo "usage: $0 [tier1|checked|lint|tidy|chaos|analysis|release|all]" >&2
     exit 2
     ;;
 esac

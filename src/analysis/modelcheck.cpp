@@ -297,14 +297,22 @@ class ModelBase : public Model {
 
   // The tail of describe(): both participants and the round in flight.
   std::string describe_parties(const ModelState& s) const {
+    // Appended piece by piece: a chain of temporaries here trips GCC's
+    // -Wrestrict at -O3.
     std::string out;
     for (std::size_t i = 0; i < 2; ++i) {
-      out += " " + std::string{roles_[i].tag} + "=" +
-             slot_name(s[kFirst + i]) +
-             (s[kFirstAlive + i] ? "" : "(host down)");
+      out += ' ';
+      out += roles_[i].tag;
+      out += '=';
+      out += slot_name(s[kFirst + i]);
+      if (s[kFirstAlive + i] == 0) out += "(host down)";
     }
-    return out + " awaiting=" + std::to_string(s[kAwait]) +
-           " dropped=" + std::to_string(s[kDropped]) + "}";
+    out += " awaiting=";
+    out += std::to_string(s[kAwait]);
+    out += " dropped=";
+    out += std::to_string(s[kDropped]);
+    out += '}';
+    return out;
   }
 
   ModelOptions options_;
