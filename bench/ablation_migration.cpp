@@ -108,7 +108,8 @@ void flush_interval_sweep() {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  esh::bench::parse_flag(argc, argv);
   state_size_sweep();
   flush_interval_sweep();
   return 0;

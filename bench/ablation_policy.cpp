@@ -84,7 +84,8 @@ void print(const char* label, const PolicyOutcome& o) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  esh::bench::parse_flag(argc, argv);
   using namespace esh;
   bench::print_header(
       "Policy ablation: e-STREAMHUB enforcer vs threshold auto-scaler");

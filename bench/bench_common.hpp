@@ -3,7 +3,9 @@
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "harness/testbed.hpp"
@@ -57,6 +59,25 @@ inline harness::TestbedConfig paper_config(std::size_t worker_hosts,
   config.placement = paper_layout;
   config.seed = 2014;
   return config;
+}
+
+// Accepts no argument but `flag` (none at all when it is empty) and says
+// whether it was given. Anything else prints a usage line and exits 2: a
+// stale or misspelt flag must fail loudly instead of running the default
+// configuration.
+inline bool parse_flag(int argc, char** argv, std::string_view flag = {}) {
+  bool given = false;
+  for (int i = 1; i < argc; ++i) {
+    if (flag.empty() || argv[i] != flag) {
+      const std::string usage =
+          flag.empty() ? "" : " [" + std::string{flag} + "]";
+      std::fprintf(stderr, "%s: unknown argument '%s'\nusage: %s%s\n",
+                   argv[0], argv[i], argv[0], usage.c_str());
+      std::exit(2);
+    }
+    given = true;
+  }
+  return given;
 }
 
 inline void print_header(const std::string& title) {

@@ -11,7 +11,8 @@
 #include "bench_common.hpp"
 #include "workload/schedule.hpp"
 
-int main() {
+int main(int argc, char** argv) {
+  esh::bench::parse_flag(argc, argv);
   using namespace esh;
   bench::print_header("Figure 1: Frankfurt Stock Exchange tick volume");
   std::printf("%8s %12s  %s\n", "hour", "ticks/s", "");

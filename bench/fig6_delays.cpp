@@ -8,7 +8,8 @@
 #include "bench_common.hpp"
 #include "workload/schedule.hpp"
 
-int main() {
+int main(int argc, char** argv) {
+  esh::bench::parse_flag(argc, argv);
   using namespace esh;
   bench::print_header(
       "Figure 6 (bottom): delay percentiles at 50% of max throughput (ms)");

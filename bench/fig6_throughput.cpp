@@ -45,7 +45,8 @@ double measure_max_throughput(std::size_t hosts) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  esh::bench::parse_flag(argc, argv);
   using namespace esh;
   bench::print_header(
       "Figure 6 (top): max throughput vs engine hosts, 100 K subscriptions");

@@ -9,7 +9,8 @@
 #include "bench_common.hpp"
 #include "workload/schedule.hpp"
 
-int main() {
+int main(int argc, char** argv) {
+  esh::bench::parse_flag(argc, argv);
   using namespace esh;
   auto config = bench::paper_config(8, 100'000);
   config.ap_slices = 4;

@@ -10,7 +10,8 @@
 #include "elastic_experiment.hpp"
 #include "workload/schedule.hpp"
 
-int main() {
+int main(int argc, char** argv) {
+  esh::bench::parse_flag(argc, argv);
   using namespace esh;
   auto config = bench::paper_config(1);
   config.placement = nullptr;  // all slices start on one host

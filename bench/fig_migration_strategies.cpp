@@ -24,7 +24,6 @@
 // (only the last dirty delta ships inside the freeze).
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -252,10 +251,7 @@ void print_json(const std::vector<RunResult>& results) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool json = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) json = true;
-  }
+  const bool json = esh::bench::parse_flag(argc, argv, "--json");
   std::vector<RunResult> results;
   for (const esh::engine::MigrationStrategy* strategy :
        esh::engine::migration_strategies()) {

@@ -24,7 +24,6 @@
 // (so the snapshot captures network health alongside latency). With
 // --json the same data is emitted as a JSON document instead of tables.
 #include <cstdio>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
@@ -338,10 +337,7 @@ void print_json(const std::vector<RunResult>& results) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool json = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) json = true;
-  }
+  const bool json = esh::bench::parse_flag(argc, argv, "--json");
   using namespace esh;
   const std::vector<Scenario> scenarios{
       {"crash-ckpt-2s", Scenario::Kind::kCrash, seconds(2)},

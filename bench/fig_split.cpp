@@ -20,7 +20,6 @@
 // drain. With --json the same data is emitted as a JSON document.
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -212,10 +211,7 @@ void print_json(const std::vector<RunResult>& results) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool json = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) json = true;
-  }
+  const bool json = esh::bench::parse_flag(argc, argv, "--json");
   const std::vector<Mode> modes{
       {"static", false, false},
       {"migrate", true, false},

@@ -84,7 +84,8 @@ void print_stats(const std::string& label, const RowStats& stats) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  esh::bench::parse_flag(argc, argv);
   using namespace esh;
   constexpr int kMigrations = 25;
   bench::print_header("Table I: slice migration times, 100 pub/s");
