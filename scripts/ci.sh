@@ -60,9 +60,11 @@ stage_lint() {
 # and torture suites, the reliable control channel, the adversarial network
 # tests, the interval-index determinism tests, the match-oracle suites
 # (bitmap sampler and bitmap store) and the elastic-operation coordinator
-# suites (scheduling rule, golden report/step digest) must pass with every
+# suites (scheduling rule, golden report/step digest) and the event core
+# (the simulator's slot table and generation-checked handles, periodic
+# timers, the host's dense job and slice tables) must pass with every
 # invariant live, and stay clean under ASan and TSan.
-CHAOS_FILTER='Chaos|Reliable|Net|Contract|Split|Merge|Interval|Strateg|Oracle|ElasticOp'
+CHAOS_FILTER='Chaos|Reliable|Net|Contract|Split|Merge|Interval|Strateg|Oracle|ElasticOp|Simulator|PeriodicTimer|HostTest'
 
 stage_chaos() {
   local dir=${BUILD_DIR:-build-ci-chaos}

@@ -10,13 +10,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
-#include <list>
-#include <unordered_map>
+#include <vector>
 
 #include "common/types.hpp"
+#include "sim/callback.hpp"
 #include "sim/simulator.hpp"
+#include "sim/slot_pool.hpp"
 
 namespace esh::cluster {
 
@@ -48,9 +47,11 @@ class Host {
   // `slice` (which scopes the lock), to run when a core and the lock are
   // available. Jobs of the same slice dispatch in submission order.
   // `on_complete` runs when the job finishes. Use SliceId::invalid() with
-  // LockMode::kNone for slice-less work.
+  // LockMode::kNone for slice-less work. Slice ids index a dense table, so
+  // they must stay below kMaxSliceId.
   void submit(SliceId slice, LockMode mode, double cost_units,
-              std::function<void()> on_complete);
+              sim::Callback on_complete);
+  static constexpr std::uint64_t kMaxSliceId = std::uint64_t{1} << 20;
 
   // Total busy core-microseconds since construction (monotone).
   [[nodiscard]] double busy_core_us() const { return busy_core_us_; }
@@ -78,24 +79,47 @@ class Host {
   [[nodiscard]] bool has_pending_work(SliceId slice) const;
 
  private:
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+
+  // One pool entry per queued or running job; queued ones chain through
+  // `next` into their slice's FIFO.
   struct Job {
-    SliceId slice;
-    LockMode mode;
-    double cost_units;
-    std::function<void()> on_complete;
+    std::uint32_t sched = 0;  // index into slices_
+    std::uint32_t next = kNil;
+    LockMode mode = LockMode::kNone;
+    SimDuration duration{};
+    sim::Callback on_complete;
   };
 
+  // Per-slice scheduling and accounting, indexed by slice id + 1; index 0
+  // is slice-less work (SliceId::invalid()).
   struct SliceSched {
-    std::deque<Job> queue;
+    std::uint32_t head = kNil;  // FIFO of queued jobs
+    std::uint32_t tail = kNil;
     int running_read = 0;
     bool running_write = false;
+    // Running jobs of any mode, and the sum of their start times: live
+    // accounting is running * now - started_sum, exact in integer us.
+    std::uint32_t running = 0;
+    std::int64_t started_sum_us = 0;
     double busy_core_us = 0.0;
-    double running_started_units = 0.0;  // helper for live accounting
+    // Links of the round-robin ready list (slices with queued work).
+    bool in_ready = false;
+    std::uint32_t ready_prev = kNil;
+    std::uint32_t ready_next = kNil;
   };
 
+  [[nodiscard]] static std::size_t sched_index(SliceId slice);
+  [[nodiscard]] static SliceId slice_at(std::uint32_t s) {
+    return s == 0 ? SliceId::invalid() : SliceId{s - 1};
+  }
+  [[nodiscard]] const SliceSched* find_sched(SliceId slice) const;
   void dispatch();
-  bool try_dispatch_slice(SliceId slice, SliceSched& sched);
-  void start_job(SliceId slice, Job job);
+  bool try_dispatch_slice(std::uint32_t s);
+  void start_job(std::uint32_t job);
+  void finish_job(std::uint32_t job);
+  void link_ready_back(std::uint32_t s);
+  void unlink_ready(std::uint32_t s);
   [[nodiscard]] SimDuration job_duration(double cost_units) const;
 
   sim::Simulator& simulator_;
@@ -105,14 +129,12 @@ class Host {
   int running_jobs_ = 0;
   std::size_t queued_jobs_ = 0;
   double busy_core_us_ = 0.0;
-  std::unordered_map<SliceId, SliceSched> slices_;
+  std::int64_t started_sum_us_ = 0;  // over every running job
+  sim::SlotPool<Job> jobs_;
+  std::vector<SliceSched> slices_;
   // Round-robin order of slices with queued work (no duplicates).
-  std::list<SliceId> ready_;
-  std::unordered_map<SliceId, bool> in_ready_;
-  // Live accounting of running jobs: (start time, cost) per running job id.
-  std::unordered_map<std::uint64_t, std::pair<SimTime, SliceId>> running_;
-  std::unordered_map<std::uint64_t, double> running_cost_;
-  std::uint64_t next_job_id_ = 1;
+  std::uint32_t ready_head_ = kNil;
+  std::uint32_t ready_tail_ = kNil;
 };
 
 }  // namespace esh::cluster

@@ -251,6 +251,7 @@ void Engine::deploy(
     for (std::uint32_t s = 0; s < spec.slices; ++s) {
       const SliceId slice{next_slice_++};
       info.slices.push_back(slice);
+      info.fan.push_back(s);
       // Deploy-time coverage is plain modulo: slice s covers key % N == s.
       info.coverages.push_back(
           KeyCoverage{static_cast<std::uint32_t>(spec.slices), s, 0, 0});
@@ -886,6 +887,7 @@ void Engine::split_cutover() {
   }
   info.slices.push_back(r.other);
   info.coverages.push_back(op.child_cov);
+  info.fan.push_back(static_->info_of(r.other).slice_index);
   info.refined = true;
   ESH_INVARIANT("engine", "key-coverage-complete",
                 coverage_complete(info.coverages, info.coverage_base),
@@ -929,6 +931,7 @@ void Engine::begin_merge() {
   info.slices.erase(info.slices.begin() + static_cast<std::ptrdiff_t>(ret_pos));
   info.coverages.erase(info.coverages.begin() +
                        static_cast<std::ptrdiff_t>(ret_pos));
+  info.fan.erase(info.fan.begin() + static_cast<std::ptrdiff_t>(ret_pos));
   ESH_INVARIANT("engine", "key-coverage-complete",
                 coverage_complete(info.coverages, info.coverage_base),
                 ::esh::contracts::Detail{}

@@ -106,7 +106,7 @@ const StaticConfig::SliceInfo& StaticConfig::info_of(SliceId id) const {
 }
 
 std::uint32_t StaticConfig::index_of(std::string_view name) const {
-  auto it = op_by_name.find(std::string{name});
+  auto it = op_by_name.find(name);
   if (it == op_by_name.end()) {
     throw std::logic_error{"StaticConfig: unknown operator"};
   }
@@ -175,19 +175,36 @@ void SliceRuntime::on_wire_event(const WireEvent& event) {
     case State::kFreezePending:
       break;
   }
-  auto& channel = in_[event.from];
+  ChannelIn& channel = in_[event.from];
   if (event.seq < channel.expected) {
     ++duplicates_dropped_;
     return;
   }
-  channel.pending.emplace(event.seq, event.payload);
-  deliver_in_order(event.from, channel);
+  if (channel.pending.empty() && channel.deliverable(event.seq)) {
+    // In-order arrival (the common case): dispatch without a round trip
+    // through the reorder buffer.
+    check_gap_free(event.from, channel);
+    advance(channel, event.payload);
+  } else {
+    channel.pending.emplace(event.seq, event.payload);
+    deliver_in_order(event.from, channel);
+  }
   if (state_ == State::kFreezePending) check_freeze();
   if (split_spec_ || absorb_spec_) check_transition_drain();
 }
 
-void SliceRuntime::deliver_in_order([[maybe_unused]] SliceId from,
-                                    ChannelIn& channel) {
+void SliceRuntime::deliver_in_order(SliceId from, ChannelIn& channel) {
+  check_gap_free(from, channel);
+  while (!channel.pending.empty() &&
+         channel.deliverable(channel.pending.begin()->first)) {
+    auto node = channel.pending.extract(channel.pending.begin());
+    advance(channel, std::move(node.mapped()));
+  }
+}
+
+void SliceRuntime::check_gap_free([[maybe_unused]] SliceId from,
+                                  [[maybe_unused]] const ChannelIn& channel)
+    const {
   // Gap-freedom: every sequence number below `expected` has been dispatched
   // exactly once, so the two cursors stay locked together. The one legal
   // exception is the window right after a recovery rewind (reset_channel),
@@ -201,25 +218,24 @@ void SliceRuntime::deliver_in_order([[maybe_unused]] SliceId from,
                     .actual(channel.expected)
                     .note("input channel from slice " +
                           std::to_string(from.value())));
-  while (!channel.pending.empty() &&
-         channel.pending.begin()->first == channel.expected &&
-         (channel.hold == 0 || channel.expected < channel.hold)) {
-    auto node = channel.pending.extract(channel.pending.begin());
-    channel.last_dispatched = channel.expected;
-    ++channel.expected;
-    channel.rewound = false;  // cursors re-locked by this delivery
-    dispatch(std::move(node.mapped()));
-  }
+}
+
+void SliceRuntime::advance(ChannelIn& channel, PayloadPtr payload) {
+  channel.last_dispatched = channel.expected;
+  ++channel.expected;
+  channel.rewound = false;  // cursors re-locked by this delivery
+  dispatch(std::move(payload));
 }
 
 void SliceRuntime::dispatch(PayloadPtr payload) {
   const double cost = handler_->cost_units(payload);
   const cluster::LockMode mode = handler_->lock_mode(payload);
-  host_.cpu().submit(id_, mode, cost,
-                     [this, payload = std::move(payload)]() mutable {
-                       if (state_ == State::kRetired) return;
-                       process(std::move(payload));
-                     });
+  auto job = [this, payload = std::move(payload)]() mutable {
+    if (state_ == State::kRetired) return;
+    process(std::move(payload));
+  };
+  static_assert(sim::Callback::stores_inline<decltype(job)>);
+  host_.cpu().submit(id_, mode, cost, std::move(job));
 }
 
 void SliceRuntime::process(PayloadPtr payload) {
@@ -236,9 +252,9 @@ void SliceRuntime::emit(std::string_view op, Routing routing,
     throw std::logic_error{"emit: operator has no slices"};
   }
   auto queue_to = [&](SliceId target) {
-    auto [it, inserted] = next_out_seq_.try_emplace(target, 1);
-    const SeqNo seq = it->second++;
-    out_buffer_[target].push_back(WireEvent{id_, target, seq, payload});
+    ChannelOut& out = out_[target];
+    const SeqNo seq = out.next_seq++;
+    out.buffer.push_back(WireEvent{id_, target, seq, payload});
     ++out_buffer_events_;
     if (logging_) {
       // Upstream backup: retained until the downstream checkpoints.
@@ -278,14 +294,7 @@ std::size_t SliceRuntime::slice_count(std::string_view op) const {
 std::vector<std::uint32_t> SliceRuntime::fan_indices(
     std::string_view op) const {
   const auto& cfg = host_.engine().static_config();
-  const auto& target_op = cfg.operators.at(cfg.index_of(op));
-  std::vector<std::uint32_t> fan;
-  fan.reserve(target_op.slices.size());
-  for (const SliceId slice : target_op.slices) {
-    fan.push_back(cfg.info_of(slice).slice_index);
-  }
-  std::sort(fan.begin(), fan.end());
-  return fan;
+  return cfg.operators.at(cfg.index_of(op)).fan;
 }
 
 void SliceRuntime::flush_outputs() {
@@ -294,8 +303,9 @@ void SliceRuntime::flush_outputs() {
   // state_bytes-style accounting: the running event counter must equal the
   // sum of the per-target buffers it summarizes.
   std::size_t buffered = 0;
-  // lint:allow(unordered-iteration): order-free sum
-  for (const auto& [target, events] : out_buffer_) buffered += events.size();
+  out_.for_each([&buffered](SliceId, const ChannelOut& out) {
+    buffered += out.buffer.size();
+  });
   ESH_INVARIANT("engine", "out-buffer-accounting",
                 buffered == out_buffer_events_,
                 ::esh::contracts::Detail{}
@@ -303,15 +313,16 @@ void SliceRuntime::flush_outputs() {
                     .expected(out_buffer_events_)
                     .actual(buffered));
 #endif
-  auto buffers = std::move(out_buffer_);
-  out_buffer_.clear();
   out_buffer_events_ = 0;
-  host_.send_events(std::move(buffers), &net_bytes_sent_);
+  out_.for_each([this](SliceId target, ChannelOut& out) {
+    if (!out.buffer.empty()) host_.stage_events(target, out.buffer);
+  });
+  host_.send_staged(&net_bytes_sent_);
 }
 
 SeqNo SliceRuntime::next_seq_for(SliceId target) const {
-  auto it = next_out_seq_.find(target);
-  return it == next_out_seq_.end() ? SeqNo{1} : it->second;
+  const ChannelOut* out = out_.find(target);
+  return out == nullptr ? SeqNo{1} : out->next_seq;
 }
 
 void SliceRuntime::start_checkpoint_timer() {
@@ -341,19 +352,20 @@ void SliceRuntime::replay_log(SliceId origin, SliceId downstream,
                               SeqNo above) {
   auto it = log_.find({origin, downstream});
   if (it == log_.end()) return;
-  std::unordered_map<SliceId, std::vector<WireEvent>> resend;
+  std::vector<WireEvent> resend;
   for (const WireEvent& event : it->second) {
-    if (event.seq > above) resend[downstream].push_back(event);
+    if (event.seq > above) resend.push_back(event);
   }
   if (!resend.empty()) {
-    host_.send_events(std::move(resend), &net_bytes_sent_);
+    host_.stage_events(downstream, resend);
+    host_.send_staged(&net_bytes_sent_);
   }
 }
 
 void SliceRuntime::reset_channel(SliceId upstream, SeqNo base) {
-  auto it = in_.find(upstream);
-  if (it == in_.end()) return;
-  ChannelIn& channel = it->second;
+  ChannelIn* found = in_.find(upstream);
+  if (found == nullptr) return;
+  ChannelIn& channel = *found;
   // Buffered events at or above the base are originals from the old
   // instance whose sequence numbers no longer mean the same content.
   std::erase_if(channel.pending,
@@ -384,9 +396,9 @@ void SliceRuntime::checkpoint(net::Endpoint store) {
 
 std::vector<std::pair<SliceId, SeqNo>> SliceRuntime::watermarks() const {
   std::vector<std::pair<SliceId, SeqNo>> out;
-  for (const SliceId from : sorted_keys(in_)) {
-    out.emplace_back(from, in_.at(from).last_dispatched);
-  }
+  in_.for_each([&out](SliceId from, const ChannelIn& channel) {
+    out.emplace_back(from, channel.last_dispatched);
+  });
   return out;
 }
 
@@ -397,9 +409,9 @@ SliceSnapshot SliceRuntime::capture() const {
   snapshot.state =
       std::make_shared<const std::vector<std::byte>>(std::move(writer).take());
   snapshot.processed = watermarks();
-  for (const SliceId target : sorted_keys(next_out_seq_)) {
-    snapshot.out_seqs.emplace_back(target, next_out_seq_.at(target));
-  }
+  out_.for_each([&snapshot](SliceId target, const ChannelOut& out) {
+    snapshot.out_seqs.emplace_back(target, out.next_seq);
+  });
   for (const auto& [channel, log] : log_) {
     snapshot.log.insert(snapshot.log.end(), log.begin(), log.end());
   }
@@ -419,7 +431,7 @@ void SliceRuntime::restore(const SliceSnapshot& snapshot) {
     channel.last_dispatched = last;
   }
   for (const auto& [target, next] : snapshot.out_seqs) {
-    next_out_seq_[target] = next;
+    out_[target].next_seq = next;
   }
   // Replay requests for pre-cut events are served from here now.
   log_.clear();
@@ -481,8 +493,8 @@ void SliceRuntime::check_freeze() {
   // duplication start must have been dispatched locally, so the union of
   // (processed here) + (duplicated to the replica) has no gap.
   for (const auto& [channel_id, first_duplicated] : freeze_spec_->catchup) {
-    const auto it = in_.find(channel_id);
-    const SeqNo expected = it == in_.end() ? SeqNo{1} : it->second.expected;
+    const ChannelIn* channel = in_.find(channel_id);
+    const SeqNo expected = channel == nullptr ? SeqNo{1} : channel->expected;
     if (expected < first_duplicated) return;
   }
   do_freeze();
@@ -612,7 +624,7 @@ void SliceRuntime::activate(SliceSnapshot snapshot, MigrationId migration,
         // Sorted: drain order decides cross-channel dispatch interleaving.
         for (const SliceId from : sorted_keys(buffered)) {
           auto& events = buffered.at(from);
-          auto& channel = in_[from];
+          ChannelIn& channel = in_[from];
           for (auto& [seq, payload] : events) {
             if (seq < channel.expected) {
               ++duplicates_dropped_;
@@ -641,7 +653,8 @@ void SliceRuntime::retire() {
   in_.clear();
   replica_buffer_.clear();
   precopy_image_.clear();
-  out_buffer_.clear();
+  // Unflushed output dies with the slice; its sequence counters stay.
+  out_.for_each([](SliceId, ChannelOut& out) { out.buffer.clear(); });
   out_buffer_events_ = 0;
   log_.clear();
   split_spec_.reset();
@@ -696,8 +709,8 @@ void SliceRuntime::check_transition_drain() {
   // Drained when every cut-over channel has dispatched its full pre-cut
   // prefix: expected == cut (holds stop delivery exactly there).
   for (const auto& [channel_id, cut] : cutover) {
-    const auto it = in_.find(channel_id);
-    const SeqNo expected = it == in_.end() ? SeqNo{1} : it->second.expected;
+    const ChannelIn* channel = in_.find(channel_id);
+    const SeqNo expected = channel == nullptr ? SeqNo{1} : channel->expected;
     if (expected < cut) return;
   }
   if (absorb_spec_ && !absorb_) return;
@@ -770,13 +783,12 @@ void SliceRuntime::run_absorb() {
 }
 
 void SliceRuntime::release_holds() {
-  // Sorted: release order decides cross-channel dispatch interleaving.
-  for (const SliceId channel_id : sorted_keys(in_)) {
-    auto& channel = in_.at(channel_id);
-    if (channel.hold == 0) continue;
+  // Ascending: release order decides cross-channel dispatch interleaving.
+  in_.for_each([this](SliceId channel_id, ChannelIn& channel) {
+    if (channel.hold == 0) return;
     channel.hold = 0;
     deliver_in_order(channel_id, channel);
-  }
+  });
 }
 
 // ---- HostRuntime -------------------------------------------------------------
@@ -851,57 +863,56 @@ void HostRuntime::deliver_external(const WireEvent& event) {
   it->second->on_wire_event(event);
 }
 
-void HostRuntime::send_events(
-    std::unordered_map<SliceId, std::vector<WireEvent>> by_dest,
-    std::size_t* bytes_accum) {
-  const auto& cost = engine_.config().cost;
-  // Group per destination host, duplicating to shadows. Sorted at both
-  // levels: concatenation order fixes intra-batch delivery order, and send
-  // order serializes on this host's NIC.
-  std::unordered_map<HostId, std::vector<WireEvent>> per_host;
-  for (const SliceId dest : sorted_keys(by_dest)) {
-    auto& events = by_dest.at(dest);
-    auto it = directory_.find(dest);
-    if (it == directory_.end()) {
-      dropped_events_ += events.size();
-      continue;
+void HostRuntime::stage_events(SliceId dest, std::vector<WireEvent>& events) {
+  const auto outbox_for = [this](HostId host) -> std::vector<WireEvent>& {
+    auto it = std::lower_bound(
+        outbox_.begin(), outbox_.end(), host,
+        [](const auto& entry, HostId key) { return entry.first < key; });
+    if (it == outbox_.end() || it->first != host) {
+      it = outbox_.emplace(it, host, std::vector<WireEvent>{});
     }
-    const SliceLocation& loc = it->second;
-    if (loc.shadow.valid() && loc.shadow != loc.primary) {
-      if (loc.redirect) {
-        // Park mode (stop-and-restart): the shadow replaces the primary as
-        // the only receiver, so the source drains to a natural freeze. Not
-        // duplicate traffic — the primary send is skipped entirely.
-        auto& parked = per_host[loc.shadow];
-        if (parked.empty()) {
-          parked = std::move(events);
-        } else {
-          parked.insert(parked.end(), std::make_move_iterator(events.begin()),
-                        std::make_move_iterator(events.end()));
-        }
-        continue;
-      }
+    return it->second;
+  };
+  auto it = directory_.find(dest);
+  if (it == directory_.end()) {
+    dropped_events_ += events.size();
+    events.clear();
+    return;
+  }
+  const SliceLocation& loc = it->second;
+  HostId receiver = loc.primary;
+  if (loc.shadow.valid() && loc.shadow != loc.primary) {
+    if (loc.redirect) {
+      // Park mode (stop-and-restart): the shadow replaces the primary as
+      // the only receiver, so the source drains to a natural freeze. Not
+      // duplicate traffic — the primary send is skipped entirely.
+      receiver = loc.shadow;
+    } else {
       std::size_t dup_bytes = 0;
       for (const auto& ev : events) {
-        dup_bytes += ev.payload->bytes() + cost.event_header_bytes;
+        dup_bytes += ev.payload->bytes() +
+                     engine_.config().cost.event_header_bytes;
       }
       engine_.note_duplicate_bytes(dup_bytes);
-      auto& shadow_list = per_host[loc.shadow];
+      auto& shadow_list = outbox_for(loc.shadow);
       shadow_list.insert(shadow_list.end(), events.begin(), events.end());
     }
-    auto& list = per_host[loc.primary];
-    if (list.empty()) {
-      list = std::move(events);
-    } else {
-      list.insert(list.end(), std::make_move_iterator(events.begin()),
-                  std::make_move_iterator(events.end()));
-    }
   }
-  for (const HostId host : sorted_keys(per_host)) {
-    auto& events = per_host.at(host);
+  auto& list = outbox_for(receiver);
+  list.insert(list.end(), std::make_move_iterator(events.begin()),
+              std::make_move_iterator(events.end()));
+  events.clear();
+}
+
+void HostRuntime::send_staged(std::size_t* bytes_accum) {
+  const auto& cost = engine_.config().cost;
+  // Ascending host order: send order serializes on this host's NIC.
+  for (auto& [host, events] : outbox_) {
+    if (events.empty()) continue;
     auto ep_it = host_endpoints_.find(host);
     if (ep_it == host_endpoints_.end()) {
       dropped_events_ += events.size();
+      events.clear();
       continue;
     }
     std::size_t bytes = 0;
@@ -909,7 +920,9 @@ void HostRuntime::send_events(
       bytes += ev.payload->bytes() + cost.event_header_bytes;
     }
     auto msg = std::make_shared<EventBatchMessage>();
-    msg->events = std::move(events);
+    msg->events.assign(std::make_move_iterator(events.begin()),
+                       std::make_move_iterator(events.end()));
+    events.clear();
     if (bytes_accum != nullptr) *bytes_accum += bytes;
     engine_.network().send(endpoint_, ep_it->second, std::move(msg), bytes);
   }

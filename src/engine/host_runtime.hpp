@@ -6,10 +6,12 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -20,6 +22,7 @@
 #include "common/rng.hpp"
 #include "engine/event.hpp"
 #include "engine/handler.hpp"
+#include "engine/slice_table.hpp"
 #include "net/network.hpp"
 #include "net/reliable.hpp"
 #include "sim/simulator.hpp"
@@ -42,6 +45,10 @@ struct StaticConfig {
     // the retiree's and widens the survivor's. The entries always tile the
     // key space exactly (the key-coverage-complete invariant).
     std::vector<KeyCoverage> coverages;
+    // Slice index of each slice, parallel to `slices` and ascending: deploy
+    // numbers slices 0..N-1, a split child takes one past the maximum and
+    // is appended, a merge erases. This is the broadcast fan.
+    std::vector<std::uint32_t> fan;
     std::uint32_t coverage_base = 0;  // deploy-time slice count (fixed)
     // False until the operator's first split: hash routing keeps the
     // original modulo fast path — byte-for-byte identical behavior to the
@@ -58,8 +65,18 @@ struct StaticConfig {
     std::uint32_t slice_index = 0;
   };
 
+  // Transparent hash: operator names look up from a string_view (every
+  // emit does) without building a std::string.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+
   std::vector<OperatorInfo> operators;
-  std::unordered_map<std::string, std::uint32_t> op_by_name;
+  std::unordered_map<std::string, std::uint32_t, NameHash, std::equal_to<>>
+      op_by_name;
   std::unordered_map<SliceId, SliceInfo> slice_infos;
 
   [[nodiscard]] const OperatorInfo& op_of(SliceId id) const;
@@ -224,7 +241,7 @@ class SliceRuntime final : public Context {
   // expected/last_dispatched relation so the next delivery trips the
   // gap-freedom invariant. Compiled only in checked builds.
   void testing_corrupt_channel(SliceId from) {
-    auto& channel = in_[from];
+    ChannelIn& channel = in_[from];
     channel.last_dispatched = channel.expected + 1;
   }
 
@@ -249,6 +266,20 @@ class SliceRuntime final : public Context {
     // pending — a split parent / merge survivor must not process any
     // post-cut-over event before its capture (resp. absorb) job runs.
     SeqNo hold = 0;
+
+    // True when `seq` may be dispatched: it is the next one and no cut-over
+    // hold stops it.
+    [[nodiscard]] bool deliverable(SeqNo seq) const {
+      return seq == expected && (hold == 0 || seq < hold);
+    }
+  };
+
+  // Per downstream slice: the next sequence number to assign, and the
+  // events emitted since the last flush (the vector keeps its capacity
+  // across flushes).
+  struct ChannelOut {
+    SeqNo next_seq = 1;
+    std::vector<WireEvent> buffer;
   };
 
   // Every lifecycle change funnels through here so the state-machine
@@ -256,6 +287,10 @@ class SliceRuntime final : public Context {
   void set_state(State next);
 
   void deliver_in_order(SliceId from, ChannelIn& channel);
+  // The channel-gap-free contract (checked builds).
+  void check_gap_free(SliceId from, const ChannelIn& channel) const;
+  // Advances `channel`'s cursors past its next event and dispatches it.
+  void advance(ChannelIn& channel, PayloadPtr payload);
   // Submits one event as its own CPU job, with its own cost and lock mode.
   void dispatch(PayloadPtr payload);
   void process(PayloadPtr payload);
@@ -283,12 +318,11 @@ class SliceRuntime final : public Context {
   std::unique_ptr<Handler> handler_;
   State state_;
 
-  std::unordered_map<SliceId, ChannelIn> in_;
+  SliceTable<ChannelIn> in_;
   // Replica buffering: raw per-channel maps (reordered lazily on activate).
   std::unordered_map<SliceId, std::map<SeqNo, PayloadPtr>> replica_buffer_;
 
-  std::unordered_map<SliceId, SeqNo> next_out_seq_;
-  std::unordered_map<SliceId, std::vector<WireEvent>> out_buffer_;
+  SliceTable<ChannelOut> out_;
   std::size_t out_buffer_events_ = 0;
   // Upstream backup: emitted events retained per channel (origin,
   // downstream) until the downstream slice checkpoints past them (only
@@ -378,10 +412,14 @@ class HostRuntime {
   // kExternalChannel) to the local instance of the destination slice.
   void deliver_external(const WireEvent& event);
 
-  // Sends a batch of events toward the (logical) destination slice of each
-  // event, honoring primary + shadow duplication. Called by slices.
-  void send_events(std::unordered_map<SliceId, std::vector<WireEvent>> by_dest,
-                   std::size_t* bytes_accum);
+  // Outbound batching, called by slices: stage_events moves `events` (all
+  // bound for the logical slice `dest`) into the per-host outbox, honoring
+  // primary + shadow duplication, and leaves `events` empty; send_staged
+  // then ships one batch per destination host, ascending by host id.
+  // Stage destinations in ascending slice order: concatenation order fixes
+  // intra-batch delivery order.
+  void stage_events(SliceId dest, std::vector<WireEvent>& events);
+  void send_staged(std::size_t* bytes_accum);
 
   // Point-to-point sends used by the migration protocol.
   void send_to_host(HostId host, net::MessagePtr msg, std::size_t bytes);
@@ -436,6 +474,9 @@ class HostRuntime {
   std::unordered_map<SliceId, SliceLocation> directory_;
   std::unordered_map<HostId, net::Endpoint> host_endpoints_;
   std::uint64_t dropped_events_ = 0;
+  // Staged outbound events per destination host, sorted by host id. The
+  // vectors keep their capacity from flush to flush.
+  std::vector<std::pair<HostId, std::vector<WireEvent>>> outbox_;
 
   // Probe accounting.
   double last_host_busy_us_ = 0.0;

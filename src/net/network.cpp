@@ -217,35 +217,36 @@ void Network::schedule_delivery(Endpoint from, Endpoint to, HostId dst_host,
                                 std::uint64_t dst_generation,
                                 MessagePtr message, std::size_t bytes,
                                 SimTime when, bool corrupted) {
-  simulator_.schedule_at(
-      when, [this, from, to, dst_host, dst_generation,
-             message = std::move(message), bytes, corrupted] {
-        auto it = bindings_.find(to);
-        // Deliver only if the endpoint still lives where the message was
-        // routed (generation check catches unbind+rebind races).
-        if (it == bindings_.end() || it->second.host != dst_host ||
-            it->second.generation != dst_generation ||
-            down_hosts_.contains(dst_host)) {
-          ++stats_.messages_dropped;
-          return;
-        }
-        ++stats_.messages_delivered;
-        // Conservation: every sent message (plus every injected duplicate)
-        // is delivered, dropped, or lost exactly once (some are still in
-        // flight, hence <=).
-        ESH_INVARIANT("net", "message-conservation",
-                      stats_.messages_delivered + stats_.messages_dropped +
-                              stats_.messages_lost <=
-                          stats_.messages_sent + stats_.messages_duplicated,
-                      ::esh::contracts::Detail{}
-                          .expected(stats_.messages_sent +
-                                    stats_.messages_duplicated)
-                          .actual(stats_.messages_delivered +
-                                  stats_.messages_dropped +
-                                  stats_.messages_lost));
-        it->second.handler(
-            Delivery{from, to, std::move(message), bytes, corrupted});
-      });
+  auto deliver = [this, from, to, dst_host, dst_generation,
+                  message = std::move(message), bytes, corrupted]() mutable {
+    auto it = bindings_.find(to);
+    // Deliver only if the endpoint still lives where the message was
+    // routed (generation check catches unbind+rebind races).
+    if (it == bindings_.end() || it->second.host != dst_host ||
+        it->second.generation != dst_generation ||
+        down_hosts_.contains(dst_host)) {
+      ++stats_.messages_dropped;
+      return;
+    }
+    ++stats_.messages_delivered;
+    // Conservation: every sent message (plus every injected duplicate)
+    // is delivered, dropped, or lost exactly once (some are still in
+    // flight, hence <=).
+    ESH_INVARIANT("net", "message-conservation",
+                  stats_.messages_delivered + stats_.messages_dropped +
+                          stats_.messages_lost <=
+                      stats_.messages_sent + stats_.messages_duplicated,
+                  ::esh::contracts::Detail{}
+                      .expected(stats_.messages_sent +
+                                stats_.messages_duplicated)
+                      .actual(stats_.messages_delivered +
+                              stats_.messages_dropped +
+                              stats_.messages_lost));
+    it->second.handler(
+        Delivery{from, to, std::move(message), bytes, corrupted});
+  };
+  static_assert(sim::Callback::stores_inline<decltype(deliver)>);
+  simulator_.schedule_at(when, std::move(deliver));
 }
 
 void Network::set_host_down(HostId host, bool down) {

@@ -6,21 +6,22 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
-#include <queue>
-#include <utility>
 #include <vector>
 
 #include "common/contracts.hpp"
 #include "common/types.hpp"
+#include "sim/callback.hpp"
+#include "sim/slot_pool.hpp"
 
 namespace esh::sim {
 
 class Simulator;
 
 // Handle to a scheduled event; allows cancellation. Handles are cheap to
-// copy and remain valid (as no-ops) after the event fired or was cancelled.
+// copy and remain valid (as no-ops) after the event fired or was cancelled,
+// for as long as the simulator lives. A handle names its event by the
+// event's slot and scheduling sequence number, so a handle to an event
+// whose slot was since reused by another event never touches the newcomer.
 class EventHandle {
  public:
   EventHandle() = default;
@@ -30,30 +31,30 @@ class EventHandle {
 
  private:
   friend class Simulator;
-  struct State {
-    bool cancelled = false;
-    bool fired = false;
-  };
-  explicit EventHandle(std::shared_ptr<State> state)
-      : state_(std::move(state)) {}
-  std::shared_ptr<State> state_;
+  EventHandle(Simulator* simulator, std::uint32_t slot, std::uint64_t seq)
+      : simulator_(simulator), slot_(slot), seq_(seq) {}
+  Simulator* simulator_ = nullptr;
+  std::uint32_t slot_ = 0;
+  std::uint64_t seq_ = 0;
 };
 
 class Simulator {
  public:
   Simulator() = default;
+  ~Simulator();
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
   [[nodiscard]] SimTime now() const { return now_; }
 
   // Schedules `fn` to run `delay` from now. Negative delays are an error.
-  EventHandle schedule(SimDuration delay, std::function<void()> fn);
+  EventHandle schedule(SimDuration delay, Callback fn);
 
   // Schedules at an absolute time >= now.
-  EventHandle schedule_at(SimTime when, std::function<void()> fn);
+  EventHandle schedule_at(SimTime when, Callback fn);
 
-  // Runs events until the queue is empty. Returns number of events run.
+  // Runs events until the queue is empty. Returns the number of events run
+  // (cancelled events never run and are not counted).
   std::uint64_t run();
 
   // Runs events with time <= until; the clock ends at `until` even if the
@@ -63,6 +64,7 @@ class Simulator {
   // Runs a single event if one is pending. Returns true if one ran.
   bool step();
 
+  // Both exclude cancelled events.
   [[nodiscard]] bool empty() const { return live_events_ == 0; }
   [[nodiscard]] std::size_t pending_events() const { return live_events_; }
 
@@ -74,18 +76,39 @@ class Simulator {
 #endif
 
  private:
+  friend class EventHandle;
+
+  // Event core: a slot table holds each scheduled event's callback, and a
+  // binary min-heap orders small {when, seq, slot} entries. A slot is
+  // released (and its callback destroyed) when its event fires or is
+  // cancelled; a cancelled event's heap entry stays queued until it
+  // surfaces and is skipped because its slot no longer carries its seq.
+  static constexpr std::uint64_t kFreeSlot = ~std::uint64_t{0};
+  struct Slot {
+    std::uint64_t seq = kFreeSlot;  // occupant's seq, kFreeSlot when free
+    Callback fn;
+  };
   struct Entry {
     SimTime when{};
     std::uint64_t seq = 0;  // tie-break: scheduling order
-    std::function<void()> fn;
-    std::shared_ptr<EventHandle::State> state;
-
-    // Min-heap via std::priority_queue (which is a max-heap): reversed.
-    friend bool operator<(const Entry& a, const Entry& b) {
+    std::uint32_t slot = 0;
+  };
+  // Heap order: std::push_heap keeps the "largest" on top, so the later
+  // event compares smaller.
+  struct Later {
+    bool operator()(const Entry& a, const Entry& b) const {
       if (a.when != b.when) return a.when > b.when;
       return a.seq > b.seq;
     }
   };
+
+  [[nodiscard]] bool live(std::uint32_t slot, std::uint64_t seq) const {
+    return slots_.holds(slot) && slots_[slot].seq == seq;
+  }
+  void cancel(std::uint32_t slot, std::uint64_t seq);
+  // Pops the earliest entry; returns false (and drops it) if it was
+  // cancelled, else releases its slot into `fn` and advances the clock.
+  bool pop_next(Callback& fn);
 
   // Dispatch-order invariants (checked builds): virtual time never moves
   // backwards, and events sharing a timestamp fire in scheduling order.
@@ -113,7 +136,8 @@ class Simulator {
   std::size_t live_events_ = 0;  // excludes cancelled-but-queued entries
   SimTime last_fired_when_{SimTime::min()};
   std::uint64_t last_fired_seq_ = 0;
-  std::priority_queue<Entry> queue_;
+  std::vector<Entry> heap_;
+  SlotPool<Slot> slots_;
 };
 
 // Repeating timer built on the simulator; used for heartbeats, probe
@@ -124,9 +148,9 @@ class PeriodicTimer {
   // `fn` runs every `period`, first at now + period (or now + initial_delay
   // when provided).
   PeriodicTimer(Simulator& simulator, SimDuration period,
-                std::function<void()> fn);
+                Callback fn);
   PeriodicTimer(Simulator& simulator, SimDuration initial_delay,
-                SimDuration period, std::function<void()> fn);
+                SimDuration period, Callback fn);
   ~PeriodicTimer();
   PeriodicTimer(const PeriodicTimer&) = delete;
   PeriodicTimer& operator=(const PeriodicTimer&) = delete;
@@ -136,10 +160,11 @@ class PeriodicTimer {
 
  private:
   void arm(SimDuration delay);
+  void tick();
 
   Simulator& simulator_;
   SimDuration period_;
-  std::function<void()> fn_;
+  Callback fn_;
   EventHandle pending_;
   bool running_ = true;
 };

@@ -146,6 +146,72 @@ TEST_F(HostTest, SaturatedSlicesShareCoresFairly) {
   }
 }
 
+// Pins live accounting exactly: overlapping kRead, kWrite and kNone jobs of
+// two slices and slice-less work on 2 cores. Schedule (us):
+//   s1 R 1000 [0,1000]   s1 R 2000 [0,2000]   s2 W 1500 [1000,2500]
+//   -- N 800 [2000,2800] s1 W 500 [2500,3000] s2 N 300 [2800,3100]
+TEST_F(HostTest, LiveAccountingAcrossModesAndSlices) {
+  const SliceId none = SliceId::invalid();
+  host.submit(s1, LockMode::kRead, 1000.0, nullptr);
+  host.submit(s1, LockMode::kRead, 2000.0, nullptr);
+  host.submit(s2, LockMode::kWrite, 1500.0, nullptr);
+  host.submit(none, LockMode::kNone, 800.0, nullptr);
+  host.submit(s1, LockMode::kWrite, 500.0, nullptr);
+  host.submit(s2, LockMode::kNone, 300.0, nullptr);
+  EXPECT_EQ(host.running_jobs(), 2);
+  EXPECT_EQ(host.queued_jobs(), 4u);
+
+  struct Probe {
+    std::int64_t at_us;
+    double busy, s1_busy, s2_busy, none_busy;
+    bool s1_pending, s2_pending, none_pending;
+  };
+  const std::vector<Probe> probes{
+      {500, 1000, 1000, 0, 0, true, true, true},
+      {1500, 3000, 2500, 500, 0, true, true, true},
+      {2600, 5200, 3100, 1500, 600, true, true, true},
+      // s2's only job is a running kNone one: it still counts as pending.
+      {2900, 5800, 3400, 1600, 800, true, true, false},
+      {3050, 6050, 3500, 1750, 800, false, true, false},
+      {3100, 6100, 3500, 1800, 800, false, false, false},
+  };
+  for (const Probe& p : probes) {
+    sim.run_until(micros(p.at_us));
+    SCOPED_TRACE(p.at_us);
+    EXPECT_EQ(host.busy_core_us_now(), p.busy);
+    EXPECT_EQ(host.slice_busy_core_us_now(s1), p.s1_busy);
+    EXPECT_EQ(host.slice_busy_core_us_now(s2), p.s2_busy);
+    EXPECT_EQ(host.slice_busy_core_us_now(none), p.none_busy);
+    EXPECT_EQ(host.has_pending_work(s1), p.s1_pending);
+    EXPECT_EQ(host.has_pending_work(s2), p.s2_pending);
+    EXPECT_EQ(host.has_pending_work(none), p.none_pending);
+  }
+  EXPECT_EQ(host.busy_core_us(), 6100.0);
+  EXPECT_EQ(host.slice_busy_core_us(s1), 3500.0);
+  EXPECT_EQ(host.slice_busy_core_us(s2), 1800.0);
+  EXPECT_EQ(host.slice_busy_core_us(none), 800.0);
+  EXPECT_EQ(host.running_jobs(), 0);
+  EXPECT_EQ(host.queued_jobs(), 0u);
+
+  // Forgetting a slice drops its counters but not the host's; the same id
+  // then starts from zero.
+  host.forget_slice(s1);
+  EXPECT_EQ(host.slice_busy_core_us(s1), 0.0);
+  EXPECT_EQ(host.busy_core_us(), 6100.0);
+  EXPECT_FALSE(host.has_pending_work(s1));
+  host.submit(s1, LockMode::kWrite, 400.0, nullptr);
+  EXPECT_TRUE(host.has_pending_work(s1));
+  sim.run_until(micros(3300));
+  EXPECT_EQ(host.slice_busy_core_us_now(s1), 200.0);
+  EXPECT_EQ(host.busy_core_us_now(), 6300.0);
+  sim.run();
+  EXPECT_EQ(sim.now(), micros(3500));
+  EXPECT_EQ(host.slice_busy_core_us(s1), 400.0);
+  EXPECT_EQ(host.slice_busy_core_us(s2), 1800.0);
+  EXPECT_EQ(host.busy_core_us(), 6500.0);
+  EXPECT_FALSE(host.has_pending_work(s1));
+}
+
 TEST(HostSpecTest, RejectsBadSpec) {
   sim::Simulator sim;
   EXPECT_THROW((Host{sim, HostId{1}, HostSpec{0, 1e6}}),

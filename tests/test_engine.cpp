@@ -7,6 +7,7 @@
 #include "cluster/host.hpp"
 #include "common/rng.hpp"
 #include "engine/engine.hpp"
+#include "engine/slice_table.hpp"
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
 
@@ -493,6 +494,27 @@ TEST_F(EngineTest, DuplicatesDroppedCounterStaysZeroWithoutMigration) {
     EXPECT_EQ(rt->duplicates_dropped(), 0u);
     EXPECT_GT(rt->events_processed(), 0u);
   }
+}
+
+TEST(SliceTable, IteratesAscendingAcrossDenseAndFarIds) {
+  SliceTable<int> table;
+  table[kExternalChannel] = 1;
+  table[SliceId{7}] = 2;
+  table[SliceId{2}] = 3;
+  table[SliceId{std::uint64_t{1} << 40}] = 4;
+  EXPECT_EQ(table.find(SliceId{3}), nullptr);
+  ASSERT_NE(table.find(kExternalChannel), nullptr);
+  EXPECT_EQ(*table.find(kExternalChannel), 1);
+  std::vector<std::pair<SliceId, int>> seen;
+  table.for_each([&seen](SliceId id, int value) { seen.emplace_back(id, value); });
+  const std::vector<std::pair<SliceId, int>> want{
+      {SliceId{2}, 3},
+      {SliceId{7}, 2},
+      {SliceId{std::uint64_t{1} << 40}, 4},
+      {kExternalChannel, 1}};
+  EXPECT_EQ(seen, want);
+  table.clear();
+  EXPECT_EQ(table.find(SliceId{7}), nullptr);
 }
 
 }  // namespace
