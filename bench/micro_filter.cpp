@@ -5,13 +5,6 @@
 //  - plain-text matchers (brute force vs interval index) sweeping the
 //    number of stored subscriptions;
 //  - the oracle matcher used by the cluster-scale experiments.
-//  - a batched-vs-scalar wall-clock sweep (--batch_sweep): pubs/sec per
-//    scheme per batch size, emitted as JSON, with the batched outcomes
-//    verified identical (subscribers and simulated work_units) to scalar.
-//  - a threads x batch wall-clock sweep (--thread_sweep): pubs/sec of the
-//    pooled match_batch backend per scheme, thread count and batch size,
-//    emitted as JSON, with every pooled outcome verified identical to the
-//    scalar single-thread pass.
 //  - an index sweep (--index_sweep): per-publication match work-units and
 //    wall-clock of IntervalIndexMatcher vs BruteForceMatcher while the
 //    store scales 100 K -> 1 M subscriptions at a 1 % matching rate,
@@ -25,18 +18,15 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <thread>
 #include <cstdio>
 #include <functional>
 #include <memory>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/keyspace.hpp"
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "filter/aspe.hpp"
 #include "filter/interval_index.hpp"
 #include "filter/matcher.hpp"
@@ -215,15 +205,7 @@ void BM_AspeStateSerialization(benchmark::State& state) {
 }
 BENCHMARK(BM_AspeStateSerialization)->RangeMultiplier(4)->Range(256, 4096);
 
-// ---- batched-vs-scalar wall-clock sweep --------------------------------------
-//
-// Real elapsed time of match() loops vs match_batch() chunks over one
-// fixed publication set, per scheme and batch size. The simulated cost
-// accounting is batching-invariant by design, so this sweep is the place
-// where the batch kernels' wall-clock win (SoA tiles, grouped column
-// scans, blocked ASPE rows) is actually visible -- and it doubles as an
-// end-to-end identity check: any outcome divergence fails the run.
-
+// Best-of-`reps` wall time of `fn`, in seconds.
 double time_best_seconds(int reps, const std::function<void()>& fn) {
   double best = 1e100;
   for (int r = 0; r < reps; ++r) {
@@ -233,234 +215,6 @@ double time_best_seconds(int reps, const std::function<void()>& fn) {
     best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
   }
   return best;
-}
-
-// Returns false (after reporting on stderr) on any scalar/batched outcome
-// divergence.
-bool sweep_scheme(const char* name, filter::Matcher& matcher,
-                  const std::vector<filter::AnyPublication>& pubs,
-                  const std::vector<std::size_t>& batch_sizes, bool last) {
-  auto scalar_pass = [&] {
-    std::vector<filter::MatchOutcome> out;
-    out.reserve(pubs.size());
-    for (const filter::AnyPublication& pub : pubs) {
-      out.push_back(matcher.match(pub));
-    }
-    return out;
-  };
-  auto batched_pass = [&](std::size_t batch) {
-    std::vector<filter::MatchOutcome> out;
-    out.reserve(pubs.size());
-    for (std::size_t i = 0; i < pubs.size(); i += batch) {
-      const std::size_t n = std::min(batch, pubs.size() - i);
-      auto chunk = matcher.match_batch(
-          std::span<const filter::AnyPublication>{pubs.data() + i, n});
-      for (auto& outcome : chunk) out.push_back(std::move(outcome));
-    }
-    return out;
-  };
-
-  const std::vector<filter::MatchOutcome> ref = scalar_pass();  // warm + truth
-  std::uint64_t total_matches = 0;
-  for (const auto& outcome : ref) total_matches += outcome.subscribers.size();
-
-  const double scalar_s = time_best_seconds(3, [&] { scalar_pass(); });
-  const double scalar_rate = static_cast<double>(pubs.size()) / scalar_s;
-
-  std::printf("    {\"scheme\": \"%s\", \"subscriptions\": %zu, "
-              "\"publications\": %zu,\n",
-              name, matcher.subscription_count(), pubs.size());
-  std::printf("     \"matches_total\": %llu, \"scalar_pubs_per_sec\": %.1f,\n",
-              static_cast<unsigned long long>(total_matches), scalar_rate);
-  std::printf("     \"batched\": [");
-  bool ok = true;
-  for (std::size_t bi = 0; bi < batch_sizes.size(); ++bi) {
-    const std::size_t batch = batch_sizes[bi];
-    const auto got = batched_pass(batch);  // warm + verify
-    for (std::size_t p = 0; p < pubs.size(); ++p) {
-      if (got[p].subscribers != ref[p].subscribers) {
-        std::fprintf(stderr,
-                     "%s: batch %zu diverged from scalar on publication %zu "
-                     "(subscriber set)\n",
-                     name, batch, p);
-        ok = false;
-      }
-      if (got[p].work_units != ref[p].work_units) {
-        std::fprintf(stderr,
-                     "%s: batch %zu diverged from scalar on publication %zu "
-                     "(work_units %f vs %f)\n",
-                     name, batch, p, got[p].work_units, ref[p].work_units);
-        ok = false;
-      }
-    }
-    const double batch_s = time_best_seconds(3, [&] { batched_pass(batch); });
-    const double rate = static_cast<double>(pubs.size()) / batch_s;
-    std::printf("%s\n      {\"batch\": %zu, \"pubs_per_sec\": %.1f, "
-                "\"speedup_vs_scalar\": %.3f}",
-                bi == 0 ? "" : ",", batch, rate, rate / scalar_rate);
-  }
-  std::printf("],\n     \"results_identical\": %s, "
-              "\"work_units_identical\": %s}%s\n",
-              ok ? "true" : "false", ok ? "true" : "false", last ? "" : ",");
-  return ok;
-}
-
-int run_batch_sweep() {
-  const std::vector<std::size_t> batch_sizes = {1, 4, 16, 64, 256};
-  constexpr std::size_t kDims = 4;
-  constexpr std::size_t kPlainSubs = 200000;
-  constexpr std::size_t kAspeSubs = 8000;
-  constexpr std::size_t kPlainPubs = 512;
-  constexpr std::size_t kAspePubs = 512;
-
-  workload::PlainWorkload plain_gen{{kDims, 0.01, 7}};
-  filter::BruteForceMatcher brute;
-  filter::IntervalIndexMatcher interval;
-  for (std::size_t i = 0; i < kPlainSubs; ++i) {
-    const auto sub = plain_gen.subscription(i);
-    brute.add(filter::AnySubscription{sub});
-    interval.add(filter::AnySubscription{sub});
-  }
-  std::vector<filter::AnyPublication> plain_pubs;
-  for (std::size_t i = 0; i < kPlainPubs; ++i) {
-    plain_pubs.emplace_back(plain_gen.next_publication());
-  }
-
-  workload::EncryptedWorkload enc_gen{{kDims, 0.01, 7}};
-  filter::AspeMatcher aspe;
-  for (std::size_t i = 0; i < kAspeSubs; ++i) {
-    aspe.add(filter::AnySubscription{enc_gen.subscription(i)});
-  }
-  std::vector<filter::AnyPublication> enc_pubs;
-  for (std::size_t i = 0; i < kAspePubs; ++i) {
-    enc_pubs.emplace_back(enc_gen.next_publication());
-  }
-
-  std::printf("{\n  \"benchmark\": \"micro_filter_batch_sweep\",\n"
-              "  \"dimensions\": %zu,\n  \"schemes\": [\n",
-              kDims);
-  bool ok = true;
-  ok &= sweep_scheme("plain-brute", brute, plain_pubs, batch_sizes, false);
-  ok &= sweep_scheme("plain-interval", interval, plain_pubs, batch_sizes,
-                     false);
-  ok &= sweep_scheme("aspe", aspe, enc_pubs, batch_sizes, true);
-  std::printf("  ]\n}\n");
-  return ok ? 0 : 2;
-}
-
-// ---- threads x batch wall-clock sweep ----------------------------------------
-//
-// Real elapsed time of match_batch() with the worker pool installed, per
-// scheme, thread count and batch size. Before any timing, every pooled
-// configuration's outcomes (subscriber vectors AND simulated work_units)
-// are checked identical to the scalar single-thread pass -- the pool is
-// bit-deterministic by construction, and this sweep enforces it end to
-// end. Speedups are relative to the 1-thread run of the same batch size.
-
-// Returns false (after reporting on stderr) on any divergence.
-bool thread_sweep_scheme(const char* name, filter::Matcher& matcher,
-                         const std::vector<filter::AnyPublication>& pubs,
-                         const std::vector<std::size_t>& thread_counts,
-                         const std::vector<std::size_t>& batch_sizes,
-                         bool last) {
-  auto batched_pass = [&](std::size_t batch) {
-    std::vector<filter::MatchOutcome> out;
-    out.reserve(pubs.size());
-    for (std::size_t i = 0; i < pubs.size(); i += batch) {
-      const std::size_t n = std::min(batch, pubs.size() - i);
-      auto chunk = matcher.match_batch(
-          std::span<const filter::AnyPublication>{pubs.data() + i, n});
-      for (auto& outcome : chunk) out.push_back(std::move(outcome));
-    }
-    return out;
-  };
-
-  matcher.set_thread_pool(nullptr);
-  const std::vector<filter::MatchOutcome> ref =
-      batched_pass(batch_sizes.back());  // warm + truth (scalar backend)
-
-  std::printf("    {\"scheme\": \"%s\", \"subscriptions\": %zu, "
-              "\"publications\": %zu,\n     \"sweep\": [",
-              name, matcher.subscription_count(), pubs.size());
-  bool ok = true;
-  bool first = true;
-  std::vector<double> base_rate(batch_sizes.size(), 0.0);
-  for (const std::size_t threads : thread_counts) {
-    ThreadPool pool{threads};
-    matcher.set_thread_pool(threads > 1 ? &pool : nullptr);
-    for (std::size_t bi = 0; bi < batch_sizes.size(); ++bi) {
-      const std::size_t batch = batch_sizes[bi];
-      const auto got = batched_pass(batch);  // warm + verify
-      for (std::size_t p = 0; p < pubs.size(); ++p) {
-        if (got[p].subscribers != ref[p].subscribers ||
-            got[p].work_units != ref[p].work_units) {
-          std::fprintf(stderr,
-                       "%s: %zu threads, batch %zu diverged from scalar on "
-                       "publication %zu\n",
-                       name, threads, batch, p);
-          ok = false;
-        }
-      }
-      const double s = time_best_seconds(3, [&] { batched_pass(batch); });
-      const double rate = static_cast<double>(pubs.size()) / s;
-      if (threads == thread_counts.front()) base_rate[bi] = rate;
-      std::printf("%s\n      {\"threads\": %zu, \"batch\": %zu, "
-                  "\"pubs_per_sec\": %.1f, \"speedup_vs_1t\": %.3f}",
-                  first ? "" : ",", threads, batch, rate,
-                  rate / base_rate[bi]);
-      first = false;
-    }
-  }
-  matcher.set_thread_pool(nullptr);
-  std::printf("],\n     \"results_identical\": %s}%s\n",
-              ok ? "true" : "false", last ? "" : ",");
-  return ok;
-}
-
-int run_thread_sweep() {
-  const std::vector<std::size_t> thread_counts = {1, 2, 4, 8};
-  const std::vector<std::size_t> batch_sizes = {64, 256};
-  constexpr std::size_t kDims = 4;
-  constexpr std::size_t kPlainSubs = 100000;
-  constexpr std::size_t kAspeSubs = 8000;
-  constexpr std::size_t kPubs = 256;
-
-  workload::PlainWorkload plain_gen{{kDims, 0.01, 7}};
-  filter::BruteForceMatcher brute;
-  filter::IntervalIndexMatcher interval;
-  for (std::size_t i = 0; i < kPlainSubs; ++i) {
-    const auto sub = plain_gen.subscription(i);
-    brute.add(filter::AnySubscription{sub});
-    interval.add(filter::AnySubscription{sub});
-  }
-  std::vector<filter::AnyPublication> plain_pubs;
-  for (std::size_t i = 0; i < kPubs; ++i) {
-    plain_pubs.emplace_back(plain_gen.next_publication());
-  }
-
-  workload::EncryptedWorkload enc_gen{{kDims, 0.01, 7}};
-  filter::AspeMatcher aspe;
-  for (std::size_t i = 0; i < kAspeSubs; ++i) {
-    aspe.add(filter::AnySubscription{enc_gen.subscription(i)});
-  }
-  std::vector<filter::AnyPublication> enc_pubs;
-  for (std::size_t i = 0; i < kPubs; ++i) {
-    enc_pubs.emplace_back(enc_gen.next_publication());
-  }
-
-  std::printf("{\n  \"benchmark\": \"micro_filter_thread_sweep\",\n"
-              "  \"dimensions\": %zu,\n  \"host_cores\": %u,\n"
-              "  \"schemes\": [\n",
-              kDims, std::thread::hardware_concurrency());
-  bool ok = true;
-  ok &= thread_sweep_scheme("plain-brute", brute, plain_pubs, thread_counts,
-                            batch_sizes, false);
-  ok &= thread_sweep_scheme("plain-interval", interval, plain_pubs,
-                            thread_counts, batch_sizes, false);
-  ok &= thread_sweep_scheme("aspe", aspe, enc_pubs, thread_counts,
-                            batch_sizes, true);
-  std::printf("  ]\n}\n");
-  return ok ? 0 : 2;
 }
 
 // ---- index sweep: sublinear matching at 100 K -> 1 M subscriptions -----------
@@ -474,10 +228,10 @@ int run_thread_sweep() {
 // construction; IntervalIndexMatcher's covering rule registers the narrow
 // interval, so candidates scale with its selectivity, not the store. The
 // sweep reports simulated work-units per publication (the figure-relevant
-// number: batching- and thread-invariant) and wall-clock as a sanity
-// check, verifies subscriber-set agreement at every size, then churns ~2 %
-// of the store (removals + fresh inserts forcing slot reuse and a tree
-// rebuild) and re-verifies against a direct evaluation.
+// number) and the wall-clock of scalar match() loops as a sanity check,
+// verifies subscriber-set agreement at every size, then churns ~2 % of the
+// store (removals + fresh inserts forcing slot reuse and a tree rebuild)
+// and re-verifies against a direct evaluation.
 
 constexpr std::size_t kIndexDims = 4;
 constexpr double kIndexNarrowWidth = 0.02;
@@ -535,12 +289,19 @@ bool index_sweep_size(std::size_t n, bool last) {
   }
   const std::vector<filter::AnyPublication> pubs =
       index_sweep_publications(kPubs);
-  const std::span<const filter::AnyPublication> span{pubs.data(), pubs.size()};
+  const auto match_all = [&pubs](filter::Matcher& matcher) {
+    std::vector<filter::MatchOutcome> out;
+    out.reserve(pubs.size());
+    for (const filter::AnyPublication& pub : pubs) {
+      out.push_back(matcher.match(pub));
+    }
+    return out;
+  };
 
   // Warm passes double as the agreement check (and trigger the one-off
   // index build before timing).
-  const auto ref = brute.match_batch(span);
-  const auto got = interval.match_batch(span);
+  const auto ref = match_all(brute);
+  const auto got = match_all(interval);
   bool ok = true;
   double brute_units = 0.0;
   double index_units = 0.0;
@@ -561,10 +322,9 @@ bool index_sweep_size(std::size_t n, bool last) {
   brute_units /= static_cast<double>(pubs.size());
   index_units /= static_cast<double>(pubs.size());
 
-  const double brute_s =
-      time_best_seconds(3, [&] { (void)brute.match_batch(span); });
+  const double brute_s = time_best_seconds(3, [&] { (void)match_all(brute); });
   const double index_s =
-      time_best_seconds(3, [&] { (void)interval.match_batch(span); });
+      time_best_seconds(3, [&] { (void)match_all(interval); });
   const double brute_rate = static_cast<double>(pubs.size()) / brute_s;
   const double index_rate = static_cast<double>(pubs.size()) / index_s;
 
@@ -660,10 +420,6 @@ int run_index_sweep() {
 
 int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
-    if (std::string_view{argv[i]} == "--batch_sweep") return run_batch_sweep();
-    if (std::string_view{argv[i]} == "--thread_sweep") {
-      return run_thread_sweep();
-    }
     if (std::string_view{argv[i]} == "--index_sweep") return run_index_sweep();
   }
   benchmark::Initialize(&argc, argv);

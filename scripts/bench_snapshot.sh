@@ -1,7 +1,5 @@
 #!/usr/bin/env bash
 # Captures the wall-clock benchmark snapshots:
-#   - the micro_filter threads x batch matcher sweep (which also verifies
-#     pooled outcomes are identical to scalar) -> BENCH_parallel.json
 #   - the micro_filter index sweep (IntervalIndexMatcher vs brute force at
 #     100 K -> 1 M subscriptions, subscriber sets verified identical before
 #     and after churn) -> BENCH_index.json
@@ -20,7 +18,6 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD=${BUILD:-build}
-OUT=${OUT:-BENCH_parallel.json}
 INDEX_OUT=${INDEX_OUT:-BENCH_index.json}
 RECOVERY_OUT=${RECOVERY_OUT:-BENCH_recovery.json}
 SPLIT_OUT=${SPLIT_OUT:-BENCH_split.json}
@@ -33,9 +30,6 @@ if [ ! -x "$BUILD/bench/micro_filter" ] || [ ! -x "$BUILD/bench/fig_recovery" ] 
   cmake --build "$BUILD" -j "$(nproc)" --target micro_filter fig_recovery \
     fig_split fig_migration_strategies
 fi
-
-"$BUILD/bench/micro_filter" --thread_sweep > "$OUT"
-echo "wrote $OUT"
 
 "$BUILD/bench/micro_filter" --index_sweep > "$INDEX_OUT"
 echo "wrote $INDEX_OUT"

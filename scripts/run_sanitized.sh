@@ -4,9 +4,9 @@
 #
 # Usage: [SANITIZE=address|thread|undefined] run_sanitized.sh [ctest-regex]
 #   SANITIZE=address (default) instruments with ASan+UBSan in build-asan;
-#   SANITIZE=thread instruments with TSan in build-tsan (exercises the
-#   matching worker pool); SANITIZE=undefined instruments with standalone
-#   UBSan (-fno-sanitize-recover=all: first report aborts) in build-ubsan.
+#   SANITIZE=thread instruments with TSan in build-tsan; SANITIZE=undefined
+#   instruments with standalone UBSan (-fno-sanitize-recover=all: first
+#   report aborts) in build-ubsan.
 #   With an argument, only tests matching the regex run (ctest -R), e.g.
 #   `run_sanitized.sh 'Matcher|Aspe'` for the matcher differential suite.
 set -euo pipefail

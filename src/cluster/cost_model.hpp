@@ -69,22 +69,6 @@ struct CostModel {
     const auto d = static_cast<double>(dimensions);
     return aspe_match_units_per_d2 * d * d;
   }
-  // Batched match estimation. Batching is a wall-clock optimization of the
-  // real kernels only: a batch of `batch` publications tested against
-  // `stored` subscriptions is charged exactly `batch` times the scalar
-  // estimate, so simulated CPU work -- and with it every elasticity
-  // decision and throughput/delay curve -- is invariant in the batch size.
-  [[nodiscard]] double plain_match_units_batch(std::size_t stored,
-                                              std::size_t batch) const {
-    return plain_match_units * static_cast<double>(stored) *
-           static_cast<double>(batch);
-  }
-  [[nodiscard]] double aspe_match_units_batch(std::size_t dimensions,
-                                              std::size_t stored,
-                                              std::size_t batch) const {
-    return aspe_match_units(dimensions) * static_cast<double>(stored) *
-           static_cast<double>(batch);
-  }
   [[nodiscard]] double aspe_encrypt_units(std::size_t dimensions) const {
     const auto d = static_cast<double>(dimensions);
     return aspe_encrypt_units_per_d2 * d * d;

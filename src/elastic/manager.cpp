@@ -593,30 +593,8 @@ void Manager::on_host_dead(const HealthEvent& ev) {
 
   // Re-place the lost slices over the survivors under the placement cap;
   // what does not fit goes to fresh hosts from the pool.
-  std::vector<SliceView> moving;
-  for (SliceId slice : lost) {
-    SliceView view{slice, host, 0.0, 0, false, {}};
-    for (const cluster::SliceProbe& sp : last_probe.slices) {
-      if (sp.slice == slice) {
-        view.cpu = sp.cpu;
-        view.state_bytes = sp.state_bytes;
-        break;
-      }
-    }
-    moving.push_back(view);
-  }
-  std::vector<HostView> bins;
-  for (HostId survivor : managed_) {
-    double cpu = 0.0;
-    if (auto it = latest_probes_.find(survivor); it != latest_probes_.end()) {
-      cpu = it->second.cpu;
-    }
-    bins.push_back(HostView{survivor, cpu});
-  }
-  std::size_t bins_used = 0;
   const std::vector<MigrationPlan::Move> placement =
-      first_fit_place(std::move(moving), std::move(bins),
-                      enforcer_.config().placement_cap, 0, &bins_used);
+      place_off(host, lost, last_probe);
 
   std::vector<std::pair<SliceId, HostId>> immediate;
   std::map<std::size_t, std::vector<SliceId>> on_new_host;
@@ -777,35 +755,12 @@ void Manager::maybe_start_drain(HostId host, SimTime suspected) {
   // Re-place every slice over the other survivors under the placement cap,
   // reusing the recovery placement logic; whatever does not fit piles onto
   // the least-loaded survivor (degraded capacity beats a gray host).
-  std::vector<SliceView> moving;
   cluster::HostProbe last_probe{};
   if (auto it = latest_probes_.find(host); it != latest_probes_.end()) {
     last_probe = it->second;
   }
-  for (SliceId slice : engine_.slices_on(host)) {
-    SliceView view{slice, host, 0.0, 0, false, {}};
-    for (const cluster::SliceProbe& sp : last_probe.slices) {
-      if (sp.slice == slice) {
-        view.cpu = sp.cpu;
-        view.state_bytes = sp.state_bytes;
-        break;
-      }
-    }
-    moving.push_back(view);
-  }
-  std::vector<HostView> bins;
-  for (HostId survivor : managed_) {
-    if (survivor == host) continue;
-    double cpu = 0.0;
-    if (auto it = latest_probes_.find(survivor); it != latest_probes_.end()) {
-      cpu = it->second.cpu;
-    }
-    bins.push_back(HostView{survivor, cpu});
-  }
-  std::size_t bins_used = 0;
   const std::vector<MigrationPlan::Move> placement =
-      first_fit_place(std::move(moving), std::move(bins),
-                      enforcer_.config().placement_cap, 0, &bins_used);
+      place_off(host, engine_.slices_on(host), last_probe);
   for (const MigrationPlan::Move& mv : placement) {
     HostId dst = mv.dst;
     if (mv.new_host_index.has_value()) {
@@ -876,6 +831,34 @@ void Manager::finish_drain() {
   executing_ = false;
   // Fresh probe round before the next policy evaluation.
   reported_since_eval_.clear();
+}
+
+std::vector<MigrationPlan::Move> Manager::place_off(
+    HostId host, const std::vector<SliceId>& slices,
+    const cluster::HostProbe& last_probe) const {
+  std::vector<SliceView> moving;
+  for (SliceId slice : slices) {
+    SliceView view{slice, host, 0.0, 0, false, {}};
+    for (const cluster::SliceProbe& sp : last_probe.slices) {
+      if (sp.slice == slice) {
+        view.cpu = sp.cpu;
+        view.state_bytes = sp.state_bytes;
+        break;
+      }
+    }
+    moving.push_back(view);
+  }
+  std::vector<HostView> bins;
+  for (HostId survivor : managed_) {
+    if (survivor == host) continue;
+    double cpu = 0.0;
+    if (auto it = latest_probes_.find(survivor); it != latest_probes_.end()) {
+      cpu = it->second.cpu;
+    }
+    bins.push_back(HostView{survivor, cpu});
+  }
+  return first_fit_place(std::move(moving), std::move(bins),
+                         enforcer_.config().placement_cap, 0, nullptr);
 }
 
 std::optional<HostId> Manager::pick_recovery_host(HostId avoid) const {

@@ -216,6 +216,12 @@ class Manager {
   void on_slice_recovered(HostId dead_host, SliceId slice);
   void maybe_finish_recovery(HostId dead_host);
   [[nodiscard]] std::optional<HostId> pick_recovery_host(HostId avoid) const;
+  // First-fit placement of `slices`, weighted by `host`'s last probe, over
+  // every managed host but `host` under the placement cap. Moves that fit
+  // nowhere carry a new_host_index.
+  [[nodiscard]] std::vector<MigrationPlan::Move> place_off(
+      HostId host, const std::vector<SliceId>& slices,
+      const cluster::HostProbe& last_probe) const;
 
   sim::Simulator& simulator_;
   net::Network& network_;

@@ -56,10 +56,8 @@ struct EngineConfig {
   // Pacing of the coordinator's migration steps: each control action waits
   // up to this long, modeling the manager's orchestration loop granularity.
   SimDuration control_tick = millis(50);
-  // Unused: the engine owns no worker pool, and nothing in src/, bench/,
-  // tests/ or examples/ reads or writes this field. It stays only because
-  // the end-to-end benchmark (perfbench/e2e.cpp) assigns it, and goes with
-  // the benchmark change of ROADMAP item 2.
+  // Unused: the engine owns no worker pool. perfbench/e2e.cpp is its only
+  // user; ROADMAP item 1 step 1 removes it.
   std::size_t worker_threads = 1;
   // Run every control-plane exchange (migration protocol, checkpoint
   // shipping, recovery orchestration) over net::ReliableChannel:

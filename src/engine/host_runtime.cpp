@@ -348,17 +348,29 @@ void SliceRuntime::truncate_log(SliceId origin, SliceId downstream,
   while (!log.empty() && log.front().seq <= upto) log.pop_front();
 }
 
-void SliceRuntime::replay_log(SliceId origin, SliceId downstream,
-                              SeqNo above) {
-  auto it = log_.find({origin, downstream});
-  if (it == log_.end()) return;
-  std::vector<WireEvent> resend;
-  for (const WireEvent& event : it->second) {
-    if (event.seq > above) resend.push_back(event);
+void SliceRuntime::replay_logs(
+    SliceId downstream,
+    const std::vector<std::pair<SliceId, SeqNo>>& processed) {
+  const auto replay = [&](SliceId origin, const std::deque<WireEvent>& log) {
+    const SeqNo above = seq_of(processed, origin);
+    std::vector<WireEvent> resend;
+    for (const WireEvent& event : log) {
+      if (event.seq > above) resend.push_back(event);
+    }
+    if (!resend.empty()) {
+      host_.stage_events(downstream, resend);
+      host_.send_staged(&net_bytes_sent_);
+    }
+  };
+  if (auto own = log_.find({id_, downstream}); own != log_.end()) {
+    replay(id_, own->second);
   }
-  if (!resend.empty()) {
-    host_.stage_events(downstream, resend);
-    host_.send_staged(&net_bytes_sent_);
+  // The map orders channels by origin first, so adopted channels replay in
+  // ascending origin order.
+  for (const auto& [channel, log] : log_) {
+    if (channel.second == downstream && channel.first != id_) {
+      replay(channel.first, log);
+    }
   }
 }
 
@@ -1015,18 +1027,8 @@ void HostRuntime::handle_control(const net::Delivery& delivery) {
     handle_restore(*restore);
   } else if (const auto* replay = dynamic_cast<const ReplayRequest*>(msg)) {
     // Sorted: replay send order serializes on this host's NIC.
-    // Each slice serves its own channel first (from 0 when the request
-    // omits it), then every adopted channel the request names, under the
-    // merged-away origin's identity.
     for (const SliceId slice_id : sorted_keys(slices_)) {
-      SliceRuntime& runtime = *slices_.at(slice_id);
-      runtime.replay_log(slice_id, replay->slice,
-                         seq_of(replay->processed, slice_id));
-      for (const auto& [upstream, seq] : replay->processed) {
-        if (upstream != slice_id) {
-          runtime.replay_log(upstream, replay->slice, seq);
-        }
-      }
+      slices_.at(slice_id)->replay_logs(replay->slice, replay->processed);
     }
   } else {
     ESH_WARN << "HostRuntime: unknown control message";

@@ -166,8 +166,13 @@ class SliceRuntime final : public Context {
   // slice for its own output, or a merged-away slice whose log it adopted.
   // Drops the channel's logged events at or below `upto`.
   void truncate_log(SliceId origin, SliceId downstream, SeqNo upto);
-  // Re-sends the channel's logged events above `above` (post-recovery).
-  void replay_log(SliceId origin, SliceId downstream, SeqNo above);
+  // Re-sends, post-recovery, every logged channel into `downstream`: this
+  // slice's own channel first, then each adopted one in ascending origin
+  // order. Each resends the events above `processed`'s watermark for its
+  // origin, or all of them when `processed` has none (a downstream
+  // restored from no checkpoint has seen nothing).
+  void replay_logs(SliceId downstream,
+                   const std::vector<std::pair<SliceId, SeqNo>>& processed);
   // A recovered upstream regenerates its output from `base` on, but the
   // regenerated sequence numbers may map content differently than the
   // original run. Rewind the channel to `base` and drop buffered originals

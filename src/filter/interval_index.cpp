@@ -6,7 +6,6 @@
 #include <limits>
 #include <utility>
 
-#include "common/thread_pool.hpp"
 
 namespace esh::filter {
 
@@ -308,8 +307,9 @@ void IntervalIndexMatcher::verify_and_emit(std::uint32_t slot, std::size_t reg,
   out.subscribers.push_back(subscribers_[slot]);
 }
 
-MatchOutcome IntervalIndexMatcher::match_prepared(
-    const Publication& plain) const {
+MatchOutcome IntervalIndexMatcher::match(const AnyPublication& pub) {
+  const auto& plain = std::get<Publication>(pub);
+  rebuild_if_dirty();
   MatchOutcome out;
   std::uint64_t nodes_visited = 0;
   std::uint64_t examined = 0;
@@ -359,43 +359,11 @@ MatchOutcome IntervalIndexMatcher::match_prepared(
       }
     }
   }
-  // Exact integer counts: batching-invariant, thread-count invariant, and
-  // identical for any slot layout of the same live set.
+  // Exact integer counts, identical for any slot layout of the same live
+  // set.
   out.work_units =
       cost_.index_node_units * static_cast<double>(nodes_visited) +
       cost_.index_candidate_units * static_cast<double>(examined);
-  return out;
-}
-
-MatchOutcome IntervalIndexMatcher::match(const AnyPublication& pub) {
-  const auto& plain = std::get<Publication>(pub);
-  rebuild_if_dirty();
-  return match_prepared(plain);
-}
-
-std::vector<MatchOutcome> IntervalIndexMatcher::match_batch(
-    std::span<const AnyPublication> pubs) {
-  std::vector<const Publication*> plains;
-  plains.reserve(pubs.size());
-  for (const AnyPublication& pub : pubs) {
-    plains.push_back(&std::get<Publication>(pub));
-  }
-  // One tree rebuild serves the whole batch.
-  rebuild_if_dirty();
-  std::vector<MatchOutcome> out(pubs.size());
-  if (pool_ != nullptr && pool_->worker_count() > 1 && pubs.size() > 1) {
-    // Parallel backend: publications fan out across the pool against the
-    // immutable trees. match_prepared is const with no scratch, so each
-    // outcome is computed exactly as the scalar path computes it, into its
-    // own slot of `out` -- bit-identical at any thread count.
-    pool_->parallel_for(plains.size(), [&](std::size_t p, std::size_t) {
-      out[p] = match_prepared(*plains[p]);
-    });
-  } else {
-    for (std::size_t p = 0; p < plains.size(); ++p) {
-      out[p] = match_prepared(*plains[p]);
-    }
-  }
   return out;
 }
 
@@ -502,9 +470,7 @@ void IntervalIndexMatcher::absorb_state(BinaryReader& r) {
 }
 
 std::unique_ptr<Matcher> IntervalIndexMatcher::clone_empty() const {
-  auto clone = std::make_unique<IntervalIndexMatcher>(cost_);
-  clone->set_thread_pool(pool_);
-  return clone;
+  return std::make_unique<IntervalIndexMatcher>(cost_);
 }
 
 }  // namespace esh::filter

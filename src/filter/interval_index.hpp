@@ -23,7 +23,7 @@
 // The trees are maintained per attribute: add and remove dirty only the
 // tree of the subscription's registered attribute (or the zero-dimension
 // list), and the next match rebuilds just the dirty ones -- one rebuild
-// amortized over a whole match_batch. Each attribute keeps its registered
+// amortized over the matches that follow. Each attribute keeps its registered
 // slots in two sorted orders, (low asc, id asc) and (high desc, id asc),
 // as 8-byte {slot, generation} refs: add appends to a pending list, remove
 // bumps the slot's generation, and a rebuild drops the stale refs, sorts
@@ -40,21 +40,17 @@
 // order: the candidate traversal -- and with it the subscriber append
 // order and the work-unit counts -- is a pure function of the live
 // subscription set, identical for any slot-reuse or churn history. That
-// is what makes serialize/split/merge byte-stable and the pooled batch
-// path bit-identical at any thread count (the pool partitions by
-// publication against the immutable index; there is no shared mutable
-// scratch at all).
+// is what makes serialize/split/merge byte-stable.
 //
 // Work accounting uses the CostModel index family: index_node_units per
 // tree node visited on the stabbing descents plus index_candidate_units
 // per candidate verified. Both are exact integer counts, so work_units is
-// batching-invariant and deterministic.
+// deterministic.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -74,8 +70,6 @@ class IntervalIndexMatcher final : public Matcher {
   void add(const AnySubscription& sub) override;
   bool remove(SubscriptionId id) override;
   [[nodiscard]] MatchOutcome match(const AnyPublication& pub) override;
-  [[nodiscard]] std::vector<MatchOutcome> match_batch(
-      std::span<const AnyPublication> pubs) override;
   [[nodiscard]] double estimate_match_units() const override;
   [[nodiscard]] std::size_t subscription_count() const override;
   [[nodiscard]] std::size_t state_bytes() const override;
@@ -142,9 +136,6 @@ class IntervalIndexMatcher final : public Matcher {
   template <class Less>
   void merge_fresh(std::vector<SlotRef>& order,
                    const std::vector<SlotRef>& fresh, Less less) const;
-  // One publication against the already-rebuilt trees. Read-only: the
-  // pooled batch path runs this concurrently with no shared scratch.
-  [[nodiscard]] MatchOutcome match_prepared(const Publication& plain) const;
   // Full-rectangle verification of one stabbed candidate; `reg` is the
   // attribute the stab already certified.
   void verify_and_emit(std::uint32_t slot, std::size_t reg,

@@ -4,8 +4,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "common/thread_pool.hpp"
-
 namespace esh::filter {
 
 namespace {
@@ -14,45 +12,6 @@ namespace {
 // an empty interval no attribute value can satisfy.
 constexpr double kNeverLow = std::numeric_limits<double>::infinity();
 constexpr double kNeverHigh = -std::numeric_limits<double>::infinity();
-
-// Column tile scanned per publication before moving to the next batch
-// member: 1024 slots keep one attribute's low+high tile at 16 KiB, so a
-// d-attribute tile stays L2-resident across the whole batch.
-constexpr std::size_t kBruteTileSlots = 1024;
-
-// Publications evaluated per pass over the encrypted rows: 64 ASPE
-// publication ciphertexts (2 shares of d+3 doubles) fit in L1 next to the
-// current subscription row.
-constexpr std::size_t kAspePubBlock = 64;
-
-// Publications evaluated simultaneously by the grouped ASPE kernel: 4
-// independent accumulator chains cover the ~4-cycle FP-add latency.
-constexpr std::size_t kGroup = 4;
-
-// Encrypted rows per parallel chunk: at the evaluation's d = 4 a row is
-// 8 comparisons x 14 doubles, so 512 rows are ~450 KiB of streamed reads
-// -- enough work to amortize a chunk claim while still giving an 8-worker
-// pool fine-grained load balance on stores of a few thousand rows.
-constexpr std::size_t kAspeRowChunk = 512;
-
-// Fixed-order merge of per-chunk partial outcomes: appending chunk c's
-// subscribers for publication p after chunks 0..c-1 reproduces exactly the
-// serial scan order (tiles and row ranges ascend), which is what keeps the
-// pooled result bit-identical to the scalar one.
-void merge_partials(std::vector<std::vector<MatchOutcome>>& partials,
-                    std::vector<MatchOutcome>& out) {
-  for (auto& partial : partials) {
-    for (std::size_t p = 0; p < out.size(); ++p) {
-      auto& dst = out[p].subscribers;
-      auto& src = partial[p].subscribers;
-      if (dst.empty()) {
-        dst = std::move(src);
-      } else {
-        dst.insert(dst.end(), src.begin(), src.end());
-      }
-    }
-  }
-}
 
 }  // namespace
 
@@ -144,166 +103,44 @@ bool BruteForceMatcher::remove(SubscriptionId id) {
   return true;
 }
 
-void BruteForceMatcher::prune_and_emit(const Publication& pub,
-                                       std::vector<std::uint32_t>& survivors,
-                                       MatchOutcome& out) {
-  const std::size_t d = pub.attributes.size();
-  for (std::size_t a = 1; a < d && !survivors.empty(); ++a) {
-    const double v = pub.attributes[a];
-    const double* lo = lows_[a].data();
-    const double* hi = highs_[a].data();
-    std::size_t kept = 0;
-    for (const std::uint32_t s : survivors) {
-      if (lo[s] <= v && v <= hi[s]) survivors[kept++] = s;
-    }
-    survivors.resize(kept);
-  }
-  for (const std::uint32_t s : survivors) {
-    out.subscribers.push_back(subscribers_[s]);
-  }
-}
-
-void BruteForceMatcher::scan_slots(const Publication& pub, std::size_t begin,
-                                   std::size_t end, MatchOutcome& out,
-                                   ScanScratch& scratch) {
-  const std::size_t d = pub.attributes.size();
-  if (d > lows_.size()) return;  // no stored subscription has that many
-  if (d == 0) {
-    for (std::size_t s = begin; s < end; ++s) {
-      if (dims_[s] == 0) out.subscribers.push_back(subscribers_[s]);
-    }
-    return;
-  }
-  // Survivor pruning, one contiguous column pair at a time: column 0 also
-  // folds in the dimension-count equality matches() requires.
-  scratch.survivors.clear();
-  const auto du = static_cast<std::uint32_t>(d);
-  const double v0 = pub.attributes[0];
-  const double* lo0 = lows_[0].data();
-  const double* hi0 = highs_[0].data();
-  for (std::size_t s = begin; s < end; ++s) {
-    if (dims_[s] == du && lo0[s] <= v0 && v0 <= hi0[s]) {
-      scratch.survivors.push_back(static_cast<std::uint32_t>(s));
-    }
-  }
-  prune_and_emit(pub, scratch.survivors, out);
-}
-
-void BruteForceMatcher::scan_tile_group(const Publication* const* pubs,
-                                        std::size_t count, std::size_t begin,
-                                        std::size_t end,
-                                        MatchOutcome* const* outs,
-                                        ScanScratch& scratch) {
-  std::uint32_t du[kScanGroup];
-  double v0[kScanGroup];
-  std::uint32_t* sv[kScanGroup];
-  std::size_t kept[kScanGroup];
-  for (std::size_t g = 0; g < count; ++g) {
-    du[g] = static_cast<std::uint32_t>(pubs[g]->attributes.size());
-    v0[g] = pubs[g]->attributes[0];
-    scratch.group_survivors[g].resize(end - begin);
-    sv[g] = scratch.group_survivors[g].data();
-    kept[g] = 0;
-  }
-  const double* lo0 = lows_[0].data();
-  const double* hi0 = highs_[0].data();
-  const std::uint32_t* dims = dims_.data();
-  // Branchless survivor collection: each lane unconditionally writes the
-  // slot id and advances its cursor only on a hit, so the 32%-taken data-
-  // dependent branch of the scalar scan never reaches the predictor. The
-  // slot's bounds are loaded once for all kScanGroup publications.
-  for (std::size_t s = begin; s < end; ++s) {
-    const double lo = lo0[s];
-    const double hi = hi0[s];
-    const std::uint32_t dm = dims[s];
-    for (std::size_t g = 0; g < count; ++g) {
-      const bool hitg =
-          (dm == du[g]) & (lo <= v0[g]) & (v0[g] <= hi);
-      sv[g][kept[g]] = static_cast<std::uint32_t>(s);
-      kept[g] += hitg ? 1 : 0;
-    }
-  }
-  for (std::size_t g = 0; g < count; ++g) {
-    scratch.group_survivors[g].resize(kept[g]);
-    prune_and_emit(*pubs[g], scratch.group_survivors[g], *outs[g]);
-  }
-}
-
 MatchOutcome BruteForceMatcher::match(const AnyPublication& pub) {
   const auto& plain = std::get<Publication>(pub);
   MatchOutcome out;
-  scan_slots(plain, 0, ids_.size(), out, scratch_);
-  out.work_units = cost_.plain_match_units_batch(ids_.size(), 1);
-  return out;
-}
-
-void BruteForceMatcher::batch_scan_tile(
-    const std::vector<const Publication*>& plains,
-    const std::vector<std::size_t>& grouped,
-    const std::vector<std::size_t>& singles, std::size_t t0, std::size_t t1,
-    MatchOutcome* outs, ScanScratch& scratch) {
-  for (const std::size_t p : singles) {
-    scan_slots(*plains[p], t0, t1, outs[p], scratch);
-  }
-  for (std::size_t i = 0; i < grouped.size(); i += kScanGroup) {
-    const std::size_t cnt = std::min(kScanGroup, grouped.size() - i);
-    const Publication* group[kScanGroup];
-    MatchOutcome* group_out[kScanGroup];
-    for (std::size_t g = 0; g < cnt; ++g) {
-      group[g] = plains[grouped[i + g]];
-      group_out[g] = &outs[grouped[i + g]];
+  out.work_units =
+      cost_.plain_match_units * static_cast<double>(ids_.size());
+  const std::size_t d = plain.attributes.size();
+  if (d > lows_.size()) return out;  // no stored subscription has that many
+  if (d == 0) {
+    for (std::size_t s = 0; s < ids_.size(); ++s) {
+      if (dims_[s] == 0) out.subscribers.push_back(subscribers_[s]);
     }
-    scan_tile_group(group, cnt, t0, t1, group_out, scratch);
+    return out;
   }
-}
-
-std::vector<MatchOutcome> BruteForceMatcher::match_batch(
-    std::span<const AnyPublication> pubs) {
-  std::vector<const Publication*> plains;
-  plains.reserve(pubs.size());
-  for (const AnyPublication& pub : pubs) {
-    plains.push_back(&std::get<Publication>(pub));
-  }
-  std::vector<MatchOutcome> out(pubs.size());
-  const std::size_t n = ids_.size();
-  // Publications the grouped column-0 scan can serve; zero-dimension or
-  // over-wide publications take the scalar scan per tile instead.
-  std::vector<std::size_t> grouped;
-  grouped.reserve(plains.size());
-  std::vector<std::size_t> singles;
-  for (std::size_t p = 0; p < plains.size(); ++p) {
-    const std::size_t d = plains[p]->attributes.size();
-    (d >= 1 && d <= lows_.size() ? grouped : singles).push_back(p);
-  }
-  // Tile the columns: every publication of the batch scans one tile while
-  // it is cache-hot before the next tile streams in, and the grouped scan
-  // loads each slot's bounds once for kScanGroup publications. Subscribers
-  // are still appended in ascending slot order per publication (tiles
-  // ascend), exactly as the scalar scan emits them.
-  const std::size_t tiles = (n + kBruteTileSlots - 1) / kBruteTileSlots;
-  if (pool_ != nullptr && pool_->worker_count() > 1 && tiles > 1) {
-    // Parallel backend: tiles fan out across the pool into per-tile
-    // partial outcomes, merged in tile order -- the same order the serial
-    // tile loop appends, so the result is bit-identical at any thread
-    // count. The store itself is read-only here.
-    worker_scratch_.resize(pool_->worker_count());
-    std::vector<std::vector<MatchOutcome>> partial(tiles);
-    pool_->parallel_for(tiles, [&](std::size_t t, std::size_t w) {
-      partial[t].resize(plains.size());
-      const std::size_t t0 = t * kBruteTileSlots;
-      batch_scan_tile(plains, grouped, singles, t0,
-                      std::min(n, t0 + kBruteTileSlots), partial[t].data(),
-                      worker_scratch_[w]);
-    });
-    merge_partials(partial, out);
-  } else {
-    for (std::size_t t0 = 0; t0 < n; t0 += kBruteTileSlots) {
-      batch_scan_tile(plains, grouped, singles, t0,
-                      std::min(n, t0 + kBruteTileSlots), out.data(), scratch_);
+  // Survivor pruning, one contiguous column pair at a time: column 0 also
+  // folds in the dimension-count equality matches() requires.
+  survivors_.clear();
+  const auto du = static_cast<std::uint32_t>(d);
+  const double v0 = plain.attributes[0];
+  const double* lo0 = lows_[0].data();
+  const double* hi0 = highs_[0].data();
+  for (std::size_t s = 0; s < ids_.size(); ++s) {
+    if (dims_[s] == du && lo0[s] <= v0 && v0 <= hi0[s]) {
+      survivors_.push_back(static_cast<std::uint32_t>(s));
     }
   }
-  const double per_pub = cost_.plain_match_units_batch(n, 1);
-  for (MatchOutcome& o : out) o.work_units = per_pub;
+  for (std::size_t a = 1; a < d && !survivors_.empty(); ++a) {
+    const double v = plain.attributes[a];
+    const double* lo = lows_[a].data();
+    const double* hi = highs_[a].data();
+    std::size_t kept = 0;
+    for (const std::uint32_t s : survivors_) {
+      if (lo[s] <= v && v <= hi[s]) survivors_[kept++] = s;
+    }
+    survivors_.resize(kept);
+  }
+  for (const std::uint32_t s : survivors_) {
+    out.subscribers.push_back(subscribers_[s]);
+  }
   return out;
 }
 
@@ -423,9 +260,7 @@ void BruteForceMatcher::absorb_state(BinaryReader& r) {
 }
 
 std::unique_ptr<Matcher> BruteForceMatcher::clone_empty() const {
-  auto clone = std::make_unique<BruteForceMatcher>(cost_);
-  clone->set_thread_pool(pool_);
-  return clone;
+  return std::make_unique<BruteForceMatcher>(cost_);
 }
 
 // ---- AspeMatcher -------------------------------------------------------------
@@ -500,57 +335,6 @@ bool AspeMatcher::row_matches(std::size_t index, const double* pub_a,
   return true;
 }
 
-void AspeMatcher::row_matches_group(std::size_t index,
-                                    const EncryptedPublication* const* pubs,
-                                    std::size_t count, bool* hit) const {
-  const std::uint32_t len = row_share_len_[index];
-  for (std::size_t g = 0; g < count; ++g) {
-    if (pubs[g]->share_a.size() != len || pubs[g]->share_b.size() != len) {
-      throw std::invalid_argument{"dot: size mismatch"};
-    }
-  }
-  const double* row = flat_.data() + row_offset_[index];
-  const std::uint32_t cmps = row_cmps_[index];
-  const double* pa[kGroup];
-  const double* pb[kGroup];
-  for (std::size_t g = 0; g < kGroup; ++g) {
-    // Pad short groups with lane 0 (their results are discarded): the
-    // kernel always runs kGroup independent accumulator chains, fully
-    // unrollable.
-    const EncryptedPublication* pub = pubs[g < count ? g : 0];
-    pa[g] = pub->share_a.data();
-    pb[g] = pub->share_b.data();
-  }
-  bool ok[kGroup] = {true, true, true, true};
-  for (std::uint32_t c = 0; c < cmps; ++c) {
-    const double* qa = row + static_cast<std::size_t>(c) * 2 * len;
-    const double* qb = qa + len;
-    // One pass of the comparison for all lanes: each query coefficient is
-    // loaded once and feeds kGroup independent accumulator chains, hiding
-    // the floating-point add latency the scalar path serializes on. Every
-    // lane's accumulation order is exactly row_matches' (qa in j order,
-    // then qb), so per-publication results are bit-identical. Failed lanes
-    // keep accumulating (their sign is simply ignored) -- branchless
-    // beats early-exit here because lane lifetimes diverge.
-    double acc[kGroup] = {0.0, 0.0, 0.0, 0.0};
-    for (std::uint32_t j = 0; j < len; ++j) {
-      const double q = qa[j];
-      for (std::size_t g = 0; g < kGroup; ++g) acc[g] += q * pa[g][j];
-    }
-    for (std::uint32_t j = 0; j < len; ++j) {
-      const double q = qb[j];
-      for (std::size_t g = 0; g < kGroup; ++g) acc[g] += q * pb[g][j];
-    }
-    bool any = false;
-    for (std::size_t g = 0; g < kGroup; ++g) {
-      ok[g] = ok[g] & (acc[g] >= 0.0);
-      any |= g < count && ok[g];
-    }
-    if (!any) break;  // every publication of the group already failed
-  }
-  for (std::size_t g = 0; g < count; ++g) hit[g] = ok[g];
-}
-
 MatchOutcome AspeMatcher::match(const AnyPublication& pub) {
   const auto& enc = std::get<EncryptedPublication>(pub);
   MatchOutcome out;
@@ -567,72 +351,9 @@ MatchOutcome AspeMatcher::match(const AnyPublication& pub) {
   return out;
 }
 
-void AspeMatcher::match_batch_rows(
-    const std::vector<const EncryptedPublication*>& encs, std::size_t r0,
-    std::size_t r1, MatchOutcome* outs) const {
-  // Block the publications: one pass over the stored rows evaluates a whole
-  // block, so each subscription's 2d query vectors are streamed from memory
-  // once per block instead of once per publication. Subscriber order per
-  // publication stays ascending in storage order, as in match().
-  for (std::size_t b0 = 0; b0 < encs.size(); b0 += kAspePubBlock) {
-    const std::size_t b1 = std::min(encs.size(), b0 + kAspePubBlock);
-    for (std::size_t i = r0; i < r1; ++i) {
-      if (row_share_len_[i] == 0) {
-        for (std::size_t p = b0; p < b1; ++p) {
-          if (encrypted_match(subs_[i], *encs[p])) {
-            outs[p].subscribers.push_back(subs_[i].subscriber);
-          }
-        }
-        continue;
-      }
-      for (std::size_t p = b0; p < b1; p += 4) {
-        const std::size_t cnt = std::min<std::size_t>(4, b1 - p);
-        bool hit[4];
-        row_matches_group(i, encs.data() + p, cnt, hit);
-        for (std::size_t g = 0; g < cnt; ++g) {
-          if (hit[g]) outs[p + g].subscribers.push_back(subs_[i].subscriber);
-        }
-      }
-    }
-  }
-}
-
-std::vector<MatchOutcome> AspeMatcher::match_batch(
-    std::span<const AnyPublication> pubs) {
-  std::vector<const EncryptedPublication*> encs;
-  encs.reserve(pubs.size());
-  for (const AnyPublication& pub : pubs) {
-    encs.push_back(&std::get<EncryptedPublication>(pub));
-  }
-  std::vector<MatchOutcome> out(pubs.size());
-  const std::size_t rows = subs_.size();
-  const std::size_t ranges = (rows + kAspeRowChunk - 1) / kAspeRowChunk;
-  if (pool_ != nullptr && pool_->worker_count() > 1 && ranges > 1) {
-    // Parallel backend: fixed row ranges fan out across the pool into
-    // per-range partial outcomes, merged in range order -- the serial
-    // append order. Every row's dot products keep their exact scalar
-    // accumulation sequence, so the floating-point results (and hence the
-    // subscriber sets) are bit-identical at any thread count. A size
-    // mismatch throw inside a range surfaces at the join.
-    std::vector<std::vector<MatchOutcome>> partial(ranges);
-    pool_->parallel_for(ranges, [&](std::size_t r, std::size_t) {
-      partial[r].resize(encs.size());
-      const std::size_t r0 = r * kAspeRowChunk;
-      match_batch_rows(encs, r0, std::min(rows, r0 + kAspeRowChunk),
-                       partial[r].data());
-    });
-    merge_partials(partial, out);
-  } else {
-    match_batch_rows(encs, 0, rows, out.data());
-  }
-  const double per_pub = estimate_match_units();
-  for (MatchOutcome& o : out) o.work_units = per_pub;
-  return out;
-}
-
 double AspeMatcher::estimate_match_units() const {
-  return cost_.aspe_match_units_batch(std::max<std::size_t>(dimensions_, 1),
-                                      subs_.size(), 1);
+  return cost_.aspe_match_units(std::max<std::size_t>(dimensions_, 1)) *
+         static_cast<double>(subs_.size());
 }
 
 std::size_t AspeMatcher::subscription_count() const { return subs_.size(); }
@@ -699,9 +420,7 @@ void AspeMatcher::absorb_state(BinaryReader& r) {
 }
 
 std::unique_ptr<Matcher> AspeMatcher::clone_empty() const {
-  auto clone = std::make_unique<AspeMatcher>(cost_);
-  clone->set_thread_pool(pool_);
-  return clone;
+  return std::make_unique<AspeMatcher>(cost_);
 }
 
 }  // namespace esh::filter

@@ -288,9 +288,7 @@ void OracleMatcher::restore_state(BinaryReader& r) {
 }
 
 std::unique_ptr<filter::Matcher> OracleMatcher::clone_empty() const {
-  auto clone = std::make_unique<OracleMatcher>(oracle_, cost_, slice_index_);
-  clone->set_thread_pool(thread_pool());
-  return clone;
+  return std::make_unique<OracleMatcher>(oracle_, cost_, slice_index_);
 }
 
 OracleWorkload::OracleWorkload(OracleParams params)

@@ -128,9 +128,7 @@ class MatchOracle {
   // steady state allocates nothing. It is a memo of a pure function, so
   // any eviction gives the same results. It is also unsynchronized, and the
   // oracle is shared by every OracleMatcher of a deployment. No worker
-  // thread can reach it: the engine matches with the scalar match on the
-  // simulation thread and never calls match_batch, and OracleMatcher keeps
-  // Matcher's serial match_batch.
+  // thread can reach it: every match runs on the simulation thread.
   mutable std::vector<Partition> memo_;
   mutable std::vector<std::uint64_t> memo_seen_;    // sample() bitmap
   mutable std::vector<std::uint64_t> memo_sample_;  // sample() output

@@ -1,15 +1,15 @@
 // Differential matcher test harness: drives one seeded stream of
 // subscription adds, removes and publications through several Matcher
-// instances at once -- plain and encrypted, scalar and batched -- and
-// asserts that every scheme notifies exactly the subscriber set a direct
-// evaluation of the live subscriptions predicts.
+// instances at once -- plain and encrypted -- and asserts that every
+// scheme notifies exactly the subscriber set a direct evaluation of the
+// live subscriptions predicts.
 //
 // The oracle is independent of every matcher: it re-evaluates
 // Subscription::matches over the live set for each publication, so a bug
-// shared by two schemes (e.g. a batching kernel and its scalar fallback)
-// still diverges from it. Periodic serialize -> clone_empty -> restore
-// round-trips swap each matcher for a freshly restored replica mid-stream,
-// so state transfer is exercised under churn, not just at rest.
+// shared by two schemes still diverges from it. Periodic serialize ->
+// clone_empty -> restore round-trips swap each matcher for a freshly
+// restored replica mid-stream, so state transfer is exercised under churn,
+// not just at rest.
 //
 // ASPE note: encrypted comparisons preserve the sign of r(x - c) exactly
 // in real arithmetic; in doubles the noise is ~1e-12 while the generated
@@ -84,11 +84,11 @@ class DifferentialHarness {
   DifferentialHarness& operator=(const DifferentialHarness&) = delete;
 
   // `encrypted` schemes receive the ASPE ciphertexts of the same plain
-  // events; `batched` schemes take publications through match_batch().
+  // events.
   void add_scheme(std::string label, std::unique_ptr<Matcher> matcher,
-                  bool encrypted, bool batched) {
+                  bool encrypted) {
     schemes_.push_back(
-        Scheme{std::move(label), std::move(matcher), encrypted, batched, {}});
+        Scheme{std::move(label), std::move(matcher), encrypted, {}});
   }
 
   void run() {
@@ -142,7 +142,6 @@ class DifferentialHarness {
     std::string label;
     std::unique_ptr<Matcher> matcher;
     bool encrypted;
-    bool batched;
     // Never-split shadow fed the identical op stream (split runs only).
     std::unique_ptr<Matcher> twin;
   };
@@ -245,15 +244,10 @@ class DifferentialHarness {
         }
       }
       std::vector<MatchOutcome> outcomes;
-      if (scheme.batched) {
-        outcomes = scheme.matcher->match_batch(pubs);
-      } else {
-        outcomes.reserve(pubs.size());
-        for (const AnyPublication& pub : pubs) {
-          outcomes.push_back(scheme.matcher->match(pub));
-        }
+      outcomes.reserve(pubs.size());
+      for (const AnyPublication& pub : pubs) {
+        outcomes.push_back(scheme.matcher->match(pub));
       }
-      ASSERT_EQ(outcomes.size(), plains.size()) << scheme.label;
       for (std::size_t i = 0; i < plains.size(); ++i) {
         EXPECT_EQ(sorted_ids(outcomes[i].subscribers), expected[i])
             << scheme.label << " diverged from the oracle on publication "
@@ -264,22 +258,13 @@ class DifferentialHarness {
         // The split/merged store must behave byte-identically to the
         // never-split twin: exact subscriber order AND work_units, not
         // just the same set.
-        std::vector<MatchOutcome> twin_outcomes;
-        if (scheme.batched) {
-          twin_outcomes = scheme.twin->match_batch(pubs);
-        } else {
-          twin_outcomes.reserve(pubs.size());
-          for (const AnyPublication& pub : pubs) {
-            twin_outcomes.push_back(scheme.twin->match(pub));
-          }
-        }
-        ASSERT_EQ(twin_outcomes.size(), outcomes.size()) << scheme.label;
         for (std::size_t i = 0; i < outcomes.size(); ++i) {
-          EXPECT_EQ(outcomes[i].subscribers, twin_outcomes[i].subscribers)
+          const MatchOutcome twin = scheme.twin->match(pubs[i]);
+          EXPECT_EQ(outcomes[i].subscribers, twin.subscribers)
               << scheme.label
               << ": split/merge changed subscriber order on publication "
               << plains[i].id.value();
-          EXPECT_EQ(outcomes[i].work_units, twin_outcomes[i].work_units)
+          EXPECT_EQ(outcomes[i].work_units, twin.work_units)
               << scheme.label
               << ": split/merge changed work accounting on publication "
               << plains[i].id.value();

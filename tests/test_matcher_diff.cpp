@@ -1,9 +1,8 @@
-// Differential tests of the filtering schemes: every matcher -- scalar and
-// batched, plain and encrypted -- must notify exactly the subscribers a
-// direct evaluation of the live subscription set predicts, through churn
-// (including freed-slot reuse), serialize/restore round-trips onto
-// clone_empty() replicas, and batching. Plus golden ASPE match vectors
-// (fixed key) and the batching-invariance of simulated work accounting.
+// Differential tests of the filtering schemes: every matcher -- plain and
+// encrypted -- must notify exactly the subscribers a direct evaluation of
+// the live subscription set predicts, through churn (including freed-slot
+// reuse) and serialize/restore round-trips onto clone_empty() replicas.
+// Plus golden ASPE match vectors (fixed key).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -28,9 +27,9 @@ using harness::sorted_ids;
 
 // ---- differential harness ----------------------------------------------------
 
-// The headline run: six schemes against one seeded op stream. The scalar
-// brute force is the reference implementation; the oracle inside the
-// harness is independent of all six, so a shared kernel bug still shows.
+// The headline run: three schemes against one seeded op stream. The brute
+// force is the reference implementation; the oracle inside the harness is
+// independent of all three, so a shared kernel bug still shows.
 TEST(MatcherDiff, AllSchemesAgreeOnSeededChurn) {
   DifferentialHarness::Params params;
   params.dimensions = 4;
@@ -39,18 +38,11 @@ TEST(MatcherDiff, AllSchemesAgreeOnSeededChurn) {
   params.operations = 1100;
   params.publish_batch = 6;
   DifferentialHarness h{params};
-  h.add_scheme("brute/scalar", std::make_unique<BruteForceMatcher>(),
-               /*encrypted=*/false, /*batched=*/false);
-  h.add_scheme("brute/batched", std::make_unique<BruteForceMatcher>(),
-               /*encrypted=*/false, /*batched=*/true);
-  h.add_scheme("interval/scalar", std::make_unique<IntervalIndexMatcher>(),
-               /*encrypted=*/false, /*batched=*/false);
-  h.add_scheme("interval/batched", std::make_unique<IntervalIndexMatcher>(),
-               /*encrypted=*/false, /*batched=*/true);
-  h.add_scheme("aspe/scalar", std::make_unique<AspeMatcher>(),
-               /*encrypted=*/true, /*batched=*/false);
-  h.add_scheme("aspe/batched", std::make_unique<AspeMatcher>(),
-               /*encrypted=*/true, /*batched=*/true);
+  h.add_scheme("brute", std::make_unique<BruteForceMatcher>(),
+               /*encrypted=*/false);
+  h.add_scheme("interval", std::make_unique<IntervalIndexMatcher>(),
+               /*encrypted=*/false);
+  h.add_scheme("aspe", std::make_unique<AspeMatcher>(), /*encrypted=*/true);
   h.run();
   EXPECT_GE(h.operations_run(), 1000u);
   EXPECT_GT(h.publications_checked(), 2000u);
@@ -70,14 +62,9 @@ TEST(MatcherDiff, PlainSchemesSeedSweep) {
       params.publish_batch = 4;
       params.roundtrip_every = 53;
       DifferentialHarness h{params};
-      h.add_scheme("brute/scalar", std::make_unique<BruteForceMatcher>(),
-                   false, false);
-      h.add_scheme("brute/batched", std::make_unique<BruteForceMatcher>(),
-                   false, true);
-      h.add_scheme("interval/scalar",
-                   std::make_unique<IntervalIndexMatcher>(), false, false);
-      h.add_scheme("interval/batched",
-                   std::make_unique<IntervalIndexMatcher>(), false, true);
+      h.add_scheme("brute", std::make_unique<BruteForceMatcher>(), false);
+      h.add_scheme("interval", std::make_unique<IntervalIndexMatcher>(),
+                   false);
       h.run();
       ASSERT_FALSE(::testing::Test::HasFailure())
           << "diverged at seed " << seed << " dims " << dims;
@@ -99,13 +86,9 @@ TEST(MatcherDiff, InvertedPredicatesAgreeWithBruteForce) {
   params.roundtrip_every = 47;
   params.split_merge_every = 59;
   DifferentialHarness h{params};
-  h.add_scheme("brute/scalar", std::make_unique<BruteForceMatcher>(), false,
-               false);
-  h.add_scheme("interval/scalar", std::make_unique<IntervalIndexMatcher>(),
-               false, false);
-  h.add_scheme("interval/batched", std::make_unique<IntervalIndexMatcher>(),
-               false, true);
-  h.add_scheme("aspe/scalar", std::make_unique<AspeMatcher>(), true, false);
+  h.add_scheme("brute", std::make_unique<BruteForceMatcher>(), false);
+  h.add_scheme("interval", std::make_unique<IntervalIndexMatcher>(), false);
+  h.add_scheme("aspe", std::make_unique<AspeMatcher>(), true);
   h.run();
   EXPECT_GE(h.operations_run(), 500u);
   EXPECT_GE(h.splits_run(), 5u);
@@ -121,10 +104,8 @@ TEST(MatcherDiff, EncryptedSchemesSecondSeed) {
   params.publish_batch = 4;
   params.roundtrip_every = 61;
   DifferentialHarness h{params};
-  h.add_scheme("brute/scalar", std::make_unique<BruteForceMatcher>(), false,
-               false);
-  h.add_scheme("aspe/scalar", std::make_unique<AspeMatcher>(), true, false);
-  h.add_scheme("aspe/batched", std::make_unique<AspeMatcher>(), true, true);
+  h.add_scheme("brute", std::make_unique<BruteForceMatcher>(), false);
+  h.add_scheme("aspe", std::make_unique<AspeMatcher>(), true);
   h.run();
   EXPECT_GE(h.operations_run(), 400u);
 }
@@ -167,7 +148,7 @@ TEST(KeyCoverage, SplitHalvesPartitionAndMergeReunites) {
   EXPECT_FALSE(coverage_complete({{2, 0, 0, 0}}, 2));
 }
 
-// The headline split/merge property run: all five schemes take seeded
+// The headline split/merge property run: all three schemes take seeded
 // random split points (random depth + tag), each half is validated
 // byte-for-byte against a clone_empty + reinsert reference, the merge must
 // reunite byte-identically to a never-split twin, and every later
@@ -183,14 +164,9 @@ TEST(MatcherSplitMerge, AllSchemesSurviveSeededSplitMergeRoundTrips) {
   params.roundtrip_every = 89;
   params.split_merge_every = 71;
   DifferentialHarness h{params};
-  h.add_scheme("brute/scalar", std::make_unique<BruteForceMatcher>(), false,
-               false);
-  h.add_scheme("brute/batched", std::make_unique<BruteForceMatcher>(), false,
-               true);
-  h.add_scheme("interval/batched", std::make_unique<IntervalIndexMatcher>(),
-               false, true);
-  h.add_scheme("aspe/scalar", std::make_unique<AspeMatcher>(), true, false);
-  h.add_scheme("aspe/batched", std::make_unique<AspeMatcher>(), true, true);
+  h.add_scheme("brute", std::make_unique<BruteForceMatcher>(), false);
+  h.add_scheme("interval", std::make_unique<IntervalIndexMatcher>(), false);
+  h.add_scheme("aspe", std::make_unique<AspeMatcher>(), true);
   h.run();
   EXPECT_GE(h.splits_run(), 8u);
   EXPECT_GT(h.publications_checked(), 1000u);
@@ -209,12 +185,9 @@ TEST(MatcherSplitMerge, PlainSchemesSplitMergeSeedSweep) {
     params.roundtrip_every = 67;
     params.split_merge_every = 43;
     DifferentialHarness h{params};
-    h.add_scheme("brute/scalar", std::make_unique<BruteForceMatcher>(), false,
+    h.add_scheme("brute", std::make_unique<BruteForceMatcher>(), false);
+    h.add_scheme("interval", std::make_unique<IntervalIndexMatcher>(),
                  false);
-    h.add_scheme("interval/scalar", std::make_unique<IntervalIndexMatcher>(),
-                 false, false);
-    h.add_scheme("interval/batched", std::make_unique<IntervalIndexMatcher>(),
-                 false, true);
     h.run();
     ASSERT_FALSE(::testing::Test::HasFailure()) << "diverged at seed " << seed;
     EXPECT_GE(h.splits_run(), 5u);
@@ -442,8 +415,8 @@ TEST(MatcherChurn, AspeStateAccounting) {
 // subscriptions and publications chosen so every attribute is >= 0.01 away
 // from every bound: the encrypted comparison margins dwarf floating-point
 // noise, so this matrix is stable across kernel rewrites. Any change to
-// the ASPE pipeline or the batched row kernel that alters a single
-// match/no-match decision trips it.
+// the ASPE pipeline or the row kernel that alters a single match/no-match
+// decision trips it.
 TEST(AspeGolden, MatchMatrixIsStable) {
   const std::vector<Subscription> subs = {
       make_sub(1, 100, {{0.0, 0.5}, {0.0, 0.5}}),
@@ -499,103 +472,10 @@ TEST(AspeGolden, MatchMatrixIsStable) {
     }
     return row;
   };
-  const std::vector<MatchOutcome> batched = matcher.match_batch(enc_pubs);
-  ASSERT_EQ(batched.size(), pubs.size());
   for (std::size_t p = 0; p < enc_pubs.size(); ++p) {
     EXPECT_EQ(row_of(matcher.match(enc_pubs[p])), golden[p])
-        << "aspe scalar, publication " << p;
-    EXPECT_EQ(row_of(batched[p]), golden[p]) << "aspe batched, publication "
-                                             << p;
+        << "aspe, publication " << p;
   }
-}
-
-// ---- batching invariance of simulated work -----------------------------------
-
-// match_batch is a wall-clock optimization only: outcome i must carry
-// exactly the subscribers AND the work_units of a scalar match(pubs[i]),
-// so the cluster emulation charges identical simulated CPU regardless of
-// how the M operator groups its input. Store sizes cross the kernels'
-// internal tile/block boundaries (1024 brute slots, 64 ASPE pubs).
-TEST(MatcherBatch, WorkUnitsAreBatchingInvariant) {
-  Rng rng{777};
-  auto random_sub = [&](std::uint64_t id, std::size_t dims) {
-    std::vector<Range> preds;
-    for (std::size_t a = 0; a < dims; ++a) {
-      const double low = rng.uniform(0.0, 0.8);
-      preds.push_back(Range{low, low + 0.2});
-    }
-    return make_sub(id, 1 + id % 97, std::move(preds));
-  };
-  auto random_pub = [&](std::uint64_t id, std::size_t dims) {
-    Publication pub;
-    pub.id = PublicationId{id};
-    for (std::size_t a = 0; a < dims; ++a) {
-      pub.attributes.push_back(rng.next_double());
-    }
-    return pub;
-  };
-  auto check = [](Matcher& m, const std::vector<AnyPublication>& pubs) {
-    std::vector<MatchOutcome> scalar;
-    scalar.reserve(pubs.size());
-    for (const AnyPublication& pub : pubs) scalar.push_back(m.match(pub));
-    const std::vector<MatchOutcome> batched = m.match_batch(pubs);
-    ASSERT_EQ(batched.size(), scalar.size());
-    for (std::size_t i = 0; i < scalar.size(); ++i) {
-      EXPECT_EQ(batched[i].subscribers, scalar[i].subscribers)
-          << m.scheme_name() << " publication " << i;
-      EXPECT_DOUBLE_EQ(batched[i].work_units, scalar[i].work_units)
-          << m.scheme_name() << " publication " << i;
-    }
-    // The up-front estimate the scheduler charges is linear in the batch.
-    EXPECT_DOUBLE_EQ(m.estimate_match_units(17),
-                     17.0 * m.estimate_match_units());
-    EXPECT_DOUBLE_EQ(m.estimate_match_units(1), m.estimate_match_units());
-  };
-
-  // Plain schemes: 1500 subscriptions cross the 1024-slot brute tile.
-  {
-    BruteForceMatcher brute;
-    IntervalIndexMatcher interval;
-    for (std::uint64_t id = 1; id <= 1500; ++id) {
-      const Subscription s = random_sub(id, 3);
-      brute.add(AnySubscription{s});
-      interval.add(AnySubscription{s});
-    }
-    std::vector<AnyPublication> pubs;
-    for (std::uint64_t id = 1; id <= 40; ++id) {
-      pubs.emplace_back(random_pub(id, 3));
-    }
-    check(brute, pubs);
-    check(interval, pubs);
-    // Churn between batches: every scheme must still agree with its own
-    // scalar path.
-    EXPECT_TRUE(brute.remove(SubscriptionId{10}));
-    EXPECT_TRUE(interval.remove(SubscriptionId{10}));
-    brute.add(AnySubscription{random_sub(2000, 3)});
-    interval.add(AnySubscription{random_sub(2000, 3)});
-    check(brute, pubs);
-    check(interval, pubs);
-  }
-
-  // Encrypted scheme: 70 publications cross the 64-publication block.
-  {
-    Rng key_rng{778};
-    const AspeKey key = AspeKey::generate(3, key_rng);
-    AspeEncryptor enc{key, Rng{779}};
-    AspeMatcher aspe;
-    for (std::uint64_t id = 1; id <= 25; ++id) {
-      aspe.add(AnySubscription{enc.encrypt(random_sub(id, 3))});
-    }
-    std::vector<AnyPublication> pubs;
-    for (std::uint64_t id = 1; id <= 70; ++id) {
-      pubs.emplace_back(enc.encrypt(random_pub(id, 3)));
-    }
-    check(aspe, pubs);
-  }
-
-  // Empty batches are legal and empty.
-  BruteForceMatcher empty;
-  EXPECT_TRUE(empty.match_batch({}).empty());
 }
 
 }  // namespace

@@ -128,6 +128,11 @@ class ReplicationTest : public ::testing::Test {
     });
   }
 
+  // gen -> work -> sink:{0,1}, with work split under load and merged back,
+  // then the sinks' host dies. With `sink1_mid_stream_checkpoint` false,
+  // sink:1 restores from no checkpoint at all.
+  void run_merged_retiree_replay(bool sink1_mid_stream_checkpoint);
+
   void inject_values(std::uint64_t count, SimDuration gap) {
     SimTime at = sim.now();
     for (std::uint64_t v = 1; v <= count; ++v) {
@@ -339,7 +344,8 @@ class SinkHandler final : public Handler {
   std::multiset<std::uint64_t> values_;
 };
 
-TEST_F(ReplicationTest, MergedRetireeLogTruncatesAndReplaysFromSurvivor) {
+void ReplicationTest::run_merged_retiree_replay(
+    bool sink1_mid_stream_checkpoint) {
   // Periodic checkpoints stay out of the way; the test forces each one.
   make_engine(true, seconds(1000000));
   Topology t;
@@ -382,11 +388,11 @@ TEST_F(ReplicationTest, MergedRetireeLogTruncatesAndReplaysFromSurvivor) {
   ASSERT_EQ(split->outcome, MigrationOutcome::kCompleted);
   const SliceId retiree = split->other;
 
-  // Mid-stream sink checkpoints: both sinks have seen part of the child's
+  // Mid-stream sink checkpoints: the sinks have seen part of the child's
   // output, so the child's log keeps only the suffix above them.
   sim.run_until(SimTime{} + millis(2000));
   checkpoint(sink0);
-  checkpoint(sink1);
+  if (sink1_mid_stream_checkpoint) checkpoint(sink1);
   sim.run_until(sim.now() + seconds(3));  // traffic over, cluster quiescent
 
   // Merge the child back: the survivor adopts the retiree's log.
@@ -409,8 +415,9 @@ TEST_F(ReplicationTest, MergedRetireeLogTruncatesAndReplaysFromSurvivor) {
   EXPECT_LT(after_truncate, own + adopted);
   EXPECT_GT(after_truncate, 0u);
 
-  // The sinks' host dies. sink:1 restores its mid-stream checkpoint and
-  // needs the retiree's suffix, which only the survivor's adopted log holds.
+  // The sinks' host dies. sink:1 restores its mid-stream checkpoint, or
+  // none, and needs the retiree's suffix or all of its output; only the
+  // survivor's adopted log holds it.
   const auto lost = engine->fail_host(hosts[3]->id());
   ASSERT_EQ(lost, (std::vector<SliceId>{sink0, sink1}));
   int recovered = 0;
@@ -437,6 +444,16 @@ TEST_F(ReplicationTest, MergedRetireeLogTruncatesAndReplaysFromSurvivor) {
   checkpoint(sink1);
   sim.run_until(sim.now() + seconds(1));
   EXPECT_EQ(engine->slice_runtime(survivor)->logged_events(), 0u);
+}
+
+TEST_F(ReplicationTest, MergedRetireeLogTruncatesAndReplaysFromSurvivor) {
+  run_merged_retiree_replay(true);
+}
+
+// A slice restored from no checkpoint names no upstream channel in its
+// replay request; the survivor still replays the adopted channel in full.
+TEST_F(ReplicationTest, BootstrapRestoreReplaysAdoptedLogFromSurvivor) {
+  run_merged_retiree_replay(false);
 }
 
 }  // namespace
